@@ -9,6 +9,12 @@ cargo build --release
 echo "== tests =="
 cargo test -q
 
+# The benchmark is its own cargo package built from these crates by path;
+# build it and run its unit tests so a solver API change that breaks it
+# fails here rather than in the benchmark run.
+echo "== perfbench build + unit tests =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== warm-start equivalence (thread counts 1 and 4) =="
 # The warm-start layer must be objective-invariant regardless of the
 # parallel fan-out width; the test itself also flips thread counts

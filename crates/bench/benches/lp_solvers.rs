@@ -1,6 +1,7 @@
-//! LP-solver benches: the dense vs sparse basis-backend crossover (the
-//! ablation DESIGN.md calls out) and the NIDS assignment LP kernel behind
-//! the paper's "0.42 s for a 50-node topology" claim (§2.4).
+//! LP-solver benches: dense vs sparse basis backends on GUB packing LPs
+//! (the ablation DESIGN.md calls out; sparse wins at every size, so there
+//! is no crossover) and the NIDS assignment LP kernel behind the paper's
+//! "0.42 s for a 50-node topology" claim (§2.4).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nwdp_core::nids::{solve_nids_lp, NidsLpConfig, NodeCaps};

@@ -260,13 +260,77 @@ mod tests {
         let (dep, cfg) = setup();
         let a = solve_nids_lp(&dep, &cfg).unwrap();
         assert_eq!(a.d.len(), dep.units.len());
-        for fr in &a.d {
-            let sum: f64 = fr.iter().map(|&(_, f)| f).sum();
-            assert!((sum - 1.0).abs() < 1e-6, "coverage violated: {sum}");
-        }
+        assert_covered(&a, "default");
         // Load definition consistency: reported loads equal recomputed.
         let worst = a.cpu_load.iter().chain(&a.mem_load).fold(0.0f64, |m, &x| m.max(x));
         assert!((worst - a.max_load).abs() < 1e-5, "{} vs {}", worst, a.max_load);
+    }
+
+    /// `cfg` with the dense inverse forced for every solve.
+    fn dense(cfg: &NidsLpConfig) -> NidsLpConfig {
+        let mut c = cfg.clone();
+        c.solver.dense_row_limit = usize::MAX;
+        c
+    }
+
+    fn assert_covered(a: &NidsAssignment, what: &str) {
+        for (u, fr) in a.d.iter().enumerate() {
+            let sum: f64 = fr.iter().map(|&(_, f)| f).sum();
+            assert!((sum - 1.0).abs() < 1e-6, "{what}: unit {u} covered {sum}");
+        }
+    }
+
+    /// The `ReloadController` blend: each unit's volume moves halfway
+    /// toward its class's uniform share.
+    fn blend_toward_uniform(dep: &NidsDeployment) -> NidsDeployment {
+        let mut totals = vec![(0.0, 0.0, 0.0); dep.classes.len()];
+        for u in &dep.units {
+            let t = &mut totals[u.class];
+            *t = (t.0 + u.pkts, t.1 + u.items, t.2 + 1.0);
+        }
+        let mut next = dep.clone();
+        for u in &mut next.units {
+            let (p, i, n) = totals[u.class];
+            u.pkts = 0.5 * u.pkts + 0.5 * p / n;
+            u.items = 0.5 * u.items + 0.5 * i / n;
+        }
+        next
+    }
+
+    #[test]
+    fn sparse_default_agrees_with_dense_oracle() {
+        let (dep, cfg) = setup();
+        let s = solve_nids_lp(&dep, &cfg).unwrap();
+        let d = solve_nids_lp(&dep, &dense(&cfg)).unwrap();
+        assert!((s.max_load - d.max_load).abs() < 1e-9, "{} vs {}", s.max_load, d.max_load);
+        assert_covered(&s, "sparse");
+        assert_covered(&d, "dense");
+    }
+
+    #[test]
+    fn warm_blended_chain_agrees_across_backends() {
+        // Two warm re-solves over blended volumes: coefficient changes that
+        // the dual phase repairs, on both backends.
+        let (dep, cfg) = setup();
+        let chain = |cfg: &NidsLpConfig, what: &str| {
+            let (cold, mut basis) = solve_nids_lp_warm(&dep, cfg, None).unwrap();
+            let mut step = dep.clone();
+            let mut loads = Vec::new();
+            for k in 0..2 {
+                step = blend_toward_uniform(&step);
+                let (a, b) = solve_nids_lp_warm(&step, cfg, basis.as_ref()).unwrap();
+                assert_covered(&a, &format!("{what} step {k}"));
+                assert!(a.lp_iterations < cold.lp_iterations, "{what} step {k} fell back cold");
+                loads.push(a.max_load);
+                basis = b;
+            }
+            loads
+        };
+        let s = chain(&cfg, "sparse");
+        let d = chain(&dense(&cfg), "dense");
+        for (k, (s, d)) in s.iter().zip(&d).enumerate() {
+            assert!((s - d).abs() < 1e-9, "step {k}: {s} vs {d}");
+        }
     }
 
     #[test]

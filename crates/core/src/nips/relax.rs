@@ -101,11 +101,7 @@ pub fn solve_relaxation_ctx(
     opts: &RowGenOpts,
     ctx: &mut SolveContext,
 ) -> Result<RelaxSolution, RelaxError> {
-    // The relaxation LPs are extremely sparse (GUB/VUB rows of 2-6
-    // nonzeros); the sparse PFI backend beats the dense inverse well below
-    // the generic crossover, so force it.
     let mut opts = opts.clone();
-    opts.lp.dense_row_limit = 0;
     // Predictive activation: coverage/VUB rows within 0.25 of binding get
     // materialized as soon as any violation appears, collapsing the
     // cutting-plane loop to a handful of rounds.

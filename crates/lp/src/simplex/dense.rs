@@ -1,9 +1,11 @@
 //! Dense explicit-inverse basis backend.
 //!
 //! Maintains `B⁻¹` as a column-major dense matrix, updated by elementary row
-//! operations at each pivot (product-form update applied eagerly). Simple,
-//! numerically transparent, and fast for basis sizes up to a few thousand
-//! rows; the sparse backend takes over beyond that.
+//! operations at each pivot (product-form update applied eagerly). Simple
+//! and numerically transparent, but every pivot costs O(m²), so the sparse
+//! backend is faster at every size the workspace solves. It runs only when
+//! a caller opts in ([`super::SolverOpts::dense_row_limit`]) and as the
+//! independent oracle the sparse backend is cross-checked against.
 
 use super::{BasisBackend, SingularBasis};
 

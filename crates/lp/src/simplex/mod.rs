@@ -1,10 +1,13 @@
 //! Bounded-variable two-phase revised simplex.
 //!
 //! The driver is generic over a [`BasisBackend`] that maintains the basis
-//! factorization: [`dense::DenseInverse`] keeps an explicit dense `B⁻¹`
-//! (best for up to a few thousand rows); [`sparse::SparseFactors`] keeps a
-//! sparse LU with eta updates for large structured problems such as the
-//! NIPS relaxations.
+//! factorization. [`sparse::SparseFactors`] keeps a sparse LU with eta
+//! updates and is the backend [`solve`] / [`solve_warm`] / [`solve_from`]
+//! build for every LP: it beats the dense inverse at every size the
+//! workspace solves, from 15-row packing LPs to the 814-row NIDS LP.
+//! [`dense::DenseInverse`] keeps an explicit dense `B⁻¹`; it runs only
+//! when a caller opts in via [`SolverOpts::dense_row_limit`], and it is
+//! the independent oracle the sparse backend is cross-checked against.
 //!
 //! Design notes:
 //! - **Standard form.** Every row gets a slack with bounds encoding the
@@ -140,7 +143,10 @@ pub struct SolverOpts {
     pub tol_feas: f64,
     /// Reduced-cost (optimality) tolerance.
     pub tol_dj: f64,
-    /// Use the dense backend when the row count is at most this.
+    /// Use the dense backend when the row count is at most this. The
+    /// default `0` sends every LP with rows to the sparse backend, which
+    /// wins at every size the workspace solves (DESIGN.md, "Basis
+    /// backends"); raise it only to opt in to the dense inverse.
     pub dense_row_limit: usize,
     /// Consecutive degenerate pivots before switching to Bland's rule.
     pub bland_trigger: usize,
@@ -175,7 +181,7 @@ impl Default for SolverOpts {
             max_iters: None,
             tol_feas: 1e-7,
             tol_dj: 1e-9,
-            dense_row_limit: 1500,
+            dense_row_limit: 0,
             bland_trigger: 80,
             refresh_every: 500,
             dual_phase: dual_phase_default(),
@@ -1498,8 +1504,9 @@ fn try_solve<B: BasisBackend>(
     )
 }
 
-/// Solve `p` as a pure LP with automatically chosen backend (integer
-/// markers are ignored; use [`crate::milp`] to enforce integrality).
+/// Solve `p` as a pure LP on the backend [`SolverOpts::dense_row_limit`]
+/// selects, sparse by default (integer markers are ignored; use
+/// [`crate::milp`] to enforce integrality).
 pub fn solve(p: &Problem, opts: &SolverOpts) -> Solution {
     solve_warm(p, opts, None).0
 }

@@ -34,7 +34,7 @@ fn build(trial: u64, ncols: usize, nrows: usize) -> Problem {
 
 #[test]
 fn sparse_backend_survives_mixed_scale_wide_lps() {
-    let opts = SolverOpts { dense_row_limit: 0, ..Default::default() };
+    let opts = SolverOpts::default();
     for trial in 1..=2u64 {
         let p = build(trial, 18_000, 50);
         let (s, warm) = solve_warm(&p, &opts, None);

@@ -275,6 +275,44 @@ fn randomized_lps_dense_vs_sparse_agree() {
 }
 
 #[test]
+fn default_dispatch_is_the_sparse_backend() {
+    // `solve` with default options must be exactly a `SparseFactors`
+    // solve (same point, objective and pivot count), from a few rows up
+    // to a 62-row GUB packing LP.
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut rng = StdRng::seed_from_u64(0xD15);
+    let mut problems: Vec<Problem> = (0..20)
+        .map(|_| {
+            let nv = rng.random_range(2..10);
+            let nc = rng.random_range(1..10);
+            random_feasible_lp(&mut rng, nv, nc)
+        })
+        .collect();
+    let mut gub = Problem::new(Sense::Max);
+    let vars: Vec<_> = (0..200)
+        .map(|j| gub.add_var(format!("x{j}"), 0.0, 1.0, 1.0 + (j % 7) as f64 * 0.3))
+        .collect();
+    for g in 0..50 {
+        let terms: Vec<_> = (0..4).map(|t| (vars[g * 4 + t], 1.0)).collect();
+        gub.add_con(format!("g{g}"), &terms, Cmp::Le, 1.0);
+    }
+    for c in 0..12 {
+        let terms: Vec<_> =
+            (0..200).filter(|j| j % 12 == c).map(|j| (vars[j], 1.0 + (j % 3) as f64)).collect();
+        gub.add_con(format!("cap{c}"), &terms, Cmp::Le, 50.0 / 8.0);
+    }
+    problems.push(gub);
+    for (trial, p) in problems.iter().enumerate() {
+        let s = solve(p, &SolverOpts::default());
+        let r = solve_with_backend(p, &SolverOpts::default(), &mut SparseFactors::new());
+        assert_eq!(s.status, r.status, "trial {trial}");
+        assert_eq!(s.iterations, r.iterations, "trial {trial}");
+        assert_eq!(s.objective.to_bits(), r.objective.to_bits(), "trial {trial}");
+        assert_eq!(bits(&s.x), bits(&r.x), "trial {trial}");
+    }
+}
+
+#[test]
 fn larger_structured_lp_sparse_backend() {
     // A mid-size covering/packing mix solved with the sparse backend
     // explicitly, KKT-verified.

@@ -26,7 +26,7 @@ fn warm_matches_cold_across_row_additions() {
         let (mut p, vars, mut rng) = random_growing_lp(trial);
         let mut opts = SolverOpts::default();
         if trial % 2 == 0 {
-            opts.dense_row_limit = 0; // force the sparse backend half the time
+            opts.dense_row_limit = usize::MAX; // force the dense backend half the time
         }
         let (s0, mut warm) = solve_warm(&p, &opts, None);
         assert_eq!(s0.status, Status::Optimal, "trial {trial} base");
