@@ -9,6 +9,12 @@ cargo build --release
 echo "== tests =="
 cargo test -q
 
+# Tier-1 runs only the root package. The solver's own suites (simplex,
+# warm start, dual phase, large sparse, LP properties, flow vs simplex) and
+# the NIDS/NIPS unit tests live in these two crates.
+echo "== solver and core suites =="
+cargo test -q --release -p nwdp-lp -p nwdp-core
+
 # The benchmark is its own cargo package built from these crates by path;
 # build it and run its unit tests so a solver API change that breaks it
 # fails here rather than in the benchmark run.

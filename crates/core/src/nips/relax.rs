@@ -110,6 +110,38 @@ pub fn solve_relaxation_ctx(
     }
     let opts = &opts;
     let layout = Layout::new(inst);
+    let RelaxLp { problem: p, lazy, evars, dvars } = build_lp(inst, &layout);
+
+    let res = solve_with_lazy_rows_ctx(&p, &lazy, opts, ctx);
+    if res.solution.status != Status::Optimal {
+        return Err(RelaxError::SolverFailed(res.solution.status));
+    }
+    if !res.converged {
+        return Err(RelaxError::NotConverged);
+    }
+    let sol = res.solution;
+    let e: Vec<f64> = evars.iter().map(|&v| sol.value(v).clamp(0.0, 1.0)).collect();
+    let d: Vec<f64> = dvars.iter().map(|&v| sol.value(v).clamp(0.0, 1.0)).collect();
+    Ok(RelaxSolution {
+        objective: sol.objective,
+        e,
+        d,
+        layout,
+        rowgen: (res.rows_added, res.rounds),
+    })
+}
+
+/// The relaxation before row generation: the eager resource rows in
+/// `problem`, the coverage and VUB rows in the `lazy` pool.
+struct RelaxLp {
+    problem: Problem,
+    lazy: Vec<LazyRow>,
+    /// `e` and `d` variables, indexed by [`Layout::e`] / [`Layout::d`].
+    evars: Vec<VarId>,
+    dvars: Vec<VarId>,
+}
+
+fn build_lp(inst: &NipsInstance, layout: &Layout) -> RelaxLp {
     let mut p = Problem::new(Sense::Max);
 
     // e variables (objective 0).
@@ -180,23 +212,7 @@ pub fn solve_relaxation_ctx(
         }
     }
 
-    let res = solve_with_lazy_rows_ctx(&p, &lazy, opts, ctx);
-    if res.solution.status != Status::Optimal {
-        return Err(RelaxError::SolverFailed(res.solution.status));
-    }
-    if !res.converged {
-        return Err(RelaxError::NotConverged);
-    }
-    let sol = res.solution;
-    let e: Vec<f64> = evars.iter().map(|&v| sol.value(v).clamp(0.0, 1.0)).collect();
-    let d: Vec<f64> = dvars.iter().map(|&v| sol.value(v).clamp(0.0, 1.0)).collect();
-    Ok(RelaxSolution {
-        objective: sol.objective,
-        e,
-        d,
-        layout,
-        rowgen: (res.rows_added, res.rounds),
-    })
+    RelaxLp { problem: p, lazy, evars, dvars }
 }
 
 #[cfg(test)]
@@ -255,6 +271,30 @@ mod tests {
         let sol = solve_relaxation(&inst, &RowGenOpts::default()).unwrap();
         let bound = inst.drop_everything_bound();
         assert!((sol.objective - bound).abs() < 1e-6 * bound, "{} vs {bound}", sol.objective);
+    }
+
+    #[test]
+    fn row_generation_matches_the_materialized_relaxation() {
+        // Solve the full relaxation of a 12-rule Internet2 instance with
+        // every coverage and VUB row materialized, certify it with the
+        // independent KKT check, and require the row-generated optimum to
+        // agree with it.
+        let inst = small_instance(12, 0.15, 21);
+        let rowgen = solve_relaxation(&inst, &RowGenOpts::default()).unwrap();
+        let RelaxLp { problem: mut full, lazy, .. } = build_lp(&inst, &Layout::new(&inst));
+        for row in &lazy {
+            full.add_con(row.name.clone(), &row.terms, row.cmp, row.rhs);
+        }
+        let sol = nwdp_lp::solve(&full, &nwdp_lp::SolverOpts::default());
+        assert_eq!(sol.status, Status::Optimal);
+        nwdp_lp::verify_kkt(&full, &sol, nwdp_lp::KktTol::default()).unwrap();
+        let rel = (rowgen.objective - sol.objective).abs() / sol.objective.abs();
+        assert!(
+            rel <= 1e-7,
+            "row generation {} vs full LP {} ({rel:e})",
+            rowgen.objective,
+            sol.objective
+        );
     }
 
     #[test]
