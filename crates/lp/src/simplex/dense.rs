@@ -121,12 +121,16 @@ impl BasisBackend for DenseInverse {
         }
     }
 
-    fn btran_unit(&self, r: usize, out: &mut [f64]) {
+    fn btran_unit_sparse(&self, r: usize, out: &mut [f64], support: &mut Vec<usize>) {
         // Row `r` of the explicit inverse, read straight out of the
         // column-major store — no BTRAN pass needed.
         let m = self.m;
+        support.clear();
         for (k, o) in out.iter_mut().enumerate().take(m) {
             *o = self.binv[k * m + r];
+            if *o != 0.0 {
+                support.push(k);
+            }
         }
     }
 
@@ -211,9 +215,11 @@ mod tests {
             let mut via_btran = vec![0.0; 3];
             b.btran(&e, &mut via_btran);
             let mut direct = vec![0.0; 3];
-            b.btran_unit(r, &mut direct);
-            for (a, c) in direct.iter().zip(&via_btran) {
+            let mut support = Vec::new();
+            b.btran_unit_sparse(r, &mut direct, &mut support);
+            for (i, (a, c)) in direct.iter().zip(&via_btran).enumerate() {
                 assert!((a - c).abs() < 1e-12, "row {r}: {direct:?} vs {via_btran:?}");
+                assert_eq!(*a != 0.0, support.contains(&i), "row {r}: support at {i}");
             }
         }
     }
