@@ -10,10 +10,12 @@ echo "== tests =="
 cargo test -q
 
 # Tier-1 runs only the root package. The solver's own suites (simplex,
-# warm start, dual phase, large sparse, LP properties, flow vs simplex) and
-# the NIDS/NIPS unit tests live in these two crates.
-echo "== solver and core suites =="
-cargo test -q --release -p nwdp-lp -p nwdp-core
+# warm start, dual phase, large sparse, LP properties, flow vs simplex),
+# the NIDS/NIPS unit tests, and the engine's unit tests and suites
+# (equivalence, modules, overhead, robustness, resilience, cluster) live
+# in these three crates.
+echo "== solver, core and engine suites =="
+cargo test -q --release -p nwdp-lp -p nwdp-core -p nwdp-engine
 
 # The benchmark is its own cargo package built from these crates by path;
 # build it and run its unit tests so a solver API change that breaks it

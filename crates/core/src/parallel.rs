@@ -214,8 +214,8 @@ where
 /// Map `f` over the `rows × cols` grid, fanning all cells out across
 /// threads as one flat task pool (so an idle row never strands workers);
 /// results come back grouped per row, cells in column order. `f` receives
-/// `(row, col)`. The streaming engine uses this for its node × shard
-/// fan-out.
+/// `(row, col)`. The benchmark's traced streaming pass uses this for its
+/// node × shard fan-out.
 pub fn par_map_grid<R, F>(rows: usize, cols: usize, f: F) -> Vec<Vec<R>>
 where
     R: Send,

@@ -14,7 +14,14 @@
 //!   skip-state-creation fast path;
 //! - [`cost`]: the deterministic cycle/byte accounting that stands in for
 //!   the paper's `atop` measurements;
-//! - [`netwide`]: edge-only vs coordinated network-wide runs (Figs 6–8).
+//! - [`netwide`]: edge-only vs coordinated network-wide runs (Figs 6–8),
+//!   the batch replay the equivalence suites compare against, and the
+//!   failure-resilient run;
+//! - [`stream`]: the one coordinated replay loop — persistent (node,
+//!   shard) workers replaying a session source in epochs, with manifest
+//!   swaps between epochs — behind the streaming, live-reload
+//!   ([`reload`]) and failure-resilient runs;
+//! - [`cluster`]: the message-passing control plane.
 
 pub mod ac;
 pub mod cluster;

@@ -5,14 +5,16 @@
 //! at a node and transit traffic. For the edge-only case, these consist of
 //! traffic originating/terminating at each node."
 //!
-//! Each node's replay is an independent engine over its own slice of the
-//! trace, so the per-node fan-out runs on scoped threads (see
-//! [`nwdp_core::parallel`]). Per-node [`RunStats`] are merged back in node
-//! order after the join, which keeps the result bit-identical to a serial
-//! run for any `NWDP_THREADS` setting.
+//! The batch runners replay a materialized trace with one independent
+//! engine per node on scoped threads (see [`nwdp_core::parallel`]),
+//! merged in node order, so the result is bit-identical for any
+//! `NWDP_THREADS`; the equivalence suites hold the streaming runs to them.
+//! [`run_coordinated_resilient`] replays a planned manifest timeline
+//! through the coordinated replay loop of [`crate::stream`].
 
 use crate::engine::{CoordContext, Engine, Placement, RunStats};
 use crate::modules::{Alert, EngineError};
+use crate::stream::run_epochs;
 use nwdp_core::nids::{NodeCaps, SamplingManifest};
 use nwdp_core::resilience::{
     distance_weighted_values, greedy_repair, manifest_gap_fraction, shed_overload, FailureKind,
@@ -22,8 +24,9 @@ use nwdp_core::{parallel, NidsDeployment};
 use nwdp_hash::KeyedHasher;
 use nwdp_obs as obs;
 use nwdp_topo::{NodeId, PathDb};
-use nwdp_traffic::{FaultInjector, NetTrace};
+use nwdp_traffic::{FaultInjector, NetTrace, Session};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Results of running one deployment scenario across all nodes.
 #[derive(Debug, Clone)]
@@ -45,9 +48,20 @@ impl NetworkRun {
     pub fn total_cpu(&self) -> u64 {
         self.per_node.iter().map(|s| s.cpu_cycles).sum()
     }
+
+    /// Assemble a run from per-node stats in node order (alerts are their
+    /// union) and publish its load profile under `mode`.
+    pub(crate) fn collect(mode: &str, per_node: Vec<RunStats>) -> Self {
+        let alerts = per_node.iter().flat_map(|st| st.alerts.iter().cloned()).collect();
+        let run = NetworkRun { per_node, alerts };
+        if obs::enabled() {
+            flush_metrics(mode, &run);
+        }
+        run
+    }
 }
 
-fn class_names(dep: &NidsDeployment) -> Vec<String> {
+pub(crate) fn class_names(dep: &NidsDeployment) -> Vec<String> {
     dep.classes.iter().map(|c| c.name.clone()).collect()
 }
 
@@ -65,19 +79,11 @@ fn replay_nodes(
     })
     .into_iter()
     .collect::<Result<Vec<_>, _>>()?;
-    let mut alerts = BTreeSet::new();
-    for stats in &per_node {
-        alerts.extend(stats.alerts.iter().cloned());
-    }
-    let run = NetworkRun { per_node, alerts };
-    if obs::enabled() {
-        flush_metrics(mode, &run);
-    }
-    Ok(run)
+    Ok(NetworkRun::collect(mode, per_node))
 }
 
 /// Publish one replay's per-node load profile to the metrics registry.
-pub(crate) fn flush_metrics(mode: &str, run: &NetworkRun) {
+fn flush_metrics(mode: &str, run: &NetworkRun) {
     let s = obs::Scope::new("engine");
     s.counter_with("runs", &[("mode", mode)]).inc();
     s.gauge_with("max_cpu_cycles", &[("mode", mode)]).set_max(run.max_cpu() as f64);
@@ -156,12 +162,8 @@ pub fn run_edge_only_faulty(
     replay_nodes("edge_only_faulty", dep.num_nodes, |node| {
         let mut engine = Engine::new(node, Placement::Unmodified, &names, None, hasher)?;
         for s in trace.edge_sessions(node) {
-            if obs::alert_enabled() {
-                obs::set_alert_context(node.0 as u64, s.id);
-            }
-            let now = s.id as f64 / n_total;
-            for pkt in faults.apply_at(s, s.packets(), node, now) {
-                engine.process_packet(&pkt);
+            if faults.observes(node, s.id as f64 / n_total) {
+                engine.process_session_faulty(s, faults);
             }
         }
         Ok(engine.stats())
@@ -294,7 +296,8 @@ pub fn plan_manifest_epochs(
 /// nodes skip the sessions they cannot see, and every node swaps to the
 /// repaired manifest at each epoch boundary (new connections follow the
 /// repaired ranges; connections already enabled keep their engines, the
-/// paper's drain semantics).
+/// paper's drain semantics). The replay loop runs one epoch per planned
+/// manifest, on the replay clock `session.id / trace length`.
 pub fn run_coordinated_resilient(
     dep: &NidsDeployment,
     manifest: &SamplingManifest,
@@ -307,36 +310,37 @@ pub fn run_coordinated_resilient(
     assert_ne!(placement, Placement::Unmodified, "coordinated run needs a coordinated placement");
     let epochs = plan_manifest_epochs(dep, manifest, cfg);
     assert!(!epochs.is_empty() && epochs[0].from == 0.0, "epoch timeline must start at 0");
-    let names = class_names(dep);
     let n_total = trace.sessions.len().max(1) as f64;
-    // One shared copy of each epoch's manifest; every node's swap is an
-    // Arc clone, not a manifest clone.
-    let shared: Vec<std::sync::Arc<SamplingManifest>> =
-        epochs.iter().map(|e| std::sync::Arc::new(e.manifest.clone())).collect();
-    let run = replay_nodes("coordinated_resilient", dep.num_nodes, |node| {
-        let coord = CoordContext::with_shared(dep, shared[0].clone());
-        let mut engine = Engine::new(node, placement, &names, Some(coord), hasher)?;
-        let mut k = 0;
-        for s in trace.onpath_sessions(paths, node) {
-            let now = s.id as f64 / n_total;
-            while k + 1 < epochs.len() && epochs[k + 1].from <= now {
-                k += 1;
-                engine.set_manifest(shared[k].clone())?;
-                obs::trace_event!(
-                    "engine.manifest_swap",
-                    node = node.0,
-                    epoch = k,
-                    at = epochs[k].from,
-                    residual_gap = epochs[k].residual_gap
-                );
-            }
-            if cfg.schedule.events.iter().any(|e| e.node == node && e.blind_at(now)) {
-                continue;
-            }
-            engine.process_session(s);
-        }
-        Ok(engine.stats())
-    })?;
+    let clock = |s: &Session| s.id as f64 / n_total;
+    // Epoch k goes live at the first session whose clock reaches its
+    // `from`. Ids ascend through the trace, so once an epoch is never
+    // reached, no later one is either.
+    let bounds: Vec<u64> = epochs[1..]
+        .iter()
+        .map_while(|ep| trace.sessions.iter().find(|s| ep.from <= clock(s)))
+        .map(|s| s.id)
+        .collect();
+    let blind = |node: NodeId, s: &Session| {
+        cfg.schedule.events.iter().any(|e| e.node == node && e.blind_at(clock(s)))
+    };
+    let live = |k: usize| Arc::new(epochs[k].manifest.clone());
+    let _span = obs::span!("engine.replay", mode = "coordinated_resilient", nodes = dep.num_nodes);
+    let run = run_epochs(
+        "coordinated_resilient",
+        dep,
+        live(0),
+        paths,
+        || trace.sessions.iter().cloned(),
+        placement,
+        hasher,
+        1,
+        &bounds,
+        |k, _| {
+            obs::trace_event!("engine.manifest_swap", epoch = k, at = epochs[k].from);
+            Some(live(k))
+        },
+        Some(&blind),
+    )?;
     Ok(ResilientRun { run, epochs })
 }
 
@@ -407,4 +411,76 @@ pub fn run_standalone_reference(
         engine.process_session(s);
     }
     Ok(engine.stats())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nwdp_core::nids::{generate_manifests, solve_nids_lp, NidsLpConfig};
+    use nwdp_core::resilience::HealthConfig;
+    use nwdp_core::{build_units, AnalysisClass};
+    use nwdp_topo::internet2;
+    use nwdp_traffic::{generate_trace, TraceConfig, TrafficMatrix, VolumeModel};
+
+    // The per-node reference comparison lives in tests/resilience.rs; here
+    // the resilient schedule runs through the shared runner at 3 shards,
+    // which the public entry point never does.
+    #[test]
+    fn sharded_resilient_schedule_matches_the_resilient_run() {
+        let topo = internet2();
+        let paths = PathDb::shortest_paths(&topo);
+        let tm = TrafficMatrix::gravity(&topo);
+        let vol = VolumeModel::internet2_baseline();
+        let dep = build_units(&topo, &paths, &tm, &vol, &AnalysisClass::standard_set());
+        let lp = NidsLpConfig::homogeneous(dep.num_nodes, NodeCaps { cpu: 2e8, mem: 4e9 });
+        let manifest = generate_manifests(&dep, &solve_nids_lp(&dep, &lp).expect("lp solves").d);
+        let trace = generate_trace(&topo, &tm, &TraceConfig::new(1200, 5));
+        let hasher = KeyedHasher::with_key(0x5A4D);
+        let schedule = FailureSchedule::random(dep.num_nodes, 4, 3);
+        let cfg = ResilienceConfig {
+            caps: &lp.caps,
+            schedule: &schedule,
+            health: HealthConfig::default(),
+        };
+
+        let res = run_coordinated_resilient(
+            &dep,
+            &manifest,
+            &paths,
+            &trace,
+            Placement::EventEngine,
+            hasher,
+            &cfg,
+        )
+        .expect("resilient run");
+        let n_total = trace.sessions.len() as f64;
+        let bounds: Vec<u64> = res.epochs[1..]
+            .iter()
+            .map_while(|ep| trace.sessions.iter().find(|s| ep.from <= s.id as f64 / n_total))
+            .map(|s| s.id)
+            .collect();
+        assert!(bounds.len() >= 2, "the schedule must swap manifests: {bounds:?}");
+        let blind = |node: NodeId, s: &Session| {
+            schedule.events.iter().any(|e| e.node == node && e.blind_at(s.id as f64 / n_total))
+        };
+        let sharded = run_epochs(
+            "coordinated_resilient",
+            &dep,
+            Arc::new(res.epochs[0].manifest.clone()),
+            &paths,
+            || trace.sessions.iter().cloned(),
+            Placement::EventEngine,
+            hasher,
+            3,
+            &bounds,
+            |k, _| Some(Arc::new(res.epochs[k].manifest.clone())),
+            Some(&blind),
+        )
+        .expect("sharded run");
+
+        assert_eq!(sharded.alerts, res.run.alerts);
+        for (a, b) in sharded.per_node.iter().zip(&res.run.per_node) {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "node {}", a.node.0);
+        }
+    }
 }

@@ -10,14 +10,17 @@
 //! manifest into every live engine — without stopping replay.
 //!
 //! Every candidate manifest passes through the [`validate_manifests`]
-//! gate before it reaches [`Engine::set_manifest`]: coverage gaps or
-//! overlaps, redundancy shortfalls, structural corruption, and capacity
-//! ceiling violations are all rejected *before* the swap, and the old
-//! manifest keeps serving. The [`Sabotage`] hook deliberately corrupts a
+//! gate before it reaches
+//! [`Engine::set_manifest`](crate::engine::Engine::set_manifest): coverage
+//! gaps or overlaps, redundancy shortfalls, structural corruption, and
+//! capacity ceiling violations are all rejected *before* the swap, and the
+//! old manifest keeps serving. The [`Sabotage`] hook deliberately corrupts a
 //! candidate so tests and the `repro reload` scenario can pin the
 //! rejection path end to end.
 //!
-//! Because engines only consult the manifest (unit structure never
+//! The run itself is the coordinated replay loop of [`crate::stream`] split
+//! into equal epochs, with the controller deciding every swap between
+//! them. Because engines only consult the manifest (unit structure never
 //! changes — re-solves alter volumes, not units), a swap is a single
 //! `Arc` pointer exchange per engine between epochs; the per-connection
 //! state, per-host aggregates, and meters all survive the reload. With
@@ -25,23 +28,23 @@
 //! [`run_coordinated_stream`](crate::stream::run_coordinated_stream) —
 //! `tests/parallel_equivalence.rs` pins that equivalence.
 
-use crate::engine::{CoordContext, Engine, Placement};
+use crate::engine::Placement;
 use crate::modules::EngineError;
-use crate::netwide::{flush_metrics, NetworkRun};
-use crate::stream::shard_of;
+use crate::netwide::NetworkRun;
+use crate::stream::run_epochs;
 use nwdp_core::migration::plan_transition;
 use nwdp_core::nids::{
     generate_manifests, solve_nids_lp_warm, validate_manifests, CapacityCeiling, ManifestEntry,
     ManifestValidationError, NidsError, NidsLpConfig, NodeCaps, SamplingManifest, WarmStart,
 };
 use nwdp_core::resilience::covered_fraction;
-use nwdp_core::{parallel, NidsDeployment, UnitKey};
+use nwdp_core::{NidsDeployment, UnitKey};
 use nwdp_hash::KeyedHasher;
 use nwdp_obs as obs;
 use nwdp_topo::{NodeId, PathDb};
 use nwdp_traffic::Session;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// When (if ever) the controller corrupts its own candidate manifest
 /// before validation. Used to exercise the rejection path: a sabotaged
@@ -372,31 +375,16 @@ fn sabotage_manifest(m: &SamplingManifest) -> SamplingManifest {
     SamplingManifest::from_entries(m.num_nodes(), entries)
 }
 
-struct Worker<'a, I: Iterator<Item = Session>> {
-    engine: Engine<'a>,
-    it: std::iter::Peekable<I>,
-}
-
-fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 /// [`run_coordinated_stream`](crate::stream::run_coordinated_stream) with
 /// a closed reconfiguration loop.
 ///
 /// The trace is split into `cfg.epochs` equal segments by session id. At
-/// each interior boundary the runner pauses the fan-out (workers park at
-/// the boundary, engines and iterators stay live), hands the epoch's
-/// [`ObservedMix`] to a [`ReloadController`], and — if the re-solved
-/// candidate passes [`validate_manifests`] — swaps the new manifest into
-/// every engine via [`Engine::set_manifest`]. Per-connection state and
-/// meters survive every swap; a rejected candidate leaves the old
-/// manifest serving.
-///
-/// Records the live manifest's covered fraction into the
-/// `resilience.coverage` replay-clock series (when metrics are enabled)
-/// and returns the full coverage/decision history in [`ReloadRun`].
-// Mirrors `run_coordinated_stream`'s signature plus the reload config.
+/// each interior boundary the workers park, the epoch's [`ObservedMix`]
+/// goes to a [`ReloadController`], and — if the re-solved candidate passes
+/// [`validate_manifests`] — every engine swaps to the new manifest. A
+/// rejected candidate leaves the old manifest serving. The live
+/// manifest's covered fraction goes into the `resilience.coverage`
+/// series (when metrics are enabled) and into [`ReloadRun`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_coordinated_stream_reload<I, S>(
     dep: &NidsDeployment,
@@ -413,10 +401,8 @@ where
     S: Fn() -> I,
 {
     assert_ne!(placement, Placement::Unmodified, "reload run needs a coordinated placement");
-    let shards = shards.max(1);
     let epochs = cfg.epochs.max(1);
-    let names: Vec<String> = dep.classes.iter().map(|c| c.name.clone()).collect();
-    let _span = obs::span!("engine.reload", nodes = dep.num_nodes, shards = shards);
+    let _span = obs::span!("engine.reload", nodes = dep.num_nodes, shards = shards.max(1));
 
     let mut controller = ReloadController::new(
         dep,
@@ -426,109 +412,36 @@ where
         cfg.max_load,
         cfg.blend,
     );
-
-    // Persistent per-(node, shard) workers: engines and iterators live
-    // across epochs so connection state survives every swap.
-    let mut cells: Vec<Mutex<Option<Worker<'_, I>>>> = Vec::with_capacity(dep.num_nodes * shards);
-    for j in 0..dep.num_nodes {
-        for _shard in 0..shards {
-            let coord = CoordContext::with_shared(dep, controller.manifest());
-            let engine = Engine::new(NodeId(j), placement, &names, Some(coord), hasher)?;
-            cells.push(Mutex::new(Some(Worker { engine, it: source().peekable() })));
-        }
-    }
-
-    let mut decisions = Vec::with_capacity(epochs.saturating_sub(1));
+    let mut decisions = Vec::with_capacity(epochs - 1);
     let mut coverage = Vec::with_capacity(epochs);
     coverage.push((0.0, covered_fraction(controller.deployment(), &controller.manifest(), &[])));
 
-    for e in 1..=epochs {
-        // Exclusive session-id bound of this epoch; the final epoch
-        // drains whatever the source still holds.
-        let hi = if e == epochs { u64::MAX } else { cfg.total_sessions * e as u64 / epochs as u64 };
-        let mixes = parallel::par_map_n(cells.len(), |i| {
-            let node = NodeId(i / shards);
-            let shard = i % shards;
-            let mut cell = locked(&cells[i]);
-            let Some(worker) = cell.as_mut() else { return ObservedMix::default() };
-            let mut mix = ObservedMix::default();
-            while worker.it.peek().is_some_and(|s| s.id < hi) {
-                let Some(session) = worker.it.next() else { break };
-                if paths.path(session.src_node, session.dst_node).position(node).is_none() {
-                    continue;
-                }
-                if shards > 1 && shard_of(&hasher, &session, shards) != shard {
-                    continue;
-                }
-                // Count the mix once per session: at its ingress node,
-                // on the shard that owns it.
-                if node == session.src_node {
-                    mix.record(session.src_node, session.dst_node, session.packet_count() as u64);
-                }
-                worker.engine.process_session_fast(&session);
+    let bounds: Vec<u64> =
+        (1..epochs).map(|e| cfg.total_sessions * e as u64 / epochs as u64).collect();
+    let run = run_epochs(
+        "reload",
+        dep,
+        controller.manifest(),
+        paths,
+        source,
+        placement,
+        hasher,
+        shards,
+        &bounds,
+        |e, observed| {
+            let sabotage = cfg.sabotage == Sabotage::Every || cfg.sabotage == Sabotage::AtEpoch(e);
+            let at = e as f64 / epochs as f64;
+            let decision = controller.resolve(e, at, observed, sabotage);
+            if obs::enabled() {
+                obs::record_series("resilience.coverage", at, decision.coverage_after);
             }
-            mix
-        });
-
-        if e == epochs {
-            break;
-        }
-        let mut observed = ObservedMix::default();
-        for m in &mixes {
-            observed.merge(m);
-        }
-        let sabotage = match cfg.sabotage {
-            Sabotage::None => false,
-            Sabotage::AtEpoch(k) => e == k,
-            Sabotage::Every => true,
-        };
-        let at = e as f64 / epochs as f64;
-        let decision = controller.resolve(e, at, &observed, sabotage);
-        if matches!(decision.outcome, ReloadOutcome::Swapped { .. }) {
-            let live = controller.manifest();
-            for cell in &cells {
-                if let Some(worker) = locked(cell).as_mut() {
-                    worker.engine.set_manifest(live.clone())?;
-                }
-            }
-        }
-        if obs::enabled() {
-            obs::record_series("resilience.coverage", at, decision.coverage_after);
-        }
-        coverage.push((at, decision.coverage_after));
-        decisions.push(decision);
-    }
-
-    // Deterministic merge, identical to the plain streaming runner:
-    // shards fold into shard 0's engine in ascending order per node.
-    let mut per_node = Vec::with_capacity(dep.num_nodes);
-    for j in 0..dep.num_nodes {
-        let mut acc: Option<Engine<'_>> = None;
-        for shard in 0..shards {
-            let Some(worker) = locked(&cells[j * shards + shard]).take() else {
-                unreachable!("worker cells are taken exactly once");
-            };
-            acc = Some(match acc {
-                None => worker.engine,
-                Some(mut merged) => {
-                    merged.absorb_shard(worker.engine);
-                    merged
-                }
-            });
-        }
-        match acc {
-            Some(merged) => per_node.push(merged.stats()),
-            None => unreachable!("shards >= 1: every node row has an engine"),
-        }
-    }
-    let mut alerts = BTreeSet::new();
-    for st in &per_node {
-        alerts.extend(st.alerts.iter().cloned());
-    }
-    let run = NetworkRun { per_node, alerts };
-    if obs::enabled() {
-        flush_metrics("reload", &run);
-    }
+            coverage.push((at, decision.coverage_after));
+            let swapped = matches!(decision.outcome, ReloadOutcome::Swapped { .. });
+            decisions.push(decision);
+            swapped.then(|| controller.manifest())
+        },
+        None,
+    )?;
     Ok(ReloadRun { run, decisions, coverage })
 }
 

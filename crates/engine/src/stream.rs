@@ -1,12 +1,15 @@
-//! Streaming sharded data plane.
+//! The coordinated replay loop behind the streaming, live-reload and
+//! failure-resilient runs.
 //!
 //! The batch runner ([`run_coordinated`](crate::netwide::run_coordinated))
-//! materializes the whole trace and replays one engine per node. This
-//! module replaces that with a pull-based pipeline: sessions are generated
-//! on demand (no materialized trace), each node's work is split across
-//! `shards` per-worker engines, and every shard engine uses the batched
-//! §2.3 membership check ([`Engine::process_session_fast`]) so traffic
-//! outside its manifest slice is charged without synthesizing packets.
+//! materializes the whole trace and replays one engine per node; it is the
+//! oracle the equivalence suites compare against. `run_epochs` instead
+//! pulls sessions on demand, shards each node's work across persistent
+//! per-worker engines, and uses the batched §2.3 membership check
+//! ([`Engine::process_session_fast`]) so traffic outside an engine's
+//! manifest slice is charged without synthesizing packets. Between epochs
+//! it may swap every engine to a new manifest; the three public runners
+//! only supply that schedule.
 //!
 //! ## Why sharding preserves bit-identical results
 //!
@@ -23,14 +26,17 @@
 
 use crate::engine::{CoordContext, Engine, Placement};
 use crate::modules::EngineError;
-use crate::netwide::{flush_metrics, NetworkRun};
+use crate::netwide::{class_names, NetworkRun};
+use crate::reload::ObservedMix;
 use nwdp_core::nids::SamplingManifest;
 use nwdp_core::{parallel, NidsDeployment};
 use nwdp_hash::{FlowKeyKind, KeyedHasher};
 use nwdp_obs::{self as obs, Histogram};
 use nwdp_topo::{NodeId, PathDb};
 use nwdp_traffic::Session;
-use std::collections::BTreeSet;
+use std::iter::Peekable;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Instant;
 
 /// Effective shard count for the streaming data plane: the `NWDP_SHARDS`
 /// environment variable when set, else the parallel worker count (see
@@ -82,73 +88,143 @@ pub fn run_coordinated_stream<I, S>(
     shards: usize,
 ) -> Result<NetworkRun, EngineError>
 where
-    I: Iterator<Item = Session>,
-    S: Fn() -> I + Sync,
+    I: Iterator<Item = Session> + Send,
+    S: Fn() -> I,
 {
     assert_ne!(placement, Placement::Unmodified, "streaming run needs a coordinated placement");
-    let shards = shards.max(1);
-    let names: Vec<String> = dep.classes.iter().map(|c| c.name.clone()).collect();
-    let _span = obs::span!("engine.stream", nodes = dep.num_nodes, shards = shards);
-    let lat = if obs::enabled() {
-        Some(obs::histogram("engine.stream.pkt_ns", &pkt_latency_bounds()))
-    } else {
-        None
-    };
-    let grid = parallel::par_map_grid(dep.num_nodes, shards, |j, shard| {
-        let node = NodeId(j);
-        let _span = obs::span!("engine.stream_shard", node = j, shard = shard);
-        let coord = CoordContext::new(dep, manifest);
-        let mut engine = Engine::new(node, placement, &names, Some(coord), hasher)?;
-        for session in source() {
-            if paths.path(session.src_node, session.dst_node).position(node).is_none() {
-                continue;
-            }
-            if shards > 1 && shard_of(&hasher, &session, shards) != shard {
-                continue;
-            }
-            match &lat {
-                Some(lat) => {
-                    let t0 = std::time::Instant::now();
-                    engine.process_session_fast(&session);
-                    let per_pkt =
-                        t0.elapsed().as_nanos() as f64 / session.packet_count().max(1) as f64;
-                    lat.observe(per_pkt);
-                }
-                None => engine.process_session_fast(&session),
-            }
-        }
-        Ok(engine)
-    });
+    let _span = obs::span!("engine.stream", nodes = dep.num_nodes, shards = shards.max(1));
+    run_epochs(
+        "stream",
+        dep,
+        Arc::new(manifest.clone()),
+        paths,
+        source,
+        placement,
+        hasher,
+        shards,
+        &[],
+        |_, _| None,
+        None,
+    )
+}
 
-    // Deterministic merge: shards fold into shard 0's engine in ascending
-    // shard order, nodes stay in node order.
-    let mut per_node = Vec::with_capacity(dep.num_nodes);
-    for row in grid {
-        let mut acc: Option<Engine<'_>> = None;
-        for engine in row {
-            let engine = engine?;
-            acc = Some(match acc {
-                None => engine,
-                Some(mut merged) => {
-                    merged.absorb_shard(engine);
-                    merged
+/// `blind(node, session)`: the node cannot see the session (it is down).
+type Blind<'b> = dyn Fn(NodeId, &Session) -> bool + Sync + 'b;
+
+/// One (node, shard) worker: its position in the source and its engine,
+/// built on the worker thread in the first epoch.
+struct Worker<'a, I: Iterator<Item = Session>> {
+    it: Peekable<I>,
+    engine: Option<Engine<'a>>,
+}
+
+/// The coordinated replay loop. Each (node, shard) worker keeps its
+/// engine and its `source()` iterator across epochs; epoch `e` replays
+/// the ids below `bounds[e]` (the last epoch drains the source) that lie
+/// on the node's path, belong to the shard and are not `blind(node, _)`.
+/// After every epoch but the last, `on_boundary(e + 1, mix)` gets the
+/// epoch's merged [`ObservedMix`]; a manifest it returns goes live on
+/// every engine. Shards then fold into shard 0 in ascending order.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_epochs<I, S>(
+    mode: &str,
+    dep: &NidsDeployment,
+    manifest: Arc<SamplingManifest>,
+    paths: &PathDb,
+    source: S,
+    placement: Placement,
+    hasher: KeyedHasher,
+    shards: usize,
+    bounds: &[u64],
+    mut on_boundary: impl FnMut(usize, &ObservedMix) -> Option<Arc<SamplingManifest>>,
+    blind: Option<&Blind<'_>>,
+) -> Result<NetworkRun, EngineError>
+where
+    I: Iterator<Item = Session> + Send,
+    S: Fn() -> I,
+{
+    let shards = shards.max(1);
+    let names = class_names(dep);
+    let lat = obs::enabled().then(|| obs::histogram("engine.stream.pkt_ns", &pkt_latency_bounds()));
+    let cells: Vec<Mutex<Worker<'_, I>>> = (0..dep.num_nodes * shards)
+        .map(|_| Mutex::new(Worker { it: source().peekable(), engine: None }))
+        .collect();
+    // A worker that panics holding its cell unwinds this whole run out of
+    // the fan-out, so a poisoned cell is never read again.
+    let lock = |i: usize| cells[i].lock().unwrap_or_else(PoisonError::into_inner);
+
+    for e in 0..=bounds.len() {
+        let hi = bounds.get(e).copied().unwrap_or(u64::MAX);
+        let observe = e < bounds.len();
+        let mixes = parallel::par_map_n(cells.len(), |i| {
+            let (node, shard) = (NodeId(i / shards), i % shards);
+            let _span = obs::span!("engine.stream_shard", node = node.0, shard = shard);
+            let mut worker = lock(i);
+            let Worker { it, engine } = &mut *worker;
+            let engine = match engine {
+                Some(engine) => engine,
+                None => {
+                    let coord = CoordContext::with_shared(dep, manifest.clone());
+                    engine.insert(Engine::new(node, placement, &names, Some(coord), hasher)?)
                 }
-            });
+            };
+            let mut mix = ObservedMix::default();
+            while let Some(session) = it.next_if(|s| s.id < hi) {
+                if paths.path(session.src_node, session.dst_node).position(node).is_none()
+                    || (shards > 1 && shard_of(&hasher, &session, shards) != shard)
+                    || blind.is_some_and(|blind| blind(node, &session))
+                {
+                    continue;
+                }
+                // Count the mix once per session: at its ingress node, on
+                // the shard that owns it.
+                if observe && node == session.src_node {
+                    mix.record(session.src_node, session.dst_node, session.packet_count() as u64);
+                }
+                let t0 = lat.is_some().then(Instant::now);
+                engine.process_session_fast(&session);
+                if let (Some(lat), Some(t0)) = (&lat, t0) {
+                    lat.observe(
+                        t0.elapsed().as_nanos() as f64 / session.packet_count().max(1) as f64,
+                    );
+                }
+            }
+            Ok(mix)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, EngineError>>()?;
+
+        if !observe {
+            break;
         }
-        match acc {
-            Some(merged) => per_node.push(merged.stats()),
-            None => unreachable!("shards >= 1: every node row has an engine"),
+        let mut observed = ObservedMix::default();
+        for m in &mixes {
+            observed.merge(m);
+        }
+        if let Some(next) = on_boundary(e + 1, &observed) {
+            for i in 0..cells.len() {
+                if let Some(engine) = lock(i).engine.as_mut() {
+                    engine.set_manifest(next.clone())?;
+                }
+            }
         }
     }
-    let mut alerts = BTreeSet::new();
-    for st in &per_node {
-        alerts.extend(st.alerts.iter().cloned());
+
+    let mut engines = cells
+        .into_iter()
+        .map(|cell| cell.into_inner().unwrap_or_else(PoisonError::into_inner).engine);
+    let mut per_node = Vec::with_capacity(dep.num_nodes);
+    for _ in 0..dep.num_nodes {
+        let mut row = engines.by_ref().take(shards).flatten();
+        let Some(mut merged) = row.next() else {
+            unreachable!("every worker builds its engine in the first epoch");
+        };
+        for shard in row {
+            merged.absorb_shard(shard);
+        }
+        per_node.push(merged.stats());
     }
-    let run = NetworkRun { per_node, alerts };
-    if obs::enabled() {
-        flush_metrics("stream", &run);
-    }
-    Ok(run)
+    Ok(NetworkRun::collect(mode, per_node))
 }
 
 #[cfg(test)]

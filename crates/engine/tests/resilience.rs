@@ -10,17 +10,20 @@
 //!   `run_coordinated_resilient` loses exactly the crashed node's
 //!   single-node (ingress/egress) units and recovers everything else,
 //!   exact-sweep verified, for *every* single Internet2 node crash;
-//! - detection delay costs exactly the blind-window alerts, never more.
+//! - detection delay costs exactly the blind-window alerts, never more;
+//! - a resilient run under random failure schedules equals, stat for
+//!   stat, a per-node replay rebuilt from the public `Engine` API.
 
 use nwdp_core::nids::{generate_manifests, solve_nids_lp, NidsLpConfig, NodeCaps};
 use nwdp_core::resilience::{
     manifest_gap_fraction, manifest_loads, FailureKind, FailureScenario, FailureSchedule,
     HealthConfig,
 };
-use nwdp_core::{build_units, AnalysisClass, NidsDeployment};
+use nwdp_core::{build_units, parallel, AnalysisClass, NidsDeployment};
 use nwdp_engine::{
     coverage_timeline, run_coordinated, run_coordinated_resilient, run_edge_only,
-    run_edge_only_faulty, run_standalone_reference, Alert, Placement, ResilienceConfig,
+    run_edge_only_faulty, run_standalone_reference, Alert, CoordContext, Engine, ManifestEpoch,
+    Placement, ResilienceConfig, RunStats,
 };
 use nwdp_hash::KeyedHasher;
 use nwdp_topo::{internet2, NodeId, PathDb, Topology};
@@ -28,6 +31,7 @@ use nwdp_traffic::{
     generate_trace, node_of_ip, FaultInjector, NetTrace, TraceConfig, TrafficMatrix, VolumeModel,
 };
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn setup(sessions: usize, seed: u64) -> (Topology, PathDb, NidsDeployment, NetTrace) {
     let topo = internet2();
@@ -337,4 +341,85 @@ fn capacity_degradation_sheds_and_still_runs() {
     // itself keeps watching (degraded, not blind), so nothing outside the
     // shed ranges is lost.
     assert!(degraded.run.alerts.is_subset(&baseline.alerts));
+}
+
+/// The resilient replay rebuilt from the public `Engine` API, one node at
+/// a time: per-packet `process_session`, a swap to the next epoch's
+/// manifest before the first session whose replay-clock reading reaches
+/// its `from`, and every session the node is blind to skipped.
+fn resilient_reference(
+    dep: &NidsDeployment,
+    paths: &PathDb,
+    trace: &NetTrace,
+    h: KeyedHasher,
+    schedule: &FailureSchedule,
+    epochs: &[ManifestEpoch],
+) -> Vec<RunStats> {
+    let names: Vec<String> = dep.classes.iter().map(|c| c.name.clone()).collect();
+    let n_total = trace.sessions.len().max(1) as f64;
+    (0..dep.num_nodes)
+        .map(|j| {
+            let node = NodeId(j);
+            let coord = CoordContext::with_shared(dep, Arc::new(epochs[0].manifest.clone()));
+            let mut engine =
+                Engine::new(node, Placement::EventEngine, &names, Some(coord), h).unwrap();
+            let mut k = 0;
+            for s in trace.onpath_sessions(paths, node) {
+                let now = s.id as f64 / n_total;
+                while k + 1 < epochs.len() && epochs[k + 1].from <= now {
+                    k += 1;
+                    engine.set_manifest(Arc::new(epochs[k].manifest.clone())).unwrap();
+                }
+                if schedule.events.iter().any(|e| e.node == node && e.blind_at(now)) {
+                    continue;
+                }
+                engine.process_session(s);
+            }
+            engine.stats()
+        })
+        .collect()
+}
+
+#[test]
+fn resilient_run_matches_per_node_reference_bit_for_bit() {
+    let (_t, paths, dep, trace) = setup(1500, 11);
+    let manifest = manifest_for(&dep);
+    let caps = lp_caps(&dep).caps;
+    let h = KeyedHasher::with_key(0xB17);
+    let mut swaps = 0;
+    for seed in 0..6 {
+        let schedule = FailureSchedule::random(dep.num_nodes, 4, seed);
+        let cfg =
+            ResilienceConfig { caps: &caps, schedule: &schedule, health: HealthConfig::default() };
+        for threads in [1, 4] {
+            let res = parallel::with_threads(threads, || {
+                run_coordinated_resilient(
+                    &dep,
+                    &manifest,
+                    &paths,
+                    &trace,
+                    Placement::EventEngine,
+                    h,
+                    &cfg,
+                )
+            })
+            .unwrap();
+            let reference = resilient_reference(&dep, &paths, &trace, h, &schedule, &res.epochs);
+            assert_eq!(res.run.per_node.len(), reference.len());
+            for (got, want) in res.run.per_node.iter().zip(&reference) {
+                // Every RunStats field, alerts and per-module cycles included.
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "seed {seed}, {threads} threads, node {}",
+                    want.node.0
+                );
+            }
+            let union: BTreeSet<Alert> =
+                reference.iter().flat_map(|st| st.alerts.iter().cloned()).collect();
+            assert_eq!(res.run.alerts, union, "seed {seed}, {threads} threads");
+            swaps += res.epochs.len() - 1;
+        }
+    }
+    assert!(swaps >= 12, "the schedules must exercise manifest swaps ({swaps})");
 }

@@ -61,9 +61,7 @@
 //! repair is observable as `simplex.dual_phase_runs` / `dual_repairs` /
 //! `dual_pivots` / `dual_flips`; a dual phase that stalls (iteration
 //! limit, no admissible pivot, singular basis) falls back cold like any
-//! other rejection. `NWDP_NO_DUAL=1` (or `SolverOpts::dual_phase =
-//! false`) disables the phase entirely, restoring the old reject-to-cold
-//! behavior.
+//! other rejection.
 //!
 //! Accepted restarts bump `simplex.warmstart_hits` and report their
 //! pivot count under `simplex.warmstart_iterations`, so the
@@ -157,11 +155,6 @@ pub struct SolverOpts {
     pub bland_trigger: usize,
     /// Recompute basic values every this many iterations.
     pub refresh_every: usize,
-    /// Repair dual-feasible/primal-infeasible warm bases with dual
-    /// simplex pivots instead of falling back cold. Defaults to on;
-    /// `NWDP_NO_DUAL=1` flips the default off (emergency escape hatch —
-    /// objectives are unaffected either way, only the pivot path).
-    pub dual_phase: bool,
     /// Pivot budget for the dual repair phase. `None` derives
     /// `4m + 100` from the row count: worthwhile repairs land well under
     /// it (measured worst case ~2.6m pivots on the NIDS upgrade sweep,
@@ -173,13 +166,6 @@ pub struct SolverOpts {
     pub dual_budget: Option<usize>,
 }
 
-/// `NWDP_NO_DUAL` read once per process (same pattern as the trace env
-/// gates): set to any value to disable the dual repair phase by default.
-fn dual_phase_default() -> bool {
-    static NO_DUAL: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    !*NO_DUAL.get_or_init(|| std::env::var_os("NWDP_NO_DUAL").is_some())
-}
-
 impl Default for SolverOpts {
     fn default() -> Self {
         SolverOpts {
@@ -189,7 +175,6 @@ impl Default for SolverOpts {
             dense_row_limit: 0,
             bland_trigger: 80,
             refresh_every: 500,
-            dual_phase: dual_phase_default(),
             dual_budget: None,
         }
     }
@@ -1695,7 +1680,7 @@ fn try_solve<B: BasisBackend>(
         // of pivots. Only meaningful when the warm build needed no
         // artificials (artificial columns carry phase-1 costs, which would
         // poison the classification).
-        if broken && worst.is_finite() && n_art == 0 && opts.dual_phase {
+        if broken && worst.is_finite() && n_art == 0 {
             core.dual_attempted = true;
             core.cost = obj2.clone();
             core.d_fresh = false;

@@ -78,26 +78,52 @@ fn dual_feasible_primal_infeasible_basis_repaired_without_fallback() {
     assert!(ctr("simplex.dual_pivots") - pivots0 >= 1, "repair must pivot");
 }
 
+/// min x1 + x2/2  s.t.  x1 + x2 ≥ 5, x1 ≤ 3, x2 ≥ 0 unbounded above.
+/// Against it the stale `{x1}` basis is primal infeasible (x1 = 5 > 3)
+/// *and* dual infeasible: x2 is now the cheaper cover, so its reduced
+/// cost at the lower bound has the wrong sign, and without an upper
+/// bound there is nothing to flip it to.
+fn cheap_unbounded_cover_lp() -> Problem {
+    let mut p = Problem::new(Sense::Min);
+    let x1 = p.add_var("x1", 0.0, 3.0, 1.0);
+    let x2 = p.add_var("x2", 0.0, f64::INFINITY, 0.5);
+    p.add_con("cover", &[(x1, 1.0), (x2, 1.0)], Cmp::Ge, 5.0);
+    p
+}
+
 #[test]
-fn dual_phase_can_be_disabled_per_solve() {
+fn basis_infeasible_in_both_senses_is_rejected_and_solved_cold() {
     let _guard = COUNTER_LOCK.lock().unwrap();
     let was = obs::enabled();
     obs::set_enabled(true);
 
-    let p = cover_lp(5.0, 3.0);
+    let p = cheap_unbounded_cover_lp();
+    let cold = solve_warm(&p, &SolverOpts::default(), None).0;
     let hits0 = ctr("simplex.warmstart_hits");
     let falls0 = ctr("simplex.warmstart_fallbacks");
     let rej0 = ctr("simplex.warmstart_rejected");
+    let runs0 = ctr("simplex.dual_phase_runs");
+    let repairs0 = ctr("simplex.dual_repairs");
+    let pivots0 = ctr("simplex.dual_pivots");
 
-    let opts = SolverOpts { dual_phase: false, ..Default::default() };
-    let (sol, _) = solve_warm(&p, &opts, Some(&stale_optimal_basis()));
+    let (sol, _) = solve_warm(&p, &SolverOpts::default(), Some(&stale_optimal_basis()));
     obs::set_enabled(was);
 
-    // Same answer, but via the old reject-and-restart path.
+    // Same answer as cold, via the reject-and-restart path.
     assert_eq!(sol.status, Status::Optimal);
+    assert!(
+        (sol.objective - cold.objective).abs() <= 1e-9,
+        "{} vs cold {}",
+        sol.objective,
+        cold.objective
+    );
     assert_eq!(ctr("simplex.warmstart_hits") - hits0, 0);
     assert_eq!(ctr("simplex.warmstart_fallbacks") - falls0, 1);
     assert_eq!(ctr("simplex.warmstart_rejected") - rej0, 1);
+    // The dual phase looked at the basis and turned it down unpivoted.
+    assert_eq!(ctr("simplex.dual_phase_runs") - runs0, 1);
+    assert_eq!(ctr("simplex.dual_repairs") - repairs0, 0);
+    assert_eq!(ctr("simplex.dual_pivots") - pivots0, 0);
 }
 
 #[test]

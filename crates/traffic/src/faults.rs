@@ -69,38 +69,6 @@ impl FaultInjector {
         }
     }
 
-    /// Apply the faults to a session as seen by `node` at replay fraction
-    /// `now`: an empty stream during a blackout, the packet-level faults
-    /// of [`FaultInjector::apply`] otherwise.
-    pub fn apply_at<'a>(
-        &self,
-        session: &Session,
-        packets: Vec<Packet<'a>>,
-        node: NodeId,
-        now: f64,
-    ) -> Vec<Packet<'a>> {
-        let mut out = Vec::with_capacity(packets.len() + 2);
-        self.apply_at_into(session, &packets, node, now, &mut out);
-        out
-    }
-
-    /// Buffer-reuse variant of [`FaultInjector::apply_at`]: the degraded
-    /// stream is written into `out` (cleared first).
-    pub fn apply_at_into<'a>(
-        &self,
-        session: &Session,
-        packets: &[Packet<'a>],
-        node: NodeId,
-        now: f64,
-        out: &mut Vec<Packet<'a>>,
-    ) {
-        if !self.observes(node, now) {
-            out.clear();
-            return;
-        }
-        self.apply_into(session, packets, out);
-    }
-
     /// Apply the faults to a session's packets. Deterministic in
     /// `(self.seed, session.id)`.
     pub fn apply<'a>(&self, session: &Session, packets: Vec<Packet<'a>>) -> Vec<Packet<'a>> {
@@ -214,18 +182,20 @@ mod tests {
         let f = FaultInjector::node_blackout(NodeId(2), 0.25, 0.75);
         let s = session(9);
         // The blacked-out node sees nothing inside the window...
-        assert!(f.apply_at(&s, s.packets(), NodeId(2), 0.5).is_empty());
+        assert!(!f.observes(NodeId(2), 0.5));
         assert!(!f.observes(NodeId(2), 0.25));
         assert!(!f.observes(NodeId(2), 0.74999));
         // ...and everything outside it; other nodes are untouched.
         assert!(f.observes(NodeId(2), 0.2));
         assert!(f.observes(NodeId(2), 0.75));
-        assert_eq!(f.apply_at(&s, s.packets(), NodeId(1), 0.5).len(), s.packets().len());
+        assert!(f.observes(NodeId(1), 0.5));
+        assert_eq!(f.apply(&s, s.packets()).len(), s.packets().len());
         // Packet-level faults still compose with the blackout for
         // sighted observers.
         let mut g = FaultInjector::new(1.0, 0.0, 0.0, 1);
         g.blackout = Some(NodeBlackout { node: NodeId(2), from: 0.0, until: 1.0 });
-        assert!(g.apply_at(&s, s.packets(), NodeId(1), 0.5).is_empty(), "all dropped");
+        assert!(g.observes(NodeId(1), 0.5));
+        assert!(g.apply(&s, s.packets()).is_empty(), "all dropped");
     }
 
     #[test]
