@@ -107,25 +107,27 @@ impl ConnTable {
     }
 
     /// Look up the record for a tuple without creating one (no cost
-    /// charged; used by the §2.3 fast path which runs inside the same
-    /// table probe).
+    /// charged). The engine probes once per packet: the §2.3 fast path
+    /// reads the result, and [`ConnTable::upsert`] reuses it.
     pub fn find(&self, tuple: &FiveTuple) -> Option<usize> {
         self.map.get(&Self::canonical(tuple)).copied()
     }
 
-    /// Look up (or create) the record for a packet. Charges lookup /
-    /// creation costs. Returns `(index, is_new)`; the packet's tuple
-    /// becomes the originator tuple on creation (first packet wins).
+    /// Resolve the record for a packet from `found`, the result of
+    /// [`ConnTable::find`] on the same tuple, creating the record when it
+    /// is `None`. Charges lookup / creation costs. Returns
+    /// `(index, is_new)`; the packet's tuple becomes the originator tuple
+    /// on creation (first packet wins).
     pub fn upsert(
         &mut self,
         tuple: &FiveTuple,
+        found: Option<usize>,
         hasher: &KeyedHasher,
         costs: &CostModel,
         meter: &mut Meter,
     ) -> (usize, bool) {
         meter.cpu(costs.conn_lookup);
-        let key = Self::canonical(tuple);
-        if let Some(&idx) = self.map.get(&key) {
+        if let Some(idx) = found {
             return (idx, false);
         }
         meter.cpu(costs.conn_create);
@@ -155,7 +157,7 @@ impl ConnTable {
             enabled: vec![true; self.n_modules],
             light: false,
         });
-        self.map.insert(key, idx);
+        self.map.insert(Self::canonical(tuple), idx);
         (idx, true)
     }
 
@@ -190,8 +192,8 @@ mod tests {
         let h = KeyedHasher::unkeyed();
         let c = CostModel::default();
         let mut m = Meter::new();
-        let (i1, new1) = t.upsert(&tuple(), &h, &c, &mut m);
-        let (i2, new2) = t.upsert(&tuple().reversed(), &h, &c, &mut m);
+        let (i1, new1) = t.upsert(&tuple(), t.find(&tuple()), &h, &c, &mut m);
+        let (i2, new2) = t.upsert(&tuple().reversed(), t.find(&tuple().reversed()), &h, &c, &mut m);
         assert_eq!(i1, i2);
         assert!(new1 && !new2);
         assert_eq!(t.len(), 1);
@@ -207,8 +209,8 @@ mod tests {
         let mut without = Meter::new();
         let mut tw = ConnTable::new(true, 0);
         let mut tn = ConnTable::new(false, 0);
-        tw.upsert(&tuple(), &h, &c, &mut with);
-        tn.upsert(&tuple(), &h, &c, &mut without);
+        tw.upsert(&tuple(), tw.find(&tuple()), &h, &c, &mut with);
+        tn.upsert(&tuple(), tn.find(&tuple()), &h, &c, &mut without);
         assert_eq!(with.mem_bytes - without.mem_bytes, c.conn_hash_bytes);
         assert!(with.cpu_cycles > without.cpu_cycles, "hash computation charged");
     }
@@ -219,10 +221,10 @@ mod tests {
         let h = KeyedHasher::unkeyed();
         let c = CostModel::default();
         let mut m = Meter::new();
-        t.upsert(&tuple(), &h, &c, &mut m);
+        t.upsert(&tuple(), t.find(&tuple()), &h, &c, &mut m);
         let mut other = tuple();
         other.src_port = 50000;
-        t.upsert(&other, &h, &c, &mut m);
+        t.upsert(&other, t.find(&other), &h, &c, &mut m);
         assert_eq!(t.len(), 2);
     }
 
@@ -232,7 +234,7 @@ mod tests {
         let h = KeyedHasher::with_key(42);
         let c = CostModel::default();
         let mut m = Meter::new();
-        let (i, _) = t.upsert(&tuple(), &h, &c, &mut m);
+        let (i, _) = t.upsert(&tuple(), t.find(&tuple()), &h, &c, &mut m);
         let r = t.get(i);
         assert_eq!(r.hashes.bisession, h.unit_hash(&tuple(), FlowKeyKind::BiSession));
         assert_eq!(r.hashes.bisession, h.unit_hash(&tuple().reversed(), FlowKeyKind::BiSession));

@@ -26,7 +26,7 @@ use nwdp_core::{ClassScope, NidsDeployment, UnitKey};
 use nwdp_hash::{FlowKeyKind, KeyedHasher};
 use nwdp_topo::NodeId;
 use nwdp_traffic::{node_of_ip, Packet, Session};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Where coordination checks are implemented (§2.3's two alternatives).
@@ -40,6 +40,19 @@ pub enum Placement {
     PolicyEngine,
 }
 
+impl Placement {
+    /// Is a module's coordination check resolved at analyzer
+    /// instantiation time in the event engine (as opposed to per-event in
+    /// the interpreted policy layer)?
+    fn decided_in_event_engine(self, stage: Stage) -> bool {
+        match stage {
+            Stage::EventOnly => true,
+            Stage::EventCapable => self == Placement::EventEngine,
+            Stage::PolicyOnly => false,
+        }
+    }
+}
+
 /// Coordination context shared by all nodes of a deployment. The manifest
 /// is held behind an [`Arc`] so the reload controller can mint a fresh
 /// manifest mid-replay and hot-swap it into live engines
@@ -48,8 +61,6 @@ pub enum Placement {
 pub struct CoordContext<'a> {
     pub dep: &'a NidsDeployment,
     pub manifest: Arc<SamplingManifest>,
-    /// `(class index, unit key)` → unit index.
-    unit_of: HashMap<(usize, UnitKey), usize>,
 }
 
 impl<'a> CoordContext<'a> {
@@ -63,22 +74,78 @@ impl<'a> CoordContext<'a> {
 
     /// Build a context around an already-shared manifest.
     pub fn with_shared(dep: &'a NidsDeployment, manifest: Arc<SamplingManifest>) -> Self {
-        let mut unit_of = HashMap::with_capacity(dep.units.len());
-        for (u, unit) in dep.units.iter().enumerate() {
-            unit_of.insert((unit.class, unit.key), u);
+        CoordContext { dep, manifest }
+    }
+}
+
+/// Table cell: the class has no unit for this `(src, dst)`, so no check
+/// runs.
+const NO_UNIT: u32 = u32::MAX;
+/// Table cell: a unit whose hash ranges all live at other nodes. The
+/// check still runs (and is counted); it just never hits.
+const NO_RANGE: u32 = u32::MAX - 1;
+
+/// One node's slice of the sampling manifest, compiled for the per-packet
+/// coordination check (Fig 3 line 5). For a deployment of `n` nodes,
+/// `cells[(class · w + src) · w + dst]` with `w = n + 1` holds [`NO_UNIT`],
+/// [`NO_RANGE`] or the position of this node's
+/// [`ManifestEntry`](nwdp_core::nids::ManifestEntry) for the unit, so a
+/// check is two array indexings plus a range test — no map probe. Index
+/// `n` stands for every endpoint outside the deployment: it has no path
+/// unit, but an ingress unit still matches on its source alone and an
+/// egress unit on its destination alone.
+#[derive(Debug, Default)]
+struct CheckTable {
+    /// Row width `n + 1`.
+    width: usize,
+    cells: Vec<u32>,
+}
+
+impl CheckTable {
+    /// Compile `node`'s table straight from the deployment's units. A unit
+    /// is reachable exactly when its key has its class's scope, the same
+    /// `(class, key)` resolution a per-check map lookup would perform
+    /// (a later unit with an equal key wins).
+    fn compile(dep: &NidsDeployment, manifest: &SamplingManifest, node: NodeId) -> Self {
+        let w = dep.num_nodes + 1;
+        let mut entry_of = vec![NO_RANGE; dep.units.len()];
+        if node.index() < manifest.num_nodes() {
+            for (pos, entry) in manifest.node_entries(node).iter().enumerate() {
+                if let Some(cell) = entry_of.get_mut(entry.unit) {
+                    *cell = pos as u32;
+                }
+            }
         }
-        CoordContext { dep, manifest, unit_of }
+        let mut cells = vec![NO_UNIT; dep.classes.len() * w * w];
+        for (unit, &entry) in dep.units.iter().zip(&entry_of) {
+            let class = &mut cells[unit.class * w * w..(unit.class + 1) * w * w];
+            match (dep.classes[unit.class].scope, unit.key) {
+                (ClassScope::PerPath, UnitKey::Path(s, d)) => {
+                    class[s.index() * w + d.index()] = entry
+                }
+                (ClassScope::PerIngress, UnitKey::Ingress(s)) => {
+                    class[s.index() * w..(s.index() + 1) * w].fill(entry)
+                }
+                (ClassScope::PerEgress, UnitKey::Egress(d)) => {
+                    class.iter_mut().skip(d.index()).step_by(w).for_each(|c| *c = entry)
+                }
+                _ => {} // a key of another scope is never looked up
+            }
+        }
+        CheckTable { width: w, cells }
     }
 
-    /// Resolve the unit a connection belongs to for a class.
-    fn unit_for(&self, class: usize, src_node: NodeId, dst_node: NodeId) -> Option<usize> {
-        let key = match self.dep.classes[class].scope {
-            ClassScope::PerPath => UnitKey::Path(src_node, dst_node),
-            ClassScope::PerIngress => UnitKey::Ingress(src_node),
-            ClassScope::PerEgress => UnitKey::Egress(dst_node),
-        };
-        self.unit_of.get(&(class, key)).copied()
+    /// The cell for `class` on traffic from `src` to `dst`.
+    fn cell(&self, class: usize, src: NodeId, dst: NodeId) -> u32 {
+        let outside = self.width - 1;
+        let (s, d) = (src.index().min(outside), dst.index().min(outside));
+        self.cells[(class * self.width + s) * self.width + d]
     }
+}
+
+/// Fig 3 line 5 for a resolved unit: does `h` fall in `node`'s range?
+fn covers(manifest: &SamplingManifest, node: NodeId, cell: u32, h: f64) -> bool {
+    cell != NO_RANGE && manifest.node_entries(node)[cell as usize].ranges.contains(h)
 }
 
 /// A standalone single-instance coordination setup for microbenchmarks:
@@ -136,6 +203,9 @@ pub struct Engine<'a> {
     costs: CostModel,
     hasher: KeyedHasher,
     coord: Option<CoordContext<'a>>,
+    /// This node's compiled manifest slice (empty when uncoordinated);
+    /// recompiled on every [`Engine::set_manifest`].
+    table: CheckTable,
     conns: ConnTable,
     modules: Vec<Box<dyn Analyzer>>,
     base_meter: Meter,
@@ -186,12 +256,16 @@ impl<'a> Engine<'a> {
             class_names.iter().map(|n| module_for_class(n)).collect::<Result<_, _>>()?;
         let with_hashes = placement != Placement::Unmodified;
         let n_modules = modules.len();
+        let table = coord
+            .as_ref()
+            .map_or_else(CheckTable::default, |c| CheckTable::compile(c.dep, &c.manifest, node));
         Ok(Engine {
             node,
             placement,
             costs: CostModel::default(),
             hasher,
             coord,
+            table,
             conns: ConnTable::new(with_hashes, n_modules),
             module_meters: vec![Meter::new(); n_modules],
             modules,
@@ -224,6 +298,7 @@ impl<'a> Engine<'a> {
     pub fn set_manifest(&mut self, manifest: Arc<SamplingManifest>) -> Result<(), EngineError> {
         match self.coord.as_mut() {
             Some(coord) => {
+                self.table = CheckTable::compile(coord.dep, &manifest, self.node);
                 coord.manifest = manifest;
                 Ok(())
             }
@@ -308,17 +383,18 @@ impl<'a> Engine<'a> {
         let mut hashed = 0u64;
         let mut checks = 0u64;
         for m in 0..self.modules.len() {
-            if let Some(unit) = coord.unit_for(m, src_node, dst_node) {
-                let kind = self.modules[m].key_kind();
-                let slot = kind_slot(kind);
-                let h = *hash_cache[slot].get_or_insert_with(|| {
-                    hashed += 1;
-                    self.hasher.unit_hash(&tuple, kind)
-                });
-                checks += 1;
-                if coord.manifest.should_analyze(unit, self.node, h) {
-                    return false; // some module wants it: process normally
-                }
+            let cell = self.table.cell(m, src_node, dst_node);
+            if cell == NO_UNIT {
+                continue;
+            }
+            let kind = self.modules[m].key_kind();
+            let h = *hash_cache[kind_slot(kind)].get_or_insert_with(|| {
+                hashed += 1;
+                self.hasher.unit_hash(&tuple, kind)
+            });
+            checks += 1;
+            if covers(&coord.manifest, self.node, cell, h) {
+                return false; // some module wants it: process normally
             }
         }
         // Every packet of the session takes the skip path; commit its
@@ -345,27 +421,30 @@ impl<'a> Engine<'a> {
 
         // --- §2.3 fast path: for traffic with no existing state, skip
         // connection creation when no module's manifest range covers it.
-        if let Some(coord) = self.coord.as_ref().filter(|_| self.conns.find(&tuple).is_none()) {
+        // The one table probe serves the upsert below as well.
+        let found = self.conns.find(&tuple);
+        if let Some(coord) = self.coord.as_ref().filter(|_| found.is_none()) {
             // Each needed hash kind is computed once per packet.
             let mut hash_cache: [Option<f64>; 4] = [None; 4];
             let mut hashed = 0u64;
             let mut any = false;
+            // Modules are built 1:1 from the class list: module m is class m.
             for m in 0..self.modules.len() {
-                let class = m; // modules are built 1:1 from the class list
-                if let Some(unit) = coord.unit_for(class, src_node, dst_node) {
-                    let kind = self.modules[m].key_kind();
-                    let slot = kind_slot(kind);
-                    let h = *hash_cache[slot].get_or_insert_with(|| {
-                        hashed += 1;
-                        self.hasher.unit_hash(&tuple, kind)
-                    });
-                    self.base_meter.cpu(self.costs.evt_check);
-                    self.range_checks += 1;
-                    if coord.manifest.should_analyze(unit, self.node, h) {
-                        self.range_hits += 1;
-                        any = true;
-                        break;
-                    }
+                let cell = self.table.cell(m, src_node, dst_node);
+                if cell == NO_UNIT {
+                    continue;
+                }
+                let kind = self.modules[m].key_kind();
+                let h = *hash_cache[kind_slot(kind)].get_or_insert_with(|| {
+                    hashed += 1;
+                    self.hasher.unit_hash(&tuple, kind)
+                });
+                self.base_meter.cpu(self.costs.evt_check);
+                self.range_checks += 1;
+                if covers(&coord.manifest, self.node, cell, h) {
+                    self.range_hits += 1;
+                    any = true;
+                    break;
                 }
             }
             self.base_meter.cpu(self.costs.hash_compute * hashed);
@@ -377,7 +456,7 @@ impl<'a> Engine<'a> {
 
         // --- Basic connection processing. ---
         let (idx, is_new) =
-            self.conns.upsert(&tuple, &self.hasher, &self.costs, &mut self.base_meter);
+            self.conns.upsert(&tuple, found, &self.hasher, &self.costs, &mut self.base_meter);
         {
             let rec = self.conns.get_mut(idx);
             rec.pkts += 1;
@@ -391,25 +470,23 @@ impl<'a> Engine<'a> {
         // modules under approach 2, and the event-only modules (e.g. the
         // Signature engine) under *both* approaches.
         if let Some(coord) = self.coord.as_ref().filter(|_| is_new) {
-            let rec = self.conns.get(idx);
+            // Decisions go straight into the record's own `enabled`.
+            let rec = self.conns.get_mut(idx);
             let (sn, dn) = (node_of_ip(rec.orig.src_ip), node_of_ip(rec.orig.dst_ip));
-            let mut enabled = vec![false; self.modules.len()];
             let mut checks = 0u64;
             for (m, module) in self.modules.iter().enumerate() {
-                if !self.decided_in_event_engine(module.stage()) {
-                    enabled[m] = true; // the policy layer decides later
+                if !self.placement.decided_in_event_engine(module.stage()) {
+                    rec.enabled[m] = true; // the policy layer decides later
                     continue;
                 }
                 checks += 1;
-                enabled[m] = match coord.unit_for(m, sn, dn) {
-                    Some(unit) => {
-                        let h = rec.hashes.get(module.key_kind());
-                        self.range_checks += 1;
-                        let hit = coord.manifest.should_analyze(unit, self.node, h);
-                        self.range_hits += hit as u64;
-                        hit
-                    }
-                    None => false,
+                let cell = self.table.cell(m, sn, dn);
+                rec.enabled[m] = cell != NO_UNIT && {
+                    let h = rec.hashes.get(module.key_kind());
+                    self.range_checks += 1;
+                    let hit = covers(&coord.manifest, self.node, cell, h);
+                    self.range_hits += hit as u64;
+                    hit
                 };
             }
             self.base_meter.cpu(self.costs.evt_check * checks);
@@ -424,20 +501,18 @@ impl<'a> Engine<'a> {
                     if !module.wants(rec) {
                         continue;
                     }
-                    let interested = if self.decided_in_event_engine(module.stage()) {
-                        enabled[m]
+                    let interested = if self.placement.decided_in_event_engine(module.stage()) {
+                        rec.enabled[m]
                     } else {
                         // Policy-side decision is per-connection too;
                         // resolve it now from the record's hashes.
-                        match coord.unit_for(m, sn, dn) {
-                            Some(unit) => {
-                                let h = rec.hashes.get(module.key_kind());
-                                self.range_checks += 1;
-                                let hit = coord.manifest.should_analyze(unit, self.node, h);
-                                self.range_hits += hit as u64;
-                                hit
-                            }
-                            None => false,
+                        let cell = self.table.cell(m, sn, dn);
+                        cell != NO_UNIT && {
+                            let h = rec.hashes.get(module.key_kind());
+                            self.range_checks += 1;
+                            let hit = covers(&coord.manifest, self.node, cell, h);
+                            self.range_hits += hit as u64;
+                            hit
                         }
                     };
                     if interested {
@@ -452,7 +527,6 @@ impl<'a> Engine<'a> {
                     self.conns.make_light(idx, &self.costs, &mut self.base_meter);
                 }
             }
-            self.conns.get_mut(idx).enabled = enabled;
         }
 
         // Lightweight connections skip mid-stream per-packet analysis
@@ -467,7 +541,7 @@ impl<'a> Engine<'a> {
             if !self.modules[m].wants(rec) {
                 continue;
             }
-            let event_decided = self.decided_in_event_engine(self.modules[m].stage());
+            let event_decided = self.placement.decided_in_event_engine(self.modules[m].stage());
             let run = match (&self.coord, event_decided) {
                 (None, _) => true,
                 (Some(_), true) => rec.enabled[m],
@@ -475,25 +549,25 @@ impl<'a> Engine<'a> {
                     // Interpreted policy-layer check (Fig 3 line 5 as a
                     // policy predicate), charged per delivered event:
                     // every packet for per-packet modules, setup/teardown
-                    // events for connection-level modules.
+                    // events for connection-level modules. It reads the
+                    // table compiled from the live manifest, so a swap
+                    // reaches open connections at their next event.
                     let (sn, dn) = (node_of_ip(rec.orig.src_ip), node_of_ip(rec.orig.dst_ip));
-                    match coord.unit_for(m, sn, dn) {
-                        None => false,
-                        Some(unit) => {
-                            let charge = match self.modules[m].granularity() {
-                                Granularity::PerPacket => self.costs.policy_check_pkt,
-                                Granularity::PerConnection if rec.pkts <= 1 || pkt.fin => {
-                                    self.costs.policy_check_conn
-                                }
-                                Granularity::PerConnection => 0,
-                            };
-                            self.module_meters[m].cpu(charge);
-                            let h = rec.hashes.get(self.modules[m].key_kind());
-                            self.range_checks += 1;
-                            let hit = coord.manifest.should_analyze(unit, self.node, h);
-                            self.range_hits += hit as u64;
-                            hit
-                        }
+                    let cell = self.table.cell(m, sn, dn);
+                    cell != NO_UNIT && {
+                        let charge = match self.modules[m].granularity() {
+                            Granularity::PerPacket => self.costs.policy_check_pkt,
+                            Granularity::PerConnection if rec.pkts <= 1 || pkt.fin => {
+                                self.costs.policy_check_conn
+                            }
+                            Granularity::PerConnection => 0,
+                        };
+                        self.module_meters[m].cpu(charge);
+                        let h = rec.hashes.get(self.modules[m].key_kind());
+                        self.range_checks += 1;
+                        let hit = covers(&coord.manifest, self.node, cell, h);
+                        self.range_hits += hit as u64;
+                        hit
                     }
                 }
             };
@@ -507,17 +581,6 @@ impl<'a> Engine<'a> {
                     &mut self.module_meters[m],
                 );
             }
-        }
-    }
-
-    /// Is this module's coordination check resolved at analyzer
-    /// instantiation time in the event engine (as opposed to per-event in
-    /// the interpreted policy layer)?
-    fn decided_in_event_engine(&self, stage: Stage) -> bool {
-        match stage {
-            Stage::EventOnly => true,
-            Stage::EventCapable => self.placement == Placement::EventEngine,
-            Stage::PolicyOnly => false,
         }
     }
 
@@ -617,7 +680,9 @@ fn kind_slot(kind: FlowKeyKind) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nwdp_core::nids::{solve_nids_lp, ManifestEntry, NidsLpConfig, NodeCaps};
     use nwdp_core::{build_units, AnalysisClass};
+    use nwdp_hash::RangeSet;
     use nwdp_topo::{line, PathDb};
     use nwdp_traffic::{generate_trace, TraceConfig, TrafficMatrix, VolumeModel};
 
@@ -730,6 +795,120 @@ mod tests {
         )
         .unwrap();
         assert_eq!(owner.set_manifest(Arc::new(manifest2)), Ok(()));
+    }
+
+    /// The table's answer for `class` on `(src, dst)` at hash `h`: `None`
+    /// when no check runs, else whether it hits.
+    fn table_check(
+        engine: &Engine<'_>,
+        class: usize,
+        src: NodeId,
+        dst: NodeId,
+        h: f64,
+    ) -> Option<bool> {
+        let cell = engine.table.cell(class, src, dst);
+        let manifest = &engine.coord.as_ref().unwrap().manifest;
+        (cell != NO_UNIT).then(|| covers(manifest, engine.node, cell, h))
+    }
+
+    /// The same answer from the deployment's units and the manifest's own
+    /// membership test, with no compiled state.
+    fn reference_check(
+        dep: &NidsDeployment,
+        manifest: &SamplingManifest,
+        node: NodeId,
+        class: usize,
+        src: NodeId,
+        dst: NodeId,
+        h: f64,
+    ) -> Option<bool> {
+        let key = match dep.classes[class].scope {
+            ClassScope::PerPath => UnitKey::Path(src, dst),
+            ClassScope::PerIngress => UnitKey::Ingress(src),
+            ClassScope::PerEgress => UnitKey::Egress(dst),
+        };
+        let unit = dep.units.iter().rposition(|u| u.class == class && u.key == key)?;
+        Some(manifest.should_analyze(unit, node, h))
+    }
+
+    /// Compare every node's table against the reference over all classes,
+    /// all `(src, dst)` (plus endpoints outside the deployment) and a
+    /// hash grid. Returns how many checks ran against a unit with no range
+    /// at the checking node.
+    fn assert_tables_match(
+        dep: &NidsDeployment,
+        manifest: &Arc<SamplingManifest>,
+        engines: &[Engine<'_>],
+    ) -> usize {
+        let hashes: Vec<f64> = (0..=64).map(|g| g as f64 / 64.0 * 0.999_999).collect();
+        let outside = [NodeId(dep.num_nodes), NodeId(255)];
+        let ends: Vec<NodeId> = (0..dep.num_nodes).map(NodeId).chain(outside).collect();
+        let mut no_range = 0;
+        for engine in engines {
+            assert!(Arc::ptr_eq(&engine.coord.as_ref().unwrap().manifest, manifest));
+            for class in 0..dep.classes.len() {
+                for &src in &ends {
+                    for &dst in &ends {
+                        let cell = engine.table.cell(class, src, dst);
+                        no_range += (cell == NO_RANGE) as usize;
+                        for &h in &hashes {
+                            assert_eq!(
+                                table_check(engine, class, src, dst, h),
+                                reference_check(dep, manifest, engine.node, class, src, dst, h),
+                                "node {:?} class {class} {src:?}->{dst:?} h {h}",
+                                engine.node
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        no_range
+    }
+
+    #[test]
+    fn compiled_check_table_matches_reference() {
+        let topo = nwdp_topo::internet2();
+        let paths = PathDb::shortest_paths(&topo);
+        let tm = TrafficMatrix::gravity(&topo);
+        let vol = VolumeModel::internet2_baseline();
+        let dep = build_units(&topo, &paths, &tm, &vol, &AnalysisClass::standard_set());
+        let cfg = NidsLpConfig::homogeneous(dep.num_nodes, NodeCaps { cpu: 2e8, mem: 4e9 });
+        let lp = Arc::new(generate_manifests(&dep, &solve_nids_lp(&dep, &cfg).unwrap().d));
+        // Each unit's whole hash space at one node of its path: every other
+        // node on the path holds the unit with no range.
+        let lopsided = Arc::new(SamplingManifest::from_entries(
+            dep.num_nodes,
+            dep.units.iter().enumerate().map(|(u, unit)| {
+                let entry = ManifestEntry {
+                    class: unit.class,
+                    unit: u,
+                    key: unit.key,
+                    ranges: RangeSet::wrapped(0.0, 1.0),
+                };
+                (unit.nodes[u % unit.nodes.len()], entry)
+            }),
+        ));
+        let names: Vec<String> = dep.classes.iter().map(|c| c.name.clone()).collect();
+        let engines_for = |manifest: &Arc<SamplingManifest>| -> Vec<Engine<'_>> {
+            (0..dep.num_nodes)
+                .map(|j| {
+                    let coord = CoordContext::with_shared(&dep, manifest.clone());
+                    let h = KeyedHasher::unkeyed();
+                    Engine::new(NodeId(j), Placement::EventEngine, &names, Some(coord), h).unwrap()
+                })
+                .collect()
+        };
+
+        assert_tables_match(&dep, &lp, &engines_for(&lp));
+        let mut engines = engines_for(&lopsided);
+        let no_range = assert_tables_match(&dep, &lopsided, &engines);
+        assert!(no_range > 0, "the lopsided manifest must leave units without a range");
+        // A live swap recompiles the table for the new manifest.
+        for engine in &mut engines {
+            engine.set_manifest(lp.clone()).unwrap();
+        }
+        assert_tables_match(&dep, &lp, &engines);
     }
 
     #[test]

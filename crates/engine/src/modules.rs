@@ -673,9 +673,9 @@ impl Analyzer for Signature {
         }
         meter.cpu(pkt.payload.len() as u64 * costs.sig_per_byte);
         let key = (conn_subject(conn), pkt.forward);
-        let state = self.stream_state.get(&key).copied().unwrap_or(0);
-        let (next, matched) = self.ac.scan_stream(state, pkt.payload);
-        self.stream_state.insert(key, next);
+        let state = self.stream_state.entry(key).or_insert(0);
+        let (next, matched) = self.ac.scan_stream(*state, pkt.payload);
+        *state = next;
         if matched
             && self.alerts.insert(Alert {
                 module: "Signature".to_string(),
