@@ -288,20 +288,6 @@ fn main() {
             "throughput" => {
                 let r = throughput::run(scale);
                 emit(&throughput::table(&r), &cli.out, "throughput");
-                let traj = std::path::Path::new("BENCH_throughput.json");
-                match throughput::append_trajectory(traj, &r) {
-                    Ok(seq) => println!("trajectory entry #{seq} appended to {}", traj.display()),
-                    // A corrupt trajectory is preserved (.bak) and the
-                    // append skipped — the bench itself succeeded, so warn
-                    // without failing the run.
-                    Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                        eprintln!("repro: {e}");
-                    }
-                    Err(e) => {
-                        eprintln!("repro: failed to write {}: {e}", traj.display());
-                        exit(1);
-                    }
-                }
             }
             "reload" => {
                 let b = reload::run(scale);
@@ -316,21 +302,10 @@ fn main() {
                 );
             }
             "cluster" => {
-                let b = cluster::run(scale);
-                emit(&cluster::table(&b), &cli.out, "cluster_convergence");
-                emit(&cluster::epochs_table(&b), &cli.out, "cluster_epochs");
-                let traj = std::path::Path::new("BENCH_cluster.json");
-                match cluster::append_trajectory(traj, &b) {
-                    Ok(seq) => println!("trajectory entry #{seq} appended to {}", traj.display()),
-                    Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                        eprintln!("repro: {e}");
-                    }
-                    Err(e) => {
-                        eprintln!("repro: failed to write {}: {e}", traj.display());
-                        exit(1);
-                    }
-                }
-                let p = &b.points[b.points.len() - 1];
+                let points = cluster::run(scale);
+                emit(&cluster::table(&points), &cli.out, "cluster_convergence");
+                emit(&cluster::epochs_table(&points), &cli.out, "cluster_epochs");
+                let p = &points[points.len() - 1];
                 println!(
                     "cluster: loss {:.2} -> {} detections, final epoch {}, coverage floor {:.9}",
                     p.loss,
@@ -344,17 +319,6 @@ fn main() {
                 emit(&alerts::table(&b), &cli.out, "alerts_summary");
                 emit(&alerts::class_table(&b), &cli.out, "alerts_by_class");
                 emit(&alerts::talkers_table(&b), &cli.out, "alerts_top_talkers");
-                let traj = std::path::Path::new("BENCH_alerts.json");
-                match alerts::append_trajectory(traj, &b) {
-                    Ok(seq) => println!("trajectory entry #{seq} appended to {}", traj.display()),
-                    Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                        eprintln!("repro: {e}");
-                    }
-                    Err(e) => {
-                        eprintln!("repro: failed to write {}: {e}", traj.display());
-                        exit(1);
-                    }
-                }
                 let s = &b.stats;
                 println!(
                     "alerts: {} emitted = {} written + {} deduped + {} rate-limited ({} + {})",

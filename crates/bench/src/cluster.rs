@@ -25,8 +25,7 @@
 //! `NWDP_NET_BACKOFF` the base retry timeout.
 //!
 //! Results go to `results/cluster_convergence.csv` (per loss point) and
-//! `results/cluster_epochs.csv` (per epoch), and the canonical 10%-loss
-//! point is appended to the repo-root `BENCH_cluster.json` trajectory.
+//! `results/cluster_epochs.csv` (per epoch).
 
 use crate::output::{f2, f4, Table};
 use crate::scenario::{default_caps, NidsContext};
@@ -36,12 +35,11 @@ use nwdp_core::resilience::{manifest_gap_fraction, FaultPlan, HealthConfig, Part
 use nwdp_engine::{run_cluster, ClusterConfig, ClusterRun};
 use nwdp_obs as obs;
 use nwdp_topo::NodeId;
-use std::path::Path;
 use std::time::Instant;
 
 /// The scripted faults every loss point shares.
 const CRASH_NODE: NodeId = NodeId(3);
-const CRASH_AT: f64 = 0.37;
+pub const CRASH_AT: f64 = 0.37;
 const PART_NODE: NodeId = NodeId(7);
 const PART_FROM: f64 = 0.5;
 const PART_UNTIL: f64 = 0.75;
@@ -60,16 +58,6 @@ pub struct ClusterPoint {
     /// `1 - Σ blind gaps` over every node ever declared failed — the
     /// greedy repair bound the coverage floor is held to.
     pub repair_bound: f64,
-}
-
-/// The whole sweep plus the effective knob values.
-#[derive(Debug)]
-pub struct ClusterBench {
-    pub points: Vec<ClusterPoint>,
-    pub retry_budget: u32,
-    pub backoff_base: f64,
-    pub delay_max: f64,
-    pub threads: usize,
 }
 
 /// `var` as an `f64` in `[lo, hi)` when set and usable, else `default`
@@ -98,7 +86,7 @@ fn loss_points(scale: Scale) -> Vec<f64> {
 }
 
 /// Run the convergence sweep at `scale`.
-pub fn run(scale: Scale) -> ClusterBench {
+pub fn run(scale: Scale) -> Vec<ClusterPoint> {
     let delay_max =
         f64_from_env("NWDP_NET_DELAY", 0.004, 1e-6, 0.05, "a one-way delay in (0, 0.05)");
     let retry_budget = parallel::env_count("NWDP_NET_RETRY").unwrap_or(3).clamp(1, 16) as u32;
@@ -123,7 +111,7 @@ pub fn run(scale: Scale) -> ClusterBench {
 
     // Metrics stay on for the runs (restored after): the `net.*` counters
     // and the `net.coverage` / `net.convergence` series are part of the
-    // artifact contract the CI gate checks.
+    // artifact contract `tests/repro_artifacts.rs` checks.
     let was = obs::enabled();
     obs::set_enabled(true);
     let points = loss_points(scale)
@@ -143,8 +131,7 @@ pub fn run(scale: Scale) -> ClusterBench {
         })
         .collect();
     obs::set_enabled(was);
-
-    ClusterBench { points, retry_budget, backoff_base, delay_max, threads: parallel::num_threads() }
+    points
 }
 
 /// ISSUE 9 acceptance, asserted on every bench run — convergence numbers
@@ -221,7 +208,7 @@ fn assert_acceptance(
 }
 
 /// Per-loss-point summary: the convergence-latency-vs-loss table.
-pub fn table(b: &ClusterBench) -> Table {
+pub fn table(points: &[ClusterPoint]) -> Table {
     let mut t = Table::new(
         "Control-plane convergence vs link loss (Internet2, crash + partition script)",
         &[
@@ -241,7 +228,7 @@ pub fn table(b: &ClusterBench) -> Table {
             "wall_s",
         ],
     );
-    for p in &b.points {
+    for p in points {
         let s = &p.run.stats;
         let max_latency =
             p.run.convergence_latencies().iter().map(|&(_, l)| l).fold(0.0f64, f64::max);
@@ -267,12 +254,12 @@ pub fn table(b: &ClusterBench) -> Table {
 
 /// Per-epoch CSV: when each manifest generation was created and how long
 /// it took to reach every target.
-pub fn epochs_table(b: &ClusterBench) -> Table {
+pub fn epochs_table(points: &[ClusterPoint]) -> Table {
     let mut t = Table::new(
         "Manifest epochs per loss point",
         &["loss", "epoch", "created_at", "targets", "acked", "conv_latency"],
     );
-    for p in &b.points {
+    for p in points {
         for e in &p.run.epochs {
             t.row(vec![
                 f2(p.loss),
@@ -287,64 +274,20 @@ pub fn epochs_table(b: &ClusterBench) -> Table {
     t
 }
 
-/// Append the sweep's canonical point (highest loss) to the repo-root
-/// trajectory so convergence latency across commits stays visible.
-pub fn append_trajectory(path: &Path, b: &ClusterBench) -> std::io::Result<usize> {
-    let p = b
-        .points
-        .iter()
-        .max_by(|a, c| a.loss.total_cmp(&c.loss))
-        .expect("sweep has at least one point");
-    let max_latency = p.run.convergence_latencies().iter().map(|&(_, l)| l).fold(0.0f64, f64::max);
-    crate::output::append_trajectory(
-        path,
-        vec![
-            ("loss", obs::Json::Num(p.loss)),
-            ("threads", obs::Json::Num(b.threads as f64)),
-            ("retry_budget", obs::Json::Num(b.retry_budget as f64)),
-            ("backoff_base", obs::Json::Num(b.backoff_base)),
-            ("delay_max", obs::Json::Num(b.delay_max)),
-            ("detect_latency", obs::Json::Num(p.detected_at - CRASH_AT)),
-            ("max_conv_latency", obs::Json::Num(max_latency)),
-            ("detections", obs::Json::Num(p.run.detections.len() as f64)),
-            ("final_epoch", obs::Json::Num(p.run.final_epoch as f64)),
-            ("retries", obs::Json::Num(p.run.stats.retries as f64)),
-            ("timeouts", obs::Json::Num(p.run.stats.timeouts as f64)),
-            ("coverage_floor", obs::Json::Num(p.run.coverage_floor())),
-            ("wall_s", obs::Json::Num(p.wall_s)),
-        ],
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn quick_sweep_meets_the_acceptance_criteria() {
+        let _obs = crate::obs_lock();
         // `run` asserts detection, coverage, and fencing internally.
-        let b = run(Scale::Quick);
-        assert_eq!(b.points.len(), 2);
-        assert_eq!(b.points[0].loss, 0.0);
+        let points = run(Scale::Quick);
+        assert_eq!(points.len(), 2);
+        assert_eq!(points[0].loss, 0.0);
         // Zero loss: exactly the two scripted faults are ever declared.
-        assert_eq!(b.points[0].run.detections.len(), 2);
-        assert_eq!(table(&b).rows.len(), 2);
-        assert!(epochs_table(&b).rows.len() >= 4, "≥ 2 epochs per point");
-    }
-
-    #[test]
-    fn trajectory_appends_the_highest_loss_point() {
-        let dir = std::env::temp_dir().join("nwdp_cluster_traj_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_cluster.json");
-        let _ = std::fs::remove_file(&path);
-        let b = run(Scale::Quick);
-        assert_eq!(append_trajectory(&path, &b).unwrap(), 1);
-        assert_eq!(append_trajectory(&path, &b).unwrap(), 2);
-        let json = obs::parse_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let Some(obs::Json::Arr(runs)) = json.get("runs") else { panic!("runs array missing") };
-        assert_eq!(runs.len(), 2);
-        assert_eq!(runs[0].get("loss"), Some(&obs::Json::Num(0.1)));
-        let _ = std::fs::remove_file(&path);
+        assert_eq!(points[0].run.detections.len(), 2);
+        assert_eq!(table(&points).rows.len(), 2);
+        assert!(epochs_table(&points).rows.len() >= 4, "≥ 2 epochs per point");
     }
 }

@@ -1,9 +1,5 @@
-//! Result output: CSV files plus aligned ASCII tables on stdout, and the
-//! repo-root `BENCH_*.json` trajectory files that track bench results
-//! across commits.
+//! Result output: CSV files plus aligned ASCII tables on stdout.
 
-use nwdp_obs as obs;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
@@ -77,55 +73,6 @@ impl Table {
         println!("{}", self.ascii());
         Ok(())
     }
-}
-
-/// Append one entry to a trajectory file (`{"version":1,"runs":[...]}`),
-/// creating it if absent. A 1-based `seq` field is injected; the new
-/// entry's sequence number is returned.
-///
-/// A file that exists but does not parse as a trajectory is **never
-/// overwritten** (an earlier version silently reset `runs` to empty and
-/// the next write destroyed the whole bench history): the corrupt
-/// original is copied to `<path>.bak` and an `InvalidData` error names
-/// both paths, so the caller can warn and skip the append.
-pub fn append_trajectory(path: &Path, fields: Vec<(&str, obs::Json)>) -> std::io::Result<usize> {
-    let mut runs: Vec<obs::Json> = match fs::read_to_string(path) {
-        Ok(text) => match obs::parse_json(&text) {
-            Ok(json) => match json.get("runs") {
-                Some(obs::Json::Arr(runs)) => runs.clone(),
-                _ => return preserve_corrupt(path, "no \"runs\" array"),
-            },
-            Err(e) => return preserve_corrupt(path, &format!("unparseable JSON: {e}")),
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    let seq = runs.len() + 1;
-    let mut entry = BTreeMap::new();
-    entry.insert("seq".to_string(), obs::Json::Num(seq as f64));
-    for (k, v) in fields {
-        entry.insert(k.to_string(), v);
-    }
-    runs.push(obs::Json::Obj(entry));
-    let mut root = BTreeMap::new();
-    root.insert("version".to_string(), obs::Json::Num(1.0));
-    root.insert("runs".to_string(), obs::Json::Arr(runs));
-    fs::write(path, obs::Json::Obj(root).render() + "\n")?;
-    Ok(seq)
-}
-
-/// Copy an unparseable trajectory file aside and refuse the append.
-fn preserve_corrupt(path: &Path, why: &str) -> std::io::Result<usize> {
-    let bak = std::path::PathBuf::from(format!("{}.bak", path.display()));
-    fs::copy(path, &bak)?;
-    Err(std::io::Error::new(
-        std::io::ErrorKind::InvalidData,
-        format!(
-            "trajectory {} is corrupt ({why}); original preserved at {}, append skipped",
-            path.display(),
-            bak.display()
-        ),
-    ))
 }
 
 /// Format helpers.

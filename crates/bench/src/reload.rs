@@ -120,8 +120,8 @@ pub fn run_with(sessions: usize, epochs: usize, blend: f64) -> ReloadBench {
 
     // Metrics stay on for the run (restored after): the control loop is
     // the object under test, and the `reload.*` counters plus the
-    // `resilience.coverage` series are part of the artifact contract the
-    // CI gate checks.
+    // `resilience.coverage` series are part of the artifact contract
+    // `tests/repro_artifacts.rs` checks.
     let was = obs::enabled();
     obs::set_enabled(true);
     let hits0 = counter_snapshot("simplex.warmstart_hits");
@@ -242,6 +242,7 @@ mod tests {
 
     #[test]
     fn mix_shift_run_meets_the_acceptance_criteria() {
+        let _obs = crate::obs_lock();
         // run_with asserts the acceptance criteria internally.
         let b = run_with(4000, 5, 0.5);
         assert_eq!(b.run.decisions.len(), 4);

@@ -15,10 +15,7 @@
 //!
 //! The batch and stream results must be bit-identical (same alerts, same
 //! per-node stats) — asserted here on every bench run, not just in the
-//! equivalence tests. Results go to `results/throughput.csv`, and
-//! [`append_trajectory`] records the run in the repo-root
-//! `BENCH_throughput.json` so the throughput trajectory across commits
-//! stays visible.
+//! equivalence tests. Results go to `results/throughput.csv`.
 
 use crate::output::{f2, Table};
 use crate::scenario::NidsContext;
@@ -30,13 +27,11 @@ use nwdp_engine::{
 use nwdp_hash::KeyedHasher;
 use nwdp_obs as obs;
 use nwdp_traffic::{generate_trace, SessionStream, TraceConfig};
-use std::path::Path;
 use std::time::Instant;
 
 /// One throughput measurement.
 #[derive(Debug, Clone)]
 pub struct ThroughputRun {
-    pub quick: bool,
     pub sessions: usize,
     pub shards: usize,
     pub threads: usize,
@@ -53,7 +48,6 @@ pub struct ThroughputRun {
     /// Batch comparator: trace materialization + `run_coordinated`.
     pub batch_wall_s: f64,
     pub speedup_vs_batch: f64,
-    pub total_packets: u64,
 }
 
 /// Run the throughput bench at `scale`. Panics if the streaming result
@@ -121,7 +115,6 @@ pub fn run(scale: Scale) -> ThroughputRun {
 
     let total_packets: u64 = stream.per_node.iter().map(|s| s.packets).sum();
     ThroughputRun {
-        quick: scale == Scale::Quick,
         sessions,
         shards,
         threads,
@@ -132,7 +125,6 @@ pub fn run(scale: Scale) -> ThroughputRun {
         p99_pkt_ns: hist.quantile(0.99),
         batch_wall_s,
         speedup_vs_batch: batch_wall_s / wall_s.max(1e-12),
-        total_packets,
     }
 }
 
@@ -182,106 +174,4 @@ pub fn table(r: &ThroughputRun) -> Table {
         format!("{:.0}", r.p99_pkt_ns),
     ]);
     t
-}
-
-/// Append `r` to the trajectory file (`{"version":1,"runs":[...]}`),
-/// creating it if absent. Returns the new entry's 1-based sequence number.
-///
-/// A file that exists but does not parse as a trajectory is **never
-/// overwritten** (an earlier version silently reset `runs` to empty and the
-/// next write destroyed the whole bench history): the corrupt original is
-/// copied to `<path>.bak` and an `InvalidData` error names both paths, so
-/// the caller can warn and skip the append.
-pub fn append_trajectory(path: &Path, r: &ThroughputRun) -> std::io::Result<usize> {
-    crate::output::append_trajectory(
-        path,
-        vec![
-            ("quick", obs::Json::Bool(r.quick)),
-            ("sessions", obs::Json::Num(r.sessions as f64)),
-            ("shards", obs::Json::Num(r.shards as f64)),
-            ("threads", obs::Json::Num(r.threads as f64)),
-            ("wall_s", obs::Json::Num(r.wall_s)),
-            ("sessions_per_sec", obs::Json::Num(r.sessions_per_sec)),
-            ("packets_per_sec", obs::Json::Num(r.packets_per_sec)),
-            ("p50_pkt_ns", obs::Json::Num(r.p50_pkt_ns)),
-            ("p99_pkt_ns", obs::Json::Num(r.p99_pkt_ns)),
-            ("batch_wall_s", obs::Json::Num(r.batch_wall_s)),
-            ("speedup_vs_batch", obs::Json::Num(r.speedup_vs_batch)),
-            ("total_packets", obs::Json::Num(r.total_packets as f64)),
-        ],
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn trajectory_appends_and_reparses() {
-        let dir = std::env::temp_dir().join("nwdp_throughput_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_throughput.json");
-        let _ = std::fs::remove_file(&path);
-        let r = ThroughputRun {
-            quick: true,
-            sessions: 100,
-            shards: 2,
-            threads: 2,
-            wall_s: 0.5,
-            sessions_per_sec: 200.0,
-            packets_per_sec: 4000.0,
-            p50_pkt_ns: 120.0,
-            p99_pkt_ns: 900.0,
-            batch_wall_s: 1.0,
-            speedup_vs_batch: 2.0,
-            total_packets: 2000,
-        };
-        assert_eq!(append_trajectory(&path, &r).unwrap(), 1);
-        assert_eq!(append_trajectory(&path, &r).unwrap(), 2);
-        let json = obs::parse_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(json.get("version"), Some(&obs::Json::Num(1.0)));
-        let Some(obs::Json::Arr(runs)) = json.get("runs") else {
-            panic!("runs array missing");
-        };
-        assert_eq!(runs.len(), 2);
-        assert_eq!(runs[1].get("seq"), Some(&obs::Json::Num(2.0)));
-        assert_eq!(runs[0].get("sessions_per_sec"), Some(&obs::Json::Num(200.0)));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn corrupt_trajectory_is_preserved_not_destroyed() {
-        let dir = std::env::temp_dir().join("nwdp_throughput_corrupt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let r = ThroughputRun {
-            quick: true,
-            sessions: 100,
-            shards: 1,
-            threads: 1,
-            wall_s: 0.5,
-            sessions_per_sec: 200.0,
-            packets_per_sec: 4000.0,
-            p50_pkt_ns: 120.0,
-            p99_pkt_ns: 900.0,
-            batch_wall_s: 1.0,
-            speedup_vs_batch: 2.0,
-            total_packets: 2000,
-        };
-        // Unparseable JSON and parseable-but-wrong-shape both refuse the
-        // append, keep the original bytes intact, and leave a .bak copy.
-        for (name, garbage) in
-            [("truncated.json", "{\"version\":1,\"runs\":[{\"seq\""), ("noruns.json", "{\"v\":2}")]
-        {
-            let path = dir.join(name);
-            let bak = std::path::PathBuf::from(format!("{}.bak", path.display()));
-            let _ = std::fs::remove_file(&bak);
-            std::fs::write(&path, garbage).unwrap();
-            let err = append_trajectory(&path, &r).expect_err("corrupt file must not append");
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}");
-            assert_eq!(std::fs::read_to_string(&path).unwrap(), garbage, "{name}: original intact");
-            assert_eq!(std::fs::read_to_string(&bak).unwrap(), garbage, "{name}: .bak written");
-            let _ = std::fs::remove_file(&path);
-            let _ = std::fs::remove_file(&bak);
-        }
-    }
 }

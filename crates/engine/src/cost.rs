@@ -5,7 +5,7 @@
 //! relative CPU/memory comparisons of Figs 5–8 are exactly reproducible on
 //! any host (see DESIGN.md, substitutions). Every engine operation charges
 //! cycles to a [`Meter`]; state allocations charge bytes. Real wall-clock
-//! numbers are additionally collected by the Criterion benches.
+//! numbers come from the `perfbench` benchmark.
 //!
 //! The constants encode the *relative* costs that drive the paper's
 //! observations: interpreted policy-script operations are an order of

@@ -249,8 +249,7 @@ fn lp_followup_reoptimizes_after_the_greedy_epoch() {
     let (dep, m, caps) = setup();
     let mut plan = FaultPlan::clean(29);
     plan.crashes.push((NodeId(3), 0.3));
-    let mut cfg = ClusterConfig::default();
-    cfg.lp_followup = true;
+    let cfg = ClusterConfig { lp_followup: true, ..ClusterConfig::default() };
     let run = run_cluster(&dep, &m, &caps, &plan, &cfg).expect("lp run");
 
     assert_eq!(run.stats.repairs, 1, "greedy repair first");

@@ -475,10 +475,16 @@ mod tests {
         }
     }
 
+    /// Tests in this module share the global trace switch and writer;
+    /// every test that touches either takes this guard.
+    static GUARD: Mutex<()> = Mutex::new(());
+
+    fn guard() -> std::sync::MutexGuard<'static, ()> {
+        GUARD.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn with_capture<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
-        // Tests in this module share the global writer; serialize them.
-        static GUARD: Mutex<()> = Mutex::new(());
-        let _g = GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = guard();
         let cap = Capture(Arc::new(Mutex::new(Vec::new())));
         set_trace_writer(Box::new(cap.clone()));
         set_trace_enabled(true);
@@ -523,6 +529,7 @@ mod tests {
 
     #[test]
     fn disabled_tracing_is_inert() {
+        let _g = guard();
         set_trace_enabled(false);
         let s = span!("nope", a = 1u64);
         assert_eq!(s.id(), 0);
