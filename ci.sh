@@ -14,6 +14,13 @@ cargo build --release
 echo "== tests =="
 cargo test -q
 
+# Obs and bench unit tests each record under their own `obs::Recorder`,
+# with no shared lock; 20 runs at 8 test threads catch one that leaks.
+echo "== obs/bench isolation stress (20 runs, 8 test threads) =="
+for _ in $(seq 20); do
+  cargo test -q -p nwdp-obs -p nwdp-bench --lib -- --test-threads 8
+done
+
 # The benchmark is its own cargo package built from these crates by path;
 # build it and run its unit tests so a solver API change that breaks it
 # fails here rather than in the benchmark run.

@@ -312,12 +312,11 @@ mod tests {
 
     #[test]
     fn quick_run_balances_and_both_egress_files_validate() {
-        let _obs = crate::obs_lock();
         let dir = std::env::temp_dir().join("nwdp_alerts_bench_test");
         let _ = std::fs::remove_dir_all(&dir);
         // `run` asserts balance, line counts, and per-line validity; the
         // validators re-run here only to pin the audit to fresh reads.
-        let b = run(Scale::Quick, &dir);
+        let b = obs::scoped(&obs::Recorder::new(), || run(Scale::Quick, &dir));
         assert_eq!(b.stats.emitted, b.stats.written + b.stats.deduped + b.stats.dropped_ratelimit);
         assert!(b.stats.written > 0);
         assert_eq!(validate_jsonl(&b.jsonl_path) as u64, b.stats.written);

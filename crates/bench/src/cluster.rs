@@ -280,9 +280,8 @@ mod tests {
 
     #[test]
     fn quick_sweep_meets_the_acceptance_criteria() {
-        let _obs = crate::obs_lock();
         // `run` asserts detection, coverage, and fencing internally.
-        let points = run(Scale::Quick);
+        let points = obs::scoped(&obs::Recorder::new(), || run(Scale::Quick));
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].loss, 0.0);
         // Zero loss: exactly the two scripted faults are ever declared.

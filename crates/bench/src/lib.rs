@@ -22,13 +22,3 @@ pub mod throughput;
 pub mod warmstart;
 
 pub use scenario::Scale;
-
-/// Serializes the unit tests that flip process-global `nwdp-obs` state
-/// (`set_enabled`, histogram resets, the alert pipeline): each bench
-/// `run` saves, sets and restores it, so two overlapping runs would
-/// read each other's counters.
-#[cfg(test)]
-pub(crate) fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}

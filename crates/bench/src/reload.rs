@@ -242,9 +242,8 @@ mod tests {
 
     #[test]
     fn mix_shift_run_meets_the_acceptance_criteria() {
-        let _obs = crate::obs_lock();
         // run_with asserts the acceptance criteria internally.
-        let b = run_with(4000, 5, 0.5);
+        let b = obs::scoped(&obs::Recorder::new(), || run_with(4000, 5, 0.5));
         assert_eq!(b.run.decisions.len(), 4);
         assert_eq!(b.run.swaps() + b.run.rejected(), 4);
         // Tables are well-formed: one decision row per boundary, one

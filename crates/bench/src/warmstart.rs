@@ -282,15 +282,13 @@ mod tests {
 
     #[test]
     fn fpl_comparison_objectives_agree() {
-        let _obs = crate::obs_lock();
-        let c = fpl_cold_vs_warm(10, 3, 5);
+        let c = obs::scoped(&obs::Recorder::new(), || fpl_cold_vs_warm(10, 3, 5));
         assert!(c.objective_delta <= 1e-9);
     }
 
     #[test]
     fn rounding_comparison_objectives_agree() {
-        let _obs = crate::obs_lock();
-        let c = rounding_cold_vs_warm(3, 5, 9);
+        let c = obs::scoped(&obs::Recorder::new(), || rounding_cold_vs_warm(3, 5, 9));
         assert_eq!(c.objective_delta, 0.0, "same trials, same optima");
         assert!(c.cold_iters > 0, "simplex path must be exercised");
     }

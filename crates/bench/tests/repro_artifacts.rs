@@ -3,8 +3,7 @@
 //! `warm`, `throughput`, `reload`, `cluster` and `alerts` experiments.
 //!
 //! Every test runs the binary as its own process in its own directory,
-//! so the process-global `nwdp-obs` state of one run never leaks into
-//! another. What an experiment's `run` already asserts in-process (the
+//! so each run records into its own process-default `nwdp-obs` recorder. What an experiment's `run` already asserts in-process (the
 //! reload swap/rejection/coverage criteria, `cluster::assert_acceptance`,
 //! the alert balance and egress validation) is not repeated here; these
 //! tests check what reaches the files.

@@ -146,16 +146,15 @@ mod tests {
     #[test]
     fn invalid_knob_bumps_config_invalid_env_counter() {
         let _g = guard();
-        let was = obs::enabled();
-        obs::set_enabled(true);
-        let counter = obs::Scope::new("config")
-            .counter_with("invalid_env", &[("var", "NWDP_ALERT_SUPPRESS")]);
-        let before = counter.get();
-        std::env::set_var("NWDP_ALERT_SUPPRESS", "not-a-window");
-        let cfg = alert_config_from_env();
-        std::env::remove_var("NWDP_ALERT_SUPPRESS");
-        obs::set_enabled(was);
-        assert_eq!(cfg.suppress, obs::AlertConfig::default().suppress);
-        assert_eq!(counter.get(), before + 1, "invalid knob must be counted");
+        obs::scoped(&obs::Recorder::new(), || {
+            obs::set_enabled(true);
+            std::env::set_var("NWDP_ALERT_SUPPRESS", "not-a-window");
+            let cfg = alert_config_from_env();
+            std::env::remove_var("NWDP_ALERT_SUPPRESS");
+            assert_eq!(cfg.suppress, obs::AlertConfig::default().suppress);
+            let counter = obs::Scope::new("config")
+                .counter_with("invalid_env", &[("var", "NWDP_ALERT_SUPPRESS")]);
+            assert_eq!(counter.get(), 1, "invalid knob must be counted");
+        });
     }
 }

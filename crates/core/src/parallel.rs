@@ -143,8 +143,10 @@ where
     let (q, r) = (n / workers, n % workers);
     let f = &f;
     let measuring = obs::enabled();
-    // Captured before the spawn so worker spans nest under whatever span
-    // the calling thread had open (span ancestry is per-thread otherwise).
+    // Captured before the spawn so workers record into the caller's
+    // recorder and their spans nest under whatever span the calling thread
+    // had open (both are per-thread otherwise).
+    let recorder = &obs::current();
     let parent = obs::current_span_id();
     let mut blocks: Vec<Vec<R>> = Vec::with_capacity(workers);
     let mut worker_ns: Vec<u64> = Vec::with_capacity(workers);
@@ -154,19 +156,21 @@ where
                 let lo = w * q + w.min(r);
                 let hi = lo + q + usize::from(w < r);
                 s.spawn(move || {
-                    let _span = obs::span_under(
-                        parent,
-                        "parallel.worker",
-                        &[
-                            ("w", obs::TraceValue::from(w)),
-                            ("lo", obs::TraceValue::from(lo)),
-                            ("hi", obs::TraceValue::from(hi)),
-                        ],
-                    );
-                    let t0 = measuring.then(Instant::now);
-                    let block = (lo..hi).map(f).collect::<Vec<R>>();
-                    let ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    (block, ns)
+                    obs::scoped(recorder, || {
+                        let _span = obs::span_under(
+                            parent,
+                            "parallel.worker",
+                            &[
+                                ("w", obs::TraceValue::from(w)),
+                                ("lo", obs::TraceValue::from(lo)),
+                                ("hi", obs::TraceValue::from(hi)),
+                            ],
+                        );
+                        let t0 = measuring.then(Instant::now);
+                        let block = (lo..hi).map(f).collect::<Vec<R>>();
+                        let ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+                        (block, ns)
+                    })
                 })
             })
             .collect();

@@ -2,17 +2,14 @@
 //! basis that is still dual feasible must be repaired in place (counted
 //! as a warm-start hit), not discarded for a cold re-solve.
 //!
-//! The obs counters these tests assert are process-global, so every test
-//! that reads them serializes on one mutex; the delta-based assertions
-//! then see only their own solve.
+//! Each test records under its own fresh `obs::Recorder` and turns
+//! metrics on only for the warm solve, so the counters it asserts are
+//! that solve's alone.
 
 use nwdp_lp::model::{Cmp, Problem, Sense};
 use nwdp_lp::simplex::{solve_warm, SolverOpts, WarmStart};
 use nwdp_lp::Status;
 use nwdp_obs as obs;
-use std::sync::Mutex;
-
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
 fn ctr(name: &str) -> u64 {
     obs::snapshot()
@@ -45,37 +42,29 @@ fn stale_optimal_basis() -> WarmStart {
 
 #[test]
 fn dual_feasible_primal_infeasible_basis_repaired_without_fallback() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
-    let was = obs::enabled();
-    obs::set_enabled(true);
+    obs::scoped(&obs::Recorder::new(), || {
+        let p = cover_lp(5.0, 3.0);
+        let cold = solve_warm(&p, &SolverOpts::default(), None).0;
+        assert_eq!(cold.status, Status::Optimal);
 
-    let p = cover_lp(5.0, 3.0);
-    let cold = solve_warm(&p, &SolverOpts::default(), None).0;
-    assert_eq!(cold.status, Status::Optimal);
+        obs::set_enabled(true);
+        let warm = stale_optimal_basis();
+        let (sol, snap) = solve_warm(&p, &SolverOpts::default(), Some(&warm));
 
-    let hits0 = ctr("simplex.warmstart_hits");
-    let falls0 = ctr("simplex.warmstart_fallbacks");
-    let runs0 = ctr("simplex.dual_phase_runs");
-    let repairs0 = ctr("simplex.dual_repairs");
-    let pivots0 = ctr("simplex.dual_pivots");
-
-    let warm = stale_optimal_basis();
-    let (sol, snap) = solve_warm(&p, &SolverOpts::default(), Some(&warm));
-    obs::set_enabled(was);
-
-    assert_eq!(sol.status, Status::Optimal);
-    assert!(
-        (sol.objective - cold.objective).abs() <= 1e-9 * (1.0 + cold.objective.abs()),
-        "repaired warm solve diverged: {} vs cold {}",
-        sol.objective,
-        cold.objective
-    );
-    assert!(snap.is_some(), "optimal solve must produce a snapshot");
-    assert_eq!(ctr("simplex.warmstart_hits") - hits0, 1, "repair must count as a hit");
-    assert_eq!(ctr("simplex.warmstart_fallbacks") - falls0, 0, "no cold fallback");
-    assert_eq!(ctr("simplex.dual_phase_runs") - runs0, 1);
-    assert_eq!(ctr("simplex.dual_repairs") - repairs0, 1);
-    assert!(ctr("simplex.dual_pivots") - pivots0 >= 1, "repair must pivot");
+        assert_eq!(sol.status, Status::Optimal);
+        assert!(
+            (sol.objective - cold.objective).abs() <= 1e-9 * (1.0 + cold.objective.abs()),
+            "repaired warm solve diverged: {} vs cold {}",
+            sol.objective,
+            cold.objective
+        );
+        assert!(snap.is_some(), "optimal solve must produce a snapshot");
+        assert_eq!(ctr("simplex.warmstart_hits"), 1, "repair must count as a hit");
+        assert_eq!(ctr("simplex.warmstart_fallbacks"), 0, "no cold fallback");
+        assert_eq!(ctr("simplex.dual_phase_runs"), 1);
+        assert_eq!(ctr("simplex.dual_repairs"), 1);
+        assert!(ctr("simplex.dual_pivots") >= 1, "repair must pivot");
+    });
 }
 
 /// min x1 + x2/2  s.t.  x1 + x2 ≥ 5, x1 ≤ 3, x2 ≥ 0 unbounded above.
@@ -93,62 +82,43 @@ fn cheap_unbounded_cover_lp() -> Problem {
 
 #[test]
 fn basis_infeasible_in_both_senses_is_rejected_and_solved_cold() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
-    let was = obs::enabled();
-    obs::set_enabled(true);
+    obs::scoped(&obs::Recorder::new(), || {
+        let p = cheap_unbounded_cover_lp();
+        let cold = solve_warm(&p, &SolverOpts::default(), None).0;
 
-    let p = cheap_unbounded_cover_lp();
-    let cold = solve_warm(&p, &SolverOpts::default(), None).0;
-    let hits0 = ctr("simplex.warmstart_hits");
-    let falls0 = ctr("simplex.warmstart_fallbacks");
-    let rej0 = ctr("simplex.warmstart_rejected");
-    let runs0 = ctr("simplex.dual_phase_runs");
-    let repairs0 = ctr("simplex.dual_repairs");
-    let pivots0 = ctr("simplex.dual_pivots");
+        obs::set_enabled(true);
+        let (sol, _) = solve_warm(&p, &SolverOpts::default(), Some(&stale_optimal_basis()));
 
-    let (sol, _) = solve_warm(&p, &SolverOpts::default(), Some(&stale_optimal_basis()));
-    obs::set_enabled(was);
-
-    // Same answer as cold, via the reject-and-restart path.
-    assert_eq!(sol.status, Status::Optimal);
-    assert!(
-        (sol.objective - cold.objective).abs() <= 1e-9,
-        "{} vs cold {}",
-        sol.objective,
-        cold.objective
-    );
-    assert_eq!(ctr("simplex.warmstart_hits") - hits0, 0);
-    assert_eq!(ctr("simplex.warmstart_fallbacks") - falls0, 1);
-    assert_eq!(ctr("simplex.warmstart_rejected") - rej0, 1);
-    // The dual phase looked at the basis and turned it down unpivoted.
-    assert_eq!(ctr("simplex.dual_phase_runs") - runs0, 1);
-    assert_eq!(ctr("simplex.dual_repairs") - repairs0, 0);
-    assert_eq!(ctr("simplex.dual_pivots") - pivots0, 0);
+        // Same answer as cold, via the reject-and-restart path.
+        assert_eq!(sol.status, Status::Optimal);
+        assert!(
+            (sol.objective - cold.objective).abs() <= 1e-9,
+            "{} vs cold {}",
+            sol.objective,
+            cold.objective
+        );
+        assert_eq!(ctr("simplex.warmstart_hits"), 0);
+        assert_eq!(ctr("simplex.warmstart_fallbacks"), 1);
+        assert_eq!(ctr("simplex.warmstart_rejected"), 1);
+        // The dual phase looked at the basis and turned it down unpivoted.
+        assert_eq!(ctr("simplex.dual_phase_runs"), 1);
+        assert_eq!(ctr("simplex.dual_repairs"), 0);
+        assert_eq!(ctr("simplex.dual_pivots"), 0);
+    });
 }
 
 #[test]
 fn dimension_mismatch_attributed_as_rejected() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
-    let was = obs::enabled();
-    obs::set_enabled(true);
+    obs::scoped(&obs::Recorder::new(), || {
+        obs::set_enabled(true);
+        // Snapshot for a 3-variable problem against a 2-variable one.
+        let wrong = WarmStart::from_parts(3, 1, vec![3, 0, 0, 1], vec![2.0, 0.0, 0.0, 0.0]);
+        let (sol, _) = solve_warm(&cover_lp(5.0, 3.0), &SolverOpts::default(), Some(&wrong));
 
-    let p = cover_lp(5.0, 3.0);
-    let falls0 = ctr("simplex.warmstart_fallbacks");
-    let rej0 = ctr("simplex.warmstart_rejected");
-    let sing0 = ctr("simplex.warmstart_singular");
-
-    // Snapshot for a 3-variable problem against a 2-variable one.
-    let wrong = WarmStart::from_parts(3, 1, vec![3, 0, 0, 1], vec![2.0, 0.0, 0.0, 0.0]);
-    let (sol, _) = solve_warm(&p, &SolverOpts::default(), Some(&wrong));
-    obs::set_enabled(was);
-
-    assert_eq!(sol.status, Status::Optimal, "cold retry still solves");
-    assert_eq!(ctr("simplex.warmstart_fallbacks") - falls0, 1);
-    assert_eq!(ctr("simplex.warmstart_rejected") - rej0, 1);
-    assert_eq!(ctr("simplex.warmstart_singular") - sing0, 0);
-    // Invariant: the legacy counter stays the sum of the cause split.
-    assert_eq!(
-        ctr("simplex.warmstart_fallbacks"),
-        ctr("simplex.warmstart_rejected") + ctr("simplex.warmstart_singular"),
-    );
+        assert_eq!(sol.status, Status::Optimal, "cold retry still solves");
+        // The legacy fallback counter is the sum of the cause split.
+        assert_eq!(ctr("simplex.warmstart_fallbacks"), 1);
+        assert_eq!(ctr("simplex.warmstart_rejected"), 1);
+        assert_eq!(ctr("simplex.warmstart_singular"), 0);
+    });
 }

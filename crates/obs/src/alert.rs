@@ -8,9 +8,10 @@
 //! record is stamped with the emitting thread's replay context — node id
 //! and session id, set once per session via [`set_alert_context`] — and
 //! buffered in a per-thread `Vec` (no lock), following the trace-journal
-//! discipline: buffers drain to a global pending queue when they fill or
-//! when the thread exits (scoped workers drain on join, panicking
-//! workers during unwind).
+//! discipline: buffers drain to the current [`crate::Recorder`]'s pending
+//! queue when they fill, when the thread leaves a [`crate::scoped`] block
+//! or when it exits (panicking workers drain during unwind). Apart from
+//! those buffers, every piece of alert state belongs to a recorder.
 //!
 //! [`flush_alerts`] merges the pending queue deterministically (total
 //! order over every record field, so shard count and thread schedule
@@ -29,8 +30,8 @@
 //! ```
 //!
 //! [`alert_stats`] exposes the four counters; when metric collection is
-//! on they are mirrored into the `alert.*` counters of the global
-//! registry at flush time. A record is `written` when it clears the
+//! on they are mirrored into the recorder's `alert.*` counters at flush
+//! time. A record is `written` when it clears the
 //! pipeline, even if no writer is installed — the pipeline decision, not
 //! the file system, is what the invariant tracks.
 //!
@@ -50,10 +51,12 @@
 //! # Cost model
 //!
 //! The plane is **off by default**: [`alert_enabled`] is one relaxed
-//! atomic load, and every call in this module short-circuits on it.
+//! atomic load on the current recorder, and every call in this module
+//! short-circuits on it.
 //! With `NWDP_ALERT` unset nothing is stamped, buffered, or written —
 //! outputs stay bit-identical to a build without the alert plane.
 
+use crate::recorder::{lock, with_current};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -141,33 +144,41 @@ impl Default for AlertConfig {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static EMITTED: AtomicU64 = AtomicU64::new(0);
-/// Replay-clock scale as f64 bits; 0 (the bits of 0.0) means "unset",
-/// read as 1.0.
-static CLOCK_SCALE_BITS: AtomicU64 = AtomicU64::new(0);
+/// One recorder's alert plane: gate, emitted count, clock scale, pending
+/// queue, pipeline and egress writers.
+#[derive(Default)]
+pub(crate) struct AlertState {
+    enabled: AtomicBool,
+    emitted: AtomicU64,
+    /// Replay-clock scale as f64 bits; 0 (the bits of 0.0) means "unset",
+    /// read as 1.0.
+    clock_scale: AtomicU64,
+    pending: Mutex<Vec<AlertRecord>>,
+    pipeline: Mutex<Pipeline>,
+    writers: Mutex<Vec<AlertWriter>>,
+}
 
-/// Is the alert plane on? One relaxed atomic load — the only cost every
+/// Is the alert plane on for the current recorder? The only cost every
 /// detection site pays when `NWDP_ALERT` is unset.
 #[inline(always)]
 pub fn alert_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    with_current(|r| r.alerts.enabled.load(Ordering::Relaxed))
 }
 
-/// Turn the alert plane on or off process-wide.
+/// Turn the alert plane on or off for the current recorder.
 pub fn set_alert_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+    with_current(|r| r.alerts.enabled.store(on, Ordering::Relaxed));
 }
 
 /// Set the replay-clock scale: an emitted record's `ts` is
 /// `session_id × scale`. Benches set `1 / n_sessions` so timestamps are
 /// trace fractions in `[0, 1]`; the default is 1.0.
 pub fn set_alert_clock_scale(scale: f64) {
-    CLOCK_SCALE_BITS.store(scale.to_bits(), Ordering::Relaxed);
+    with_current(|r| r.alerts.clock_scale.store(scale.to_bits(), Ordering::Relaxed));
 }
 
 fn clock_scale() -> f64 {
-    let bits = CLOCK_SCALE_BITS.load(Ordering::Relaxed);
+    let bits = with_current(|r| r.alerts.clock_scale.load(Ordering::Relaxed));
     if bits == 0 {
         1.0
     } else {
@@ -193,8 +204,7 @@ struct LocalBuf {
 impl Drop for LocalBuf {
     fn drop(&mut self) {
         if !self.recs.is_empty() {
-            let mut pending = pending_slot().lock().unwrap_or_else(|e| e.into_inner());
-            pending.append(&mut self.recs);
+            with_current(|r| lock(&r.alerts.pending).append(&mut self.recs));
         }
     }
 }
@@ -206,11 +216,6 @@ thread_local! {
     static CONTEXT: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
-fn pending_slot() -> &'static Mutex<Vec<AlertRecord>> {
-    static PENDING: Mutex<Vec<AlertRecord>> = Mutex::new(Vec::new());
-    &PENDING
-}
-
 /// Stamp the replay context for subsequent [`emit_alert`] calls on this
 /// thread. The engine calls this once per session (node id + session
 /// id); it is a thread-local store, safe under the scoped-thread
@@ -220,10 +225,10 @@ pub fn set_alert_context(node: u64, session_id: u64) {
     CONTEXT.with(|c| c.set((node, session_id)));
 }
 
-/// Emit one structured alert. No-op unless [`alert_enabled`]. The
-/// record is buffered thread-locally; nothing is encoded or written
-/// until [`flush_alerts`]. When metric collection is also on, the
-/// emission latency lands in the `alert.emit_ns` histogram.
+/// Emit one structured alert into the current recorder. No-op unless
+/// [`alert_enabled`]. The record is buffered thread-locally; nothing is
+/// encoded or written until [`flush_alerts`]. When metric collection is
+/// also on, the emission latency lands in the `alert.emit_ns` histogram.
 pub fn emit_alert(
     class: &str,
     kind: &str,
@@ -250,7 +255,7 @@ pub fn emit_alert(
         dst_port,
         proto,
     };
-    EMITTED.fetch_add(1, Ordering::Relaxed);
+    with_current(|r| r.alerts.emitted.fetch_add(1, Ordering::Relaxed));
     let full = BUF.with(|b| {
         let mut b = b.borrow_mut();
         b.recs.push(rec);
@@ -265,13 +270,13 @@ pub fn emit_alert(
     }
 }
 
-/// Move this thread's buffered records to the global pending queue.
-fn drain_local() {
-    BUF.with(|b| {
+/// Move this thread's buffered records to the current recorder's pending
+/// queue.
+pub(crate) fn drain_local() {
+    let _ = BUF.try_with(|b| {
         let mut b = b.borrow_mut();
         if !b.recs.is_empty() {
-            let mut pending = pending_slot().lock().unwrap_or_else(|e| e.into_inner());
-            pending.append(&mut b.recs);
+            with_current(|r| lock(&r.alerts.pending).append(&mut b.recs));
         }
     });
 }
@@ -280,9 +285,12 @@ fn drain_local() {
 // Pipeline: deterministic merge → suppression → token bucket → egress
 // ---------------------------------------------------------------------
 
+#[derive(Default)]
 struct Pipeline {
     cfg: AlertConfig,
-    /// Token bucket state on the replay clock.
+    /// Token bucket state on the replay clock. `Default` leaves it empty,
+    /// which is harmless: the default config runs no limiter, and
+    /// [`set_alert_config`] refills the bucket.
     tokens: f64,
     clock: f64,
     /// Last *written* timestamp per dedup key.
@@ -300,62 +308,51 @@ struct Pipeline {
     mirrored: [u64; 4],
 }
 
-fn pipeline_slot() -> &'static Mutex<Pipeline> {
-    static PIPE: Mutex<Pipeline> = Mutex::new(Pipeline {
-        cfg: AlertConfig { rate: 0.0, burst: 32.0, suppress: 0.0 },
-        tokens: 32.0,
-        clock: 0.0,
-        last_written: BTreeMap::new(),
-        written: 0,
-        deduped: 0,
-        dropped_ratelimit: 0,
-        per_class: BTreeMap::new(),
-        talkers: BTreeMap::new(),
-        mirrored: [0; 4],
-    });
-    &PIPE
+impl Pipeline {
+    /// Empty state with a full token bucket.
+    fn new(cfg: AlertConfig) -> Self {
+        Pipeline { cfg, tokens: cfg.burst, ..Pipeline::default() }
+    }
 }
 
 type AlertWriter = (AlertFormat, Box<dyn Write + Send>);
 
-fn writers_slot() -> &'static Mutex<Vec<AlertWriter>> {
-    static WRITERS: Mutex<Vec<AlertWriter>> = Mutex::new(Vec::new());
-    &WRITERS
-}
-
-/// Install an egress writer. Multiple writers (e.g. JSONL and CEF side
-/// by side) each receive every written record; the `written` counter
-/// still counts each record once.
+/// Install an egress writer on the current recorder. Multiple writers
+/// (e.g. JSONL and CEF side by side) each receive every written record;
+/// the `written` counter still counts each record once.
 pub fn add_alert_writer(format: AlertFormat, w: Box<dyn Write + Send>) {
-    writers_slot().lock().unwrap_or_else(|e| e.into_inner()).push((format, w));
+    with_current(|r| lock(&r.alerts.writers).push((format, w)));
 }
 
 /// Drop all egress writers (tests and bench teardown).
 pub fn clear_alert_writers() {
-    writers_slot().lock().unwrap_or_else(|e| e.into_inner()).clear();
+    with_current(|r| lock(&r.alerts.writers).clear());
 }
 
 /// Replace the pipeline tuning; refills the token bucket to the new
 /// burst. Counters and suppression history are preserved.
 pub fn set_alert_config(cfg: AlertConfig) {
-    let mut pipe = pipeline_slot().lock().unwrap_or_else(|e| e.into_inner());
-    pipe.cfg = cfg;
-    pipe.tokens = cfg.burst;
+    with_current(|r| {
+        let mut pipe = lock(&r.alerts.pipeline);
+        pipe.cfg = cfg;
+        pipe.tokens = cfg.burst;
+    });
 }
 
-/// Drain, merge, filter and encode every buffered alert. Deterministic:
-/// the batch is sorted by a total order over all record fields before
-/// the (stateful) suppression and rate-limit passes, so thread schedule
-/// and shard count cannot change what is written. Returns the updated
-/// cumulative stats; a writer error is reported *after* the pipeline
-/// accounting is updated (the decision stands even if the disk write
-/// failed).
+/// Drain, merge, filter and encode every alert buffered for the current
+/// recorder. Deterministic: the batch is sorted by a total order over all
+/// record fields before the (stateful) suppression and rate-limit
+/// passes, so thread schedule and shard count cannot change what is
+/// written. Returns the updated cumulative stats; a writer error is
+/// reported *after* the pipeline accounting is updated (the decision
+/// stands even if the disk write failed).
 pub fn flush_alerts() -> std::io::Result<AlertStats> {
     drain_local();
-    let mut batch = {
-        let mut pending = pending_slot().lock().unwrap_or_else(|e| e.into_inner());
-        std::mem::take(&mut *pending)
-    };
+    with_current(|r| flush_state(&r.alerts))
+}
+
+fn flush_state(state: &AlertState) -> std::io::Result<AlertStats> {
+    let mut batch = std::mem::take(&mut *lock(&state.pending));
     batch.sort_by(|a, b| {
         a.ts.total_cmp(&b.ts)
             .then_with(|| a.node.cmp(&b.node))
@@ -373,7 +370,7 @@ pub fn flush_alerts() -> std::io::Result<AlertStats> {
     let mut out: Vec<AlertRecord> = Vec::with_capacity(batch.len());
     let stats;
     {
-        let mut pipe = pipeline_slot().lock().unwrap_or_else(|e| e.into_inner());
+        let mut pipe = lock(&state.pipeline);
         for rec in batch {
             let key = rec.dedup_key();
             // Suppression window (≤ so exact same-instant duplicates fold
@@ -407,12 +404,7 @@ pub fn flush_alerts() -> std::io::Result<AlertStats> {
             pipe.last_written.insert(key, rec.ts);
             out.push(rec);
         }
-        stats = AlertStats {
-            emitted: EMITTED.load(Ordering::Relaxed),
-            written: pipe.written,
-            deduped: pipe.deduped,
-            dropped_ratelimit: pipe.dropped_ratelimit,
-        };
+        stats = stats_of(state, &pipe);
         if crate::enabled() {
             let now = [stats.emitted, stats.written, stats.deduped, stats.dropped_ratelimit];
             let names =
@@ -424,7 +416,7 @@ pub fn flush_alerts() -> std::io::Result<AlertStats> {
         }
     }
 
-    let mut writers = writers_slot().lock().unwrap_or_else(|e| e.into_inner());
+    let mut writers = lock(&state.writers);
     let mut first_err: Option<std::io::Error> = None;
     for (format, w) in writers.iter_mut() {
         for rec in &out {
@@ -448,52 +440,53 @@ pub fn flush_alerts() -> std::io::Result<AlertStats> {
     }
 }
 
-/// Current cumulative accounting. `emitted` includes records still
-/// buffered; the balance invariant holds after [`flush_alerts`] once all
-/// worker threads have exited (their buffers drain on thread death).
-pub fn alert_stats() -> AlertStats {
-    let pipe = pipeline_slot().lock().unwrap_or_else(|e| e.into_inner());
+fn stats_of(state: &AlertState, pipe: &Pipeline) -> AlertStats {
     AlertStats {
-        emitted: EMITTED.load(Ordering::Relaxed),
+        emitted: state.emitted.load(Ordering::Relaxed),
         written: pipe.written,
         deduped: pipe.deduped,
         dropped_ratelimit: pipe.dropped_ratelimit,
     }
 }
 
+/// Current cumulative accounting. `emitted` includes records still
+/// buffered; the balance invariant holds after [`flush_alerts`] once all
+/// worker threads have left the recorder (their buffers drain when they
+/// do).
+pub fn alert_stats() -> AlertStats {
+    with_current(|r| stats_of(&r.alerts, &lock(&r.alerts.pipeline)))
+}
+
 /// Per-class attribution: `(class, written, deduped, dropped_ratelimit)`
 /// sorted by class name.
 pub fn alert_class_stats() -> Vec<(String, u64, u64, u64)> {
-    let pipe = pipeline_slot().lock().unwrap_or_else(|e| e.into_inner());
-    pipe.per_class.iter().map(|(c, v)| (c.clone(), v[0], v[1], v[2])).collect()
+    with_current(|r| {
+        let pipe = lock(&r.alerts.pipeline);
+        pipe.per_class.iter().map(|(c, v)| (c.clone(), v[0], v[1], v[2])).collect()
+    })
 }
 
 /// Top `n` talkers by written alerts: `(source address or subject,
 /// count)` sorted by count descending, then key ascending.
 pub fn alert_top_talkers(n: usize) -> Vec<(u64, u64)> {
-    let pipe = pipeline_slot().lock().unwrap_or_else(|e| e.into_inner());
-    let mut v: Vec<(u64, u64)> = pipe.talkers.iter().map(|(&k, &c)| (k, c)).collect();
+    let mut v: Vec<(u64, u64)> =
+        with_current(|r| lock(&r.alerts.pipeline).talkers.iter().map(|(&k, &c)| (k, c)).collect());
     v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     v.truncate(n);
     v
 }
 
-/// Reset all pipeline state and counters (tests and bench setup). Does
-/// not touch installed writers or the enabled gate.
+/// Reset the current recorder's pipeline state and counters (bench
+/// setup). Does not touch installed writers, the tuning or the gate.
 pub fn reset_alerts() {
     drain_local();
-    pending_slot().lock().unwrap_or_else(|e| e.into_inner()).clear();
-    EMITTED.store(0, Ordering::Relaxed);
-    let mut pipe = pipeline_slot().lock().unwrap_or_else(|e| e.into_inner());
-    pipe.tokens = pipe.cfg.burst;
-    pipe.clock = 0.0;
-    pipe.last_written.clear();
-    pipe.written = 0;
-    pipe.deduped = 0;
-    pipe.dropped_ratelimit = 0;
-    pipe.per_class.clear();
-    pipe.talkers.clear();
-    pipe.mirrored = [0; 4];
+    with_current(|r| {
+        let a = &r.alerts;
+        lock(&a.pending).clear();
+        a.emitted.store(0, Ordering::Relaxed);
+        let mut pipe = lock(&a.pipeline);
+        *pipe = Pipeline::new(pipe.cfg);
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -650,39 +643,16 @@ pub fn split_cef(line: &str) -> Option<(Vec<String>, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex, MutexGuard};
+    use crate::tests::Capture;
+    use std::sync::{Arc, Mutex};
 
-    /// Alert state is process-global; serialize the tests that touch it.
-    fn guard() -> MutexGuard<'static, ()> {
-        static GUARD: Mutex<()> = Mutex::new(());
-        GUARD.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    struct Capture(Arc<Mutex<Vec<u8>>>);
-    impl Write for Capture {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    fn fresh(cfg: AlertConfig) {
-        clear_alert_writers();
-        set_alert_config(cfg);
-        reset_alerts();
-        set_alert_enabled(true);
-        set_alert_clock_scale(1.0);
-    }
-
-    fn teardown() {
-        set_alert_enabled(false);
-        clear_alert_writers();
-        set_alert_config(AlertConfig::default());
-        reset_alerts();
-        set_alert_clock_scale(1.0);
+    /// Run `f` under a fresh recorder with the plane on and tuned to `cfg`.
+    fn enabled_with<R>(cfg: AlertConfig, f: impl FnOnce() -> R) -> R {
+        crate::scoped(&crate::Recorder::new(), || {
+            set_alert_config(cfg);
+            set_alert_enabled(true);
+            f()
+        })
     }
 
     fn rec(ts: f64, class: &str, kind: &str, subject: u64) -> AlertRecord {
@@ -703,106 +673,105 @@ mod tests {
 
     #[test]
     fn off_by_default_emit_is_noop() {
-        let _g = guard();
-        fresh(AlertConfig::default());
-        set_alert_enabled(false);
-        emit_alert("scan", "address_scan", 7, 5, None);
-        let stats = flush_alerts().unwrap();
-        assert_eq!(stats, AlertStats::default());
-        teardown();
+        crate::scoped(&crate::Recorder::new(), || {
+            emit_alert("scan", "address_scan", 7, 5, None);
+            assert_eq!(flush_alerts().unwrap(), AlertStats::default());
+        });
     }
 
     #[test]
     fn accounting_balances_with_suppression_and_ratelimit() {
-        let _g = guard();
-        fresh(AlertConfig { rate: 1.0, burst: 2.0, suppress: 0.1 });
-        set_alert_clock_scale(0.1); // ts = sid / 10
-                                    // Six emissions: two exact duplicates of the first (deduped), the
-                                    // rest distinct subjects at ts 0.1/0.2/0.3; the bucket starts with
-                                    // 2 tokens and refills 1/unit, so 2 are written and 2 dropped.
-        for (sid, subject) in [(0u64, 1u64), (0, 1), (0, 1), (1, 2), (2, 3), (3, 4)] {
-            set_alert_context(9, sid);
-            emit_alert("scan", "address_scan", subject, 5, None);
-        }
-        let stats = flush_alerts().unwrap();
-        assert_eq!(
-            stats.emitted,
-            stats.written + stats.deduped + stats.dropped_ratelimit,
-            "balance: {stats:?}"
-        );
-        assert_eq!(stats.emitted, 6);
-        assert_eq!(stats.deduped, 2, "exact duplicates fold: {stats:?}");
-        assert!(stats.dropped_ratelimit > 0, "tight bucket must drop: {stats:?}");
-        let classes = alert_class_stats();
-        assert_eq!(classes.len(), 1);
-        let (_, w, d, r) = classes[0].clone();
-        assert_eq!((w, d, r), (stats.written, stats.deduped, stats.dropped_ratelimit));
-        teardown();
+        enabled_with(AlertConfig { rate: 1.0, burst: 2.0, suppress: 0.1 }, || {
+            // ts = sid / 10. Six emissions: two exact duplicates of the
+            // first (deduped), the rest distinct subjects at ts 0.1/0.2/0.3;
+            // the bucket starts with 2 tokens and refills 1/unit, so 2 are
+            // written and 2 dropped.
+            set_alert_clock_scale(0.1);
+            for (sid, subject) in [(0u64, 1u64), (0, 1), (0, 1), (1, 2), (2, 3), (3, 4)] {
+                set_alert_context(9, sid);
+                emit_alert("scan", "address_scan", subject, 5, None);
+            }
+            let stats = flush_alerts().unwrap();
+            assert_eq!(
+                stats.emitted,
+                stats.written + stats.deduped + stats.dropped_ratelimit,
+                "balance: {stats:?}"
+            );
+            assert_eq!(stats.emitted, 6);
+            assert_eq!(stats.deduped, 2, "exact duplicates fold: {stats:?}");
+            assert!(stats.dropped_ratelimit > 0, "tight bucket must drop: {stats:?}");
+            let classes = alert_class_stats();
+            assert_eq!(classes.len(), 1);
+            let (_, w, d, r) = classes[0].clone();
+            assert_eq!((w, d, r), (stats.written, stats.deduped, stats.dropped_ratelimit));
+        });
     }
 
     #[test]
     fn suppression_window_folds_repeats_within_window_only() {
-        let _g = guard();
-        fresh(AlertConfig { rate: 0.0, burst: 32.0, suppress: 0.25 });
-        set_alert_clock_scale(0.1);
-        for sid in [0u64, 1, 2, 5, 6] {
-            set_alert_context(1, sid);
-            emit_alert("syn", "syn_flood", 42, 8, None);
-        }
-        let stats = flush_alerts().unwrap();
-        // ts 0.0 written; 0.1, 0.2 within window; 0.5 written; 0.6 within.
-        assert_eq!((stats.written, stats.deduped), (2, 3), "{stats:?}");
-        assert_eq!(stats.emitted, stats.written + stats.deduped + stats.dropped_ratelimit);
-        teardown();
+        enabled_with(AlertConfig { rate: 0.0, burst: 32.0, suppress: 0.25 }, || {
+            set_alert_clock_scale(0.1);
+            for sid in [0u64, 1, 2, 5, 6] {
+                set_alert_context(1, sid);
+                emit_alert("syn", "syn_flood", 42, 8, None);
+            }
+            let stats = flush_alerts().unwrap();
+            // ts 0.0 written; 0.1, 0.2 within window; 0.5 written; 0.6 within.
+            assert_eq!((stats.written, stats.deduped), (2, 3), "{stats:?}");
+            assert_eq!(stats.emitted, stats.written + stats.deduped + stats.dropped_ratelimit);
+        });
     }
 
     #[test]
     fn deterministic_merge_sorts_across_threads() {
-        let _g = guard();
-        fresh(AlertConfig::default());
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        add_alert_writer(AlertFormat::Jsonl, Box::new(Capture(Arc::clone(&buf))));
-        // Emit out of order and from a second thread; the flush must sort
-        // by (ts, node, ...).
-        set_alert_context(2, 5);
-        emit_alert("scan", "address_scan", 7, 5, None);
-        std::thread::spawn(|| {
-            set_alert_context(1, 3);
-            emit_alert("scan", "address_scan", 9, 5, None);
-        })
-        .join()
-        .unwrap();
-        let stats = flush_alerts().unwrap();
-        assert_eq!(stats.written, 2);
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let ts: Vec<f64> = text
-            .lines()
-            .map(|l| crate::parse_json(l).unwrap().get("ts").and_then(crate::Json::as_f64).unwrap())
-            .collect();
-        assert_eq!(ts, vec![3.0, 5.0], "merged in replay order");
-        teardown();
+        enabled_with(AlertConfig::default(), || {
+            let buf = Arc::new(Mutex::new(Vec::new()));
+            add_alert_writer(AlertFormat::Jsonl, Box::new(Capture(Arc::clone(&buf))));
+            // Emit out of order and from a second thread; the flush must sort
+            // by (ts, node, ...).
+            set_alert_context(2, 5);
+            emit_alert("scan", "address_scan", 7, 5, None);
+            let rec = crate::current();
+            std::thread::spawn(move || {
+                crate::scoped(&rec, || {
+                    set_alert_context(1, 3);
+                    emit_alert("scan", "address_scan", 9, 5, None);
+                })
+            })
+            .join()
+            .unwrap();
+            let stats = flush_alerts().unwrap();
+            assert_eq!(stats.written, 2);
+            let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+            let ts: Vec<f64> = text
+                .lines()
+                .map(|l| {
+                    crate::parse_json(l).unwrap().get("ts").and_then(crate::Json::as_f64).unwrap()
+                })
+                .collect();
+            assert_eq!(ts, vec![3.0, 5.0], "merged in replay order");
+        });
     }
 
     #[test]
     fn written_counts_once_with_two_writers() {
-        let _g = guard();
-        fresh(AlertConfig::default());
-        let jl = Arc::new(Mutex::new(Vec::new()));
-        let cef = Arc::new(Mutex::new(Vec::new()));
-        add_alert_writer(AlertFormat::Jsonl, Box::new(Capture(Arc::clone(&jl))));
-        add_alert_writer(AlertFormat::Cef, Box::new(Capture(Arc::clone(&cef))));
-        set_alert_context(4, 1);
-        emit_alert("sig", "signature_match", 11, 7, Some((0x01020304, 0x05060708, 80, 443, 6)));
-        let stats = flush_alerts().unwrap();
-        assert_eq!(stats.written, 1);
-        let jl_text = String::from_utf8(jl.lock().unwrap().clone()).unwrap();
-        let cef_text = String::from_utf8(cef.lock().unwrap().clone()).unwrap();
-        assert_eq!(jl_text.lines().count(), 1);
-        assert_eq!(cef_text.lines().count(), 1);
-        assert!(cef_text.starts_with("CEF:0|nwdp|nids|0.1|"));
-        assert!(cef_text.contains("src=1.2.3.4"), "{cef_text}");
-        assert!(cef_text.contains("spt=80"));
-        teardown();
+        enabled_with(AlertConfig::default(), || {
+            let jl = Arc::new(Mutex::new(Vec::new()));
+            let cef = Arc::new(Mutex::new(Vec::new()));
+            add_alert_writer(AlertFormat::Jsonl, Box::new(Capture(Arc::clone(&jl))));
+            add_alert_writer(AlertFormat::Cef, Box::new(Capture(Arc::clone(&cef))));
+            set_alert_context(4, 1);
+            emit_alert("sig", "signature_match", 11, 7, Some((0x01020304, 0x05060708, 80, 443, 6)));
+            let stats = flush_alerts().unwrap();
+            assert_eq!(stats.written, 1);
+            let jl_text = String::from_utf8(jl.lock().unwrap().clone()).unwrap();
+            let cef_text = String::from_utf8(cef.lock().unwrap().clone()).unwrap();
+            assert_eq!(jl_text.lines().count(), 1);
+            assert_eq!(cef_text.lines().count(), 1);
+            assert!(cef_text.starts_with("CEF:0|nwdp|nids|0.1|"));
+            assert!(cef_text.contains("src=1.2.3.4"), "{cef_text}");
+            assert!(cef_text.contains("spt=80"));
+        });
     }
 
     #[test]
@@ -853,16 +822,14 @@ mod tests {
 
     #[test]
     fn top_talkers_ranked_by_written() {
-        let _g = guard();
-        fresh(AlertConfig::default());
-        set_alert_clock_scale(1.0);
-        for (sid, src) in [(1u64, 7u32), (2, 7), (3, 9)] {
-            set_alert_context(0, sid);
-            emit_alert("scan", "address_scan", sid, 5, Some((src, 1, 2, 3, 6)));
-        }
-        flush_alerts().unwrap();
-        assert_eq!(alert_top_talkers(5), vec![(7, 2), (9, 1)]);
-        assert_eq!(alert_top_talkers(1), vec![(7, 2)]);
-        teardown();
+        enabled_with(AlertConfig::default(), || {
+            for (sid, src) in [(1u64, 7u32), (2, 7), (3, 9)] {
+                set_alert_context(0, sid);
+                emit_alert("scan", "address_scan", sid, 5, Some((src, 1, 2, 3, 6)));
+            }
+            flush_alerts().unwrap();
+            assert_eq!(alert_top_talkers(5), vec![(7, 2), (9, 1)]);
+            assert_eq!(alert_top_talkers(1), vec![(7, 2)]);
+        });
     }
 }

@@ -5,13 +5,23 @@
 //! engine behavior — LP solve effort vs. topology size, rounding quality
 //! vs. the LP bound, per-node load spread. This crate is the substrate
 //! that captures those quantities: atomic [`Counter`]s, [`Gauge`]s,
-//! [`Timer`]s and fixed-bucket [`Histogram`]s behind a process-global
-//! registry, exported as deterministic JSON.
+//! [`Timer`]s and fixed-bucket [`Histogram`]s in a labeled registry,
+//! exported as deterministic JSON, plus time series, a span journal and
+//! the alert pipeline.
+//!
+//! # Recorders
+//!
+//! All of that state lives in a [`Recorder`]. Every free function here
+//! acts on the calling thread's current recorder: the one the innermost
+//! [`scoped`] call installed, else the process default, which the
+//! `NWDP_*` variables configure. `nwdp_core::parallel` workers run under
+//! the [`current`] recorder of the thread that spawned them. Runs measured
+//! side by side each get a fresh [`Recorder::new`] (everything off).
 //!
 //! # Cost model
 //!
-//! Collection is **off by default**. The gate is a single relaxed
-//! [`AtomicBool`] load — instrumentation sites guard with
+//! Collection is **off by default**. The gate is a thread-local lookup
+//! plus one relaxed atomic load — instrumentation sites guard with
 //! [`enabled`], so a disabled build pays one predictable branch per
 //! instrumented *region* (not per event; hot loops accumulate into plain
 //! locals and flush once per solve/run). Enable with
@@ -30,6 +40,7 @@
 mod alert;
 mod json;
 mod metrics;
+mod recorder;
 mod registry;
 mod series;
 mod trace;
@@ -42,35 +53,33 @@ pub use alert::{
 };
 pub use json::{parse as parse_json, snapshot_to_json, Json};
 pub use metrics::{Counter, Gauge, Histogram, Timer};
+pub use recorder::{current, scoped, Recorder};
 pub use registry::{
-    counter, counter_with, gauge, gauge_with, histogram, histogram_with, reset, snapshot, timer,
+    counter, counter_with, gauge, gauge_with, histogram, histogram_with, snapshot, timer,
     timer_with, Scope, SnapshotValue,
 };
-pub use series::{
-    record_series, reset_series, series, series_snapshot, series_to_csv, write_series_csv, Series,
-};
+pub use series::{record_series, series, series_snapshot, series_to_csv, write_series_csv, Series};
 pub use trace::{
     current_span_id, event, flush_trace, init_trace_from_env, set_trace_enabled, set_trace_writer,
     span, span_under, span_with, trace_enabled, Span, TraceValue,
 };
 
+use recorder::{lock, with_current};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, Once};
+use std::sync::atomic::Ordering;
+use std::sync::Once;
 use std::time::Instant;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Is metric collection on? One relaxed atomic load — cheap enough to
+/// Is metric collection on for the current recorder? Cheap enough to
 /// guard every instrumented region.
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    with_current(|r| r.metrics_on.load(Ordering::Relaxed))
 }
 
-/// Turn collection on or off process-wide.
+/// Turn collection on or off for the current recorder.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+    with_current(|r| r.metrics_on.store(on, Ordering::Relaxed));
 }
 
 /// Take a start stamp only when collection is on; pair with
@@ -84,57 +93,21 @@ pub fn now_if_enabled() -> Option<Instant> {
     }
 }
 
-/// Destination for an exported snapshot.
-pub trait MetricsSink: Send {
-    fn write(&mut self, json: &str) -> std::io::Result<()>;
-}
-
-/// Sink that (over)writes a file on every flush.
-pub struct FileSink {
-    path: PathBuf,
-}
-
-impl FileSink {
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        FileSink { path: path.into() }
-    }
-}
-
-impl MetricsSink for FileSink {
-    fn write(&mut self, json: &str) -> std::io::Result<()> {
-        std::fs::write(&self.path, json)
-    }
-}
-
-fn sink_slot() -> &'static Mutex<Option<Box<dyn MetricsSink>>> {
-    static SINK: Mutex<Option<Box<dyn MetricsSink>>> = Mutex::new(None);
-    &SINK
-}
-
-/// Install (or replace) the process-global export sink.
-pub fn set_sink(sink: Box<dyn MetricsSink>) {
-    *sink_slot().lock().unwrap_or_else(|e| e.into_inner()) = Some(sink);
-}
-
-/// Read `NWDP_METRICS`; when set, enable collection and install a
-/// [`FileSink`] at that path. Returns the path when configured.
+/// Read `NWDP_METRICS`; when set, enable collection and make [`flush`]
+/// write the snapshot to that path. Returns the path when configured.
 pub fn init_from_env() -> Option<PathBuf> {
     let path = PathBuf::from(std::env::var_os("NWDP_METRICS")?);
     set_enabled(true);
-    set_sink(Box::new(FileSink::new(&path)));
+    with_current(|r| *lock(&r.metrics_out) = Some(path.clone()));
     Some(path)
 }
 
-/// Export the current snapshot to the installed sink. Returns `Ok(false)`
-/// when no sink is installed.
+/// Write the current snapshot to the path [`init_from_env`] configured.
+/// Returns `Ok(false)` when none is configured.
 pub fn flush() -> std::io::Result<bool> {
-    let mut slot = sink_slot().lock().unwrap_or_else(|e| e.into_inner());
-    match slot.as_mut() {
+    match with_current(|r| lock(&r.metrics_out).clone()) {
         None => Ok(false),
-        Some(sink) => {
-            sink.write(&to_json())?;
-            Ok(true)
-        }
+        Some(path) => write_json(path).map(|()| true),
     }
 }
 
@@ -143,13 +116,12 @@ pub fn to_json() -> String {
     snapshot_to_json(&snapshot())
 }
 
-/// Write the current snapshot straight to `path` (independent of any
-/// installed sink).
+/// Write the current snapshot straight to `path`.
 pub fn write_json(path: impl AsRef<Path>) -> std::io::Result<()> {
     std::fs::write(path, to_json())
 }
 
-/// Chain a panic hook that flushes the metrics sink and the trace
+/// Chain a panic hook that flushes the metrics snapshot and the trace
 /// journal before the default hook runs, so a mid-run panic still leaves
 /// a valid metrics snapshot and a parseable (partial) journal on disk.
 /// Idempotent: the hook installs once per process.
@@ -157,7 +129,7 @@ pub fn write_json(path: impl AsRef<Path>) -> std::io::Result<()> {
 /// The panicking thread's *open* spans are closed by their guards during
 /// the unwind that follows the hook, and its thread-local record buffer
 /// flushes when the thread dies — the hook only has to push out whatever
-/// other threads already handed to the writer, plus the global metrics
+/// other threads already handed to the writer, plus the metrics
 /// snapshot.
 pub fn install_panic_flush() {
     static INSTALL: Once = Once::new();
@@ -177,27 +149,40 @@ pub fn install_panic_flush() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Mutex};
+
+    /// Shared writer capturing journal or egress bytes for assertions.
+    #[derive(Clone)]
+    pub(crate) struct Capture(pub(crate) Arc<Mutex<Vec<u8>>>);
+
+    impl std::io::Write for Capture {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
 
     #[test]
     fn disabled_by_default_and_toggleable() {
-        // Don't assert the initial state (other tests may have toggled it);
-        // assert the toggle round-trips.
-        let before = enabled();
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(before);
+        scoped(&Recorder::new(), || {
+            assert!(!enabled());
+            set_enabled(true);
+            assert!(enabled());
+            set_enabled(false);
+            assert!(!enabled());
+        });
     }
 
     #[test]
     fn now_if_enabled_tracks_gate() {
-        let before = enabled();
-        set_enabled(false);
-        assert!(now_if_enabled().is_none());
-        set_enabled(true);
-        assert!(now_if_enabled().is_some());
-        set_enabled(before);
+        scoped(&Recorder::new(), || {
+            assert!(now_if_enabled().is_none());
+            set_enabled(true);
+            assert!(now_if_enabled().is_some());
+        });
     }
 
     #[test]
@@ -209,22 +194,16 @@ mod tests {
     }
 
     #[test]
-    fn file_sink_writes_snapshot() {
-        struct Capture(std::sync::Arc<Mutex<String>>);
-        impl MetricsSink for Capture {
-            fn write(&mut self, json: &str) -> std::io::Result<()> {
-                *self.0.lock().unwrap() = json.to_string();
-                Ok(())
-            }
-        }
-        let buf = std::sync::Arc::new(Mutex::new(String::new()));
-        set_sink(Box::new(Capture(std::sync::Arc::clone(&buf))));
-        counter("test.lib.sink").inc();
-        assert!(flush().unwrap());
-        let text = buf.lock().unwrap().clone();
-        assert!(parse_json(&text).is_ok());
-        // Leave no sink behind for other tests.
-        *sink_slot().lock().unwrap() = None;
-        assert!(!flush().unwrap());
+    fn flush_writes_snapshot_to_metrics_out() {
+        let path = std::env::temp_dir().join(format!("nwdp_obs_flush_{}.json", std::process::id()));
+        scoped(&Recorder::new(), || {
+            assert!(!flush().unwrap(), "a fresh recorder has no metrics path");
+            with_current(|r| *lock(&r.metrics_out) = Some(path.clone()));
+            counter("test.lib.sink").inc();
+            assert!(flush().unwrap());
+        });
+        let doc = parse_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(doc.get("counters/test.lib.sink").and_then(Json::as_f64), Some(1.0));
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -34,10 +34,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Last-write-wins floating-point value (stored as IEEE-754 bits).
@@ -89,10 +85,6 @@ impl Gauge {
 
     pub fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-
-    pub fn reset(&self) {
-        self.bits.store(0, Ordering::Relaxed);
     }
 }
 
@@ -168,13 +160,6 @@ impl Timer {
         } else {
             self.total_ns() as f64 / n as f64
         }
-    }
-
-    pub fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.total_ns.store(0, Ordering::Relaxed);
-        self.min_ns.store(u64::MAX, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
     }
 }
 
@@ -323,8 +308,6 @@ mod tests {
         c.inc();
         c.add(41);
         assert_eq!(c.get(), 42);
-        c.reset();
-        assert_eq!(c.get(), 0);
     }
 
     #[test]

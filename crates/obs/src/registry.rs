@@ -1,4 +1,5 @@
-//! Process-global metric registry with labeled scopes.
+//! Metric registry with labeled scopes; each [`crate::Recorder`] holds
+//! one, and these functions act on the current recorder's.
 //!
 //! Metrics are keyed by their rendered name — `base{k="v",…}` with label
 //! keys sorted — in a `BTreeMap`, so every export walks them in a
@@ -7,8 +8,8 @@
 //! flush per solve/run, never lock per event.
 
 use crate::metrics::{Counter, Gauge, Histogram, Timer};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use crate::recorder::{lock, with_current};
+use std::sync::Arc;
 
 #[derive(Clone)]
 pub(crate) enum Metric {
@@ -16,11 +17,6 @@ pub(crate) enum Metric {
     Gauge(Arc<Gauge>),
     Timer(Arc<Timer>),
     Histogram(Arc<Histogram>),
-}
-
-fn registry() -> &'static Mutex<BTreeMap<String, Metric>> {
-    static REGISTRY: OnceLock<Mutex<BTreeMap<String, Metric>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
 /// Render `base{k="v",…}` with label keys sorted for determinism.
@@ -46,6 +42,11 @@ fn render_name(base: &str, labels: &[(&str, &str)]) -> String {
     out
 }
 
+/// Fetch-or-create `key` in the current recorder's registry.
+fn entry(key: String, make: impl FnOnce() -> Metric) -> Metric {
+    with_current(|r| lock(&r.metrics).entry(key).or_insert_with(make).clone())
+}
+
 macro_rules! accessor {
     ($get:ident, $get_with:ident, $variant:ident, $ty:ty, $make:expr) => {
         /// Fetch-or-create the named metric. A name already registered with
@@ -57,10 +58,8 @@ macro_rules! accessor {
 
         /// Labeled variant of the same accessor.
         pub fn $get_with(name: &str, labels: &[(&str, &str)]) -> Arc<$ty> {
-            let key = render_name(name, labels);
-            let mut map = registry().lock().unwrap_or_else(|e| e.into_inner());
-            match map.entry(key).or_insert_with(|| Metric::$variant(Arc::new($make))) {
-                Metric::$variant(m) => Arc::clone(m),
+            match entry(render_name(name, labels), || Metric::$variant(Arc::new($make))) {
+                Metric::$variant(m) => m,
                 _ => Arc::new($make),
             }
         }
@@ -79,10 +78,8 @@ pub fn histogram(name: &str, bounds: &[f64]) -> Arc<Histogram> {
 
 /// Labeled variant of [`histogram`].
 pub fn histogram_with(name: &str, labels: &[(&str, &str)], bounds: &[f64]) -> Arc<Histogram> {
-    let key = render_name(name, labels);
-    let mut map = registry().lock().unwrap_or_else(|e| e.into_inner());
-    match map.entry(key).or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new(bounds)))) {
-        Metric::Histogram(m) => Arc::clone(m),
+    match entry(render_name(name, labels), || Metric::Histogram(Arc::new(Histogram::new(bounds)))) {
+        Metric::Histogram(m) => m,
         _ => Arc::new(Histogram::new(bounds)),
     }
 }
@@ -162,43 +159,30 @@ pub enum SnapshotValue {
 
 /// Point-in-time copy of every registered metric, in name order.
 pub fn snapshot() -> Vec<(String, SnapshotValue)> {
-    let map = registry().lock().unwrap_or_else(|e| e.into_inner());
-    map.iter()
-        .map(|(name, metric)| {
-            let value = match metric {
-                Metric::Counter(c) => SnapshotValue::Counter(c.get()),
-                Metric::Gauge(g) => SnapshotValue::Gauge(g.get()),
-                Metric::Timer(t) => SnapshotValue::Timer {
-                    count: t.count(),
-                    total_ns: t.total_ns(),
-                    min_ns: t.min_ns(),
-                    max_ns: t.max_ns(),
-                    mean_ns: t.mean_ns(),
-                },
-                Metric::Histogram(h) => SnapshotValue::Histogram {
-                    bounds: h.bounds().to_vec(),
-                    counts: h.bucket_counts(),
-                    count: h.count(),
-                    sum: h.sum(),
-                    p50: h.quantile(0.50),
-                    p95: h.quantile(0.95),
-                    p99: h.quantile(0.99),
-                },
-            };
-            (name.clone(), value)
-        })
-        .collect()
+    with_current(|r| lock(&r.metrics).iter().map(|(name, m)| (name.clone(), m.value())).collect())
 }
 
-/// Zero every registered metric (tests and repeated harness runs).
-pub fn reset() {
-    let map = registry().lock().unwrap_or_else(|e| e.into_inner());
-    for metric in map.values() {
-        match metric {
-            Metric::Counter(c) => c.reset(),
-            Metric::Gauge(g) => g.reset(),
-            Metric::Timer(t) => t.reset(),
-            Metric::Histogram(h) => h.reset(),
+impl Metric {
+    fn value(&self) -> SnapshotValue {
+        match self {
+            Metric::Counter(c) => SnapshotValue::Counter(c.get()),
+            Metric::Gauge(g) => SnapshotValue::Gauge(g.get()),
+            Metric::Timer(t) => SnapshotValue::Timer {
+                count: t.count(),
+                total_ns: t.total_ns(),
+                min_ns: t.min_ns(),
+                max_ns: t.max_ns(),
+                mean_ns: t.mean_ns(),
+            },
+            Metric::Histogram(h) => SnapshotValue::Histogram {
+                bounds: h.bounds().to_vec(),
+                counts: h.bucket_counts(),
+                count: h.count(),
+                sum: h.sum(),
+                p50: h.quantile(0.50),
+                p95: h.quantile(0.95),
+                p99: h.quantile(0.99),
+            },
         }
     }
 }

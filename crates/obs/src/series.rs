@@ -12,14 +12,15 @@
 //! recorded in call order and exported as one long CSV
 //! (`series,t,value`), deterministic given deterministic callers.
 //!
-//! Collection piggybacks on the metrics gate ([`crate::enabled`]):
+//! Series live in the current [`crate::Recorder`] next to its metrics,
+//! and collection piggybacks on the metrics gate ([`crate::enabled`]):
 //! instrumentation sites guard with it, so a disabled run pays one
-//! relaxed atomic load per *region*, exactly like the counter layer.
+//! gate check per *region*, exactly like the counter layer.
 
-use std::collections::BTreeMap;
+use crate::recorder::{lock, with_current};
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// One named time series: `(t, value)` points in record order.
 #[derive(Debug, Default)]
@@ -31,38 +32,20 @@ impl Series {
     /// Append one sample. Takes the series' internal lock — record per
     /// epoch/solve/event, not per packet.
     pub fn record(&self, t: f64, value: f64) {
-        self.points.lock().unwrap_or_else(|e| e.into_inner()).push((t, value));
+        lock(&self.points).push((t, value));
     }
 
     /// Copy of all points recorded so far.
     pub fn points(&self) -> Vec<(f64, f64)> {
-        self.points.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        lock(&self.points).clone()
     }
-
-    pub fn len(&self) -> usize {
-        self.points.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn clear(&self) {
-        self.points.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    }
-}
-
-fn registry() -> &'static Mutex<BTreeMap<String, Arc<Series>>> {
-    static REGISTRY: OnceLock<Mutex<BTreeMap<String, Arc<Series>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
 /// Fetch-or-create the named series. Resolve the handle once per
 /// run/solve; the handle is an `Arc` and safe to record from scoped
 /// threads.
 pub fn series(name: &str) -> Arc<Series> {
-    let mut map = registry().lock().unwrap_or_else(|e| e.into_inner());
-    Arc::clone(map.entry(name.to_string()).or_default())
+    with_current(|r| Arc::clone(lock(&r.series).entry(name.to_string()).or_default()))
 }
 
 /// One-shot convenience for cold call sites: fetch and record.
@@ -72,16 +55,7 @@ pub fn record_series(name: &str, t: f64, value: f64) {
 
 /// Point-in-time copy of every registered series, in name order.
 pub fn series_snapshot() -> Vec<(String, Vec<(f64, f64)>)> {
-    let map = registry().lock().unwrap_or_else(|e| e.into_inner());
-    map.iter().map(|(name, s)| (name.clone(), s.points())).collect()
-}
-
-/// Drop every point from every registered series (tests, repeated runs).
-pub fn reset_series() {
-    let map = registry().lock().unwrap_or_else(|e| e.into_inner());
-    for s in map.values() {
-        s.clear();
-    }
+    with_current(|r| lock(&r.series).iter().map(|(name, s)| (name.clone(), s.points())).collect())
 }
 
 /// Render a snapshot as CSV: `series,t,value`, one row per point, series
@@ -121,7 +95,6 @@ mod tests {
     #[test]
     fn record_and_snapshot_in_order() {
         let s = series("test.series.basic");
-        s.clear();
         s.record(0.0, 1.0);
         s.record(0.5, 0.25);
         series("test.series.basic").record(1.0, 0.75);
@@ -144,11 +117,11 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_points_but_keeps_names() {
-        let s = series("test.series.reset");
-        s.record(1.0, 1.0);
-        reset_series();
-        assert!(s.is_empty());
-        assert!(series_snapshot().iter().any(|(n, _)| n == "test.series.reset"));
+    fn recorders_keep_their_own_series() {
+        let (a, b) = (crate::Recorder::new(), crate::Recorder::new());
+        crate::scoped(&a, || record_series("test.series.own", 1.0, 1.0));
+        assert!(crate::scoped(&b, series_snapshot).is_empty());
+        let snap = crate::scoped(&a, series_snapshot);
+        assert_eq!(snap, vec![("test.series.own".to_string(), vec![(1.0, 1.0)])]);
     }
 }

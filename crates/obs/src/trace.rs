@@ -28,28 +28,31 @@
 //!
 //! # Cost model
 //!
-//! Tracing is **off by default**; the gate is one relaxed atomic load
-//! ([`trace_enabled`]), and a disabled [`span`]/[`event`] call does
-//! nothing else. When on, records are serialized into a per-thread
-//! `String` buffer (no lock) and flushed to the global writer under a
-//! mutex only when the buffer fills, when the thread exits (scoped
-//! workers flush on join; a panicking thread flushes during unwind), or
-//! on an explicit [`flush_trace`].
+//! Tracing is **off by default**; the gate is one relaxed atomic load on
+//! the current [`crate::Recorder`] ([`trace_enabled`]), and a disabled
+//! [`span`]/[`event`] call does nothing else. When on, records are
+//! serialized into a per-thread `String` buffer (no lock) and flushed to
+//! the current recorder's writer under a mutex only when the buffer
+//! fills, when a root span closes, when the thread leaves a
+//! [`crate::scoped`] block or exits (a panicking thread flushes during
+//! unwind), or on an explicit [`flush_trace`].
 //!
 //! # Configuration
 //!
-//! - `NWDP_TRACE=path.jsonl` — journal to a file (read lazily on the
-//!   first gate check, or eagerly via [`init_trace_from_env`]).
+//! - `NWDP_TRACE=path.jsonl` — journal to a file (the process default
+//!   recorder reads it lazily on the first gate check, or eagerly via
+//!   [`init_trace_from_env`]).
 //! - `NWDP_LP_TRACE=1` — no journal path, but tracing is enabled with a
 //!   stderr writer: the historical simplex diagnostic env var now emits
 //!   the same structured records, one JSON line each, to stderr.
 
+use crate::recorder::{lock, with_current, Recorder};
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// A field value attached to a span or event.
@@ -98,8 +101,6 @@ impl From<String> for TraceValue {
     }
 }
 
-// Gate: 0 = uninitialized (read env on first check), 1 = off, 2 = on.
-static STATE: AtomicU8 = AtomicU8::new(0);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(0);
 
@@ -112,66 +113,71 @@ fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
-fn writer_slot() -> &'static Mutex<Option<Box<dyn Write + Send>>> {
-    static WRITER: Mutex<Option<Box<dyn Write + Send>>> = Mutex::new(None);
-    &WRITER
-}
+// Trace gate values: read the environment on the first check (the
+// process default recorder), off, on.
+pub(crate) const FROM_ENV: u8 = 0;
+pub(crate) const OFF: u8 = 1;
+const ON: u8 = 2;
 
-/// Is span/event collection on? One relaxed atomic load on the hot path;
-/// the first call reads `NWDP_TRACE` / `NWDP_LP_TRACE` from the
-/// environment.
-#[inline]
-pub fn trace_enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_trace_from_env().is_some() || STATE.load(Ordering::Relaxed) == 2,
-    }
-}
-
-/// Turn tracing on or off process-wide (tests and explicit harness
-/// control; overrides whatever the environment said).
-pub fn set_trace_enabled(on: bool) {
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// Install (or replace) the journal writer. Callers normally pair this
-/// with [`set_trace_enabled`]`(true)`.
-pub fn set_trace_writer(w: Box<dyn Write + Send>) {
-    *writer_slot().lock().unwrap_or_else(|e| e.into_inner()) = Some(w);
-}
-
-/// Read the environment: `NWDP_TRACE=path` installs a buffered file
-/// writer at that path and enables tracing (returns the path);
-/// `NWDP_LP_TRACE` (any value) enables tracing with a stderr writer.
-/// Neither set ⇒ tracing stays off. Idempotent: an explicit
-/// [`set_trace_enabled`] beats a later lazy init.
-pub fn init_trace_from_env() -> Option<PathBuf> {
+fn init_from_env(r: &Recorder) -> Option<PathBuf> {
     let path = std::env::var_os("NWDP_TRACE").map(PathBuf::from);
-    if let Some(p) = &path {
-        match std::fs::File::create(p) {
-            Ok(f) => {
-                set_trace_writer(Box::new(std::io::BufWriter::new(f)));
-                let _ = STATE.compare_exchange(0, 2, Ordering::Relaxed, Ordering::Relaxed);
-                epoch();
-                return path;
-            }
+    let writer: Option<Box<dyn Write + Send>> = match &path {
+        Some(p) => match std::fs::File::create(p) {
+            Ok(f) => Some(Box::new(std::io::BufWriter::new(f))),
             Err(e) => {
                 eprintln!("nwdp-obs: cannot create NWDP_TRACE file {}: {e}", p.display());
+                None
             }
-        }
-    } else if std::env::var_os("NWDP_LP_TRACE").is_some() {
-        set_trace_writer(Box::new(std::io::stderr()));
-        let _ = STATE.compare_exchange(0, 2, Ordering::Relaxed, Ordering::Relaxed);
+        },
+        None => std::env::var_os("NWDP_LP_TRACE").map(|_| Box::new(std::io::stderr()) as _),
+    };
+    let on = writer.is_some();
+    if on {
+        *lock(&r.trace_writer) = writer;
         epoch();
-        return None;
     }
-    let _ = STATE.compare_exchange(0, 1, Ordering::Relaxed, Ordering::Relaxed);
-    None
+    let gate = if on { ON } else { OFF };
+    let _ = r.trace_gate.compare_exchange(FROM_ENV, gate, Ordering::Relaxed, Ordering::Relaxed);
+    path.filter(|_| on)
+}
+
+/// Is span/event collection on for the current recorder? One relaxed
+/// atomic load on the hot path; the process default's first call reads
+/// `NWDP_TRACE` / `NWDP_LP_TRACE` from the environment.
+#[inline]
+pub fn trace_enabled() -> bool {
+    with_current(|r| match r.trace_gate.load(Ordering::Relaxed) {
+        ON => true,
+        OFF => false,
+        _ => init_from_env(r).is_some() || r.trace_gate.load(Ordering::Relaxed) == ON,
+    })
+}
+
+/// Turn tracing on or off for the current recorder (tests and explicit
+/// harness control; overrides whatever the environment said).
+pub fn set_trace_enabled(on: bool) {
+    with_current(|r| r.trace_gate.store(if on { ON } else { OFF }, Ordering::Relaxed));
+}
+
+/// Install (or replace) the current recorder's journal writer. Callers
+/// normally pair this with [`set_trace_enabled`]`(true)`.
+pub fn set_trace_writer(w: Box<dyn Write + Send>) {
+    with_current(|r| *lock(&r.trace_writer) = Some(w));
+}
+
+/// Read the environment into the current recorder: `NWDP_TRACE=path`
+/// installs a buffered file writer at that path and enables tracing
+/// (returns the path); `NWDP_LP_TRACE` (any value) enables tracing with a
+/// stderr writer. Neither set ⇒ tracing stays off. Idempotent: an
+/// explicit [`set_trace_enabled`] (or a fresh recorder's "off") beats a
+/// later env init.
+pub fn init_trace_from_env() -> Option<PathBuf> {
+    with_current(init_from_env)
 }
 
 // Per-thread record buffer and span stack. The buffer drains to the
-// global writer when it crosses `FLUSH_AT` and when the thread exits
+// current recorder's writer when it crosses `FLUSH_AT`, at the edges of
+// a `scoped` block and when the thread exits
 // (the `Drop` impl runs during unwinding too, so a panicking worker
 // still lands its records in the journal).
 const FLUSH_AT: usize = 32 * 1024;
@@ -195,11 +201,12 @@ impl ThreadBuf {
         if self.buf.is_empty() {
             return;
         }
-        let mut slot = writer_slot().lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(w) = slot.as_mut() {
-            let _ = w.write_all(self.buf.as_bytes());
-            let _ = w.flush();
-        }
+        with_current(|r| {
+            if let Some(w) = lock(&r.trace_writer).as_mut() {
+                let _ = w.write_all(self.buf.as_bytes());
+                let _ = w.flush();
+            }
+        });
         self.buf.clear();
     }
 }
@@ -409,20 +416,21 @@ pub fn current_span_id() -> Option<u64> {
     TLS.with(|tls| tls.try_borrow().ok().and_then(|t| t.stack.last().copied()))
 }
 
-/// Flush this thread's record buffer and the underlying writer. Worker
-/// threads flush automatically on exit; the main thread (and the panic
-/// hook installed by [`crate::install_panic_flush`]) should call this
-/// before the process ends.
+/// Flush this thread's record buffer and the current recorder's writer.
+/// Worker threads flush automatically on exit; the main thread (and the
+/// panic hook installed by [`crate::install_panic_flush`]) should call
+/// this before the process ends.
 pub fn flush_trace() {
     TLS.with(|tls| {
         if let Ok(mut t) = tls.try_borrow_mut() {
             t.flush();
         }
     });
-    let mut slot = writer_slot().lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(w) = slot.as_mut() {
-        let _ = w.flush();
-    }
+    with_current(|r| {
+        if let Some(w) = lock(&r.trace_writer).as_mut() {
+            let _ = w.flush();
+        }
+    });
 }
 
 /// Open a span with `field = value` sugar:
@@ -459,39 +467,19 @@ macro_rules! trace_event {
 mod tests {
     use super::*;
     use crate::json::{parse, Json};
-    use std::sync::Arc;
+    use crate::tests::Capture;
+    use std::sync::{Arc, Mutex};
 
-    /// Shared writer capturing journal bytes for assertions.
-    #[derive(Clone)]
-    struct Capture(Arc<Mutex<Vec<u8>>>);
-
-    impl Write for Capture {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    /// Tests in this module share the global trace switch and writer;
-    /// every test that touches either takes this guard.
-    static GUARD: Mutex<()> = Mutex::new(());
-
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
-        GUARD.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
+    /// Run `f` under a fresh recorder that journals into a capture.
     fn with_capture<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
-        let _g = guard();
         let cap = Capture(Arc::new(Mutex::new(Vec::new())));
-        set_trace_writer(Box::new(cap.clone()));
-        set_trace_enabled(true);
-        let r = f();
-        flush_trace();
-        set_trace_enabled(false);
-        *writer_slot().lock().unwrap_or_else(|e| e.into_inner()) = None;
+        let r = crate::scoped(&crate::Recorder::new(), || {
+            set_trace_writer(Box::new(cap.clone()));
+            set_trace_enabled(true);
+            let r = f();
+            flush_trace();
+            r
+        });
         let bytes = cap.0.lock().unwrap().clone();
         let text = String::from_utf8(bytes).expect("journal is UTF-8");
         (r, text.lines().map(str::to_string).collect())
@@ -529,12 +517,12 @@ mod tests {
 
     #[test]
     fn disabled_tracing_is_inert() {
-        let _g = guard();
-        set_trace_enabled(false);
-        let s = span!("nope", a = 1u64);
-        assert_eq!(s.id(), 0);
-        trace_event!("nope");
-        assert_eq!(current_span_id(), None);
+        crate::scoped(&crate::Recorder::new(), || {
+            let s = span!("nope", a = 1u64);
+            assert_eq!(s.id(), 0);
+            trace_event!("nope");
+            assert_eq!(current_span_id(), None);
+        });
     }
 
     #[test]
@@ -543,9 +531,12 @@ mod tests {
             let outer = span!("fanout");
             let parent = current_span_id();
             assert_eq!(parent, Some(outer.id()));
+            let rec = crate::current();
             std::thread::scope(|s| {
                 s.spawn(move || {
-                    let _w = span_under(parent, "worker", &[("w", TraceValue::U64(0))]);
+                    crate::scoped(&rec, || {
+                        let _w = span_under(parent, "worker", &[("w", TraceValue::U64(0))]);
+                    })
                 });
             });
         });

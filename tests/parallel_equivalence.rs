@@ -4,6 +4,7 @@
 //! many threads produce bit-identical alerts, objectives, and manifests.
 
 use nwdp::core::parallel;
+use nwdp::obs;
 use nwdp::prelude::*;
 
 /// Run `f` under a 1-thread and a 4-thread override and return both results.
@@ -95,6 +96,63 @@ fn streaming_replay_identical_to_batch() {
             }
         }
     }
+}
+
+/// Two streaming replays measured at once, each under its own
+/// `obs::Recorder` with metrics and alerts on, record exactly what a
+/// serial solo run records: the same `engine.*` counters and the same
+/// alert accounting. The concurrent runs fan out over 4 threads, so
+/// their alerts are emitted on `par_map` workers and must still land in
+/// the recorder that spawned them; the process default sees none of it.
+#[test]
+fn concurrent_runs_record_into_their_own_recorders() {
+    let topo = nwdp::topo::internet2();
+    let paths = PathDb::shortest_paths(&topo);
+    let tm = TrafficMatrix::gravity(&topo);
+    let vol = VolumeModel::internet2_baseline();
+    let dep = build_units(&topo, &paths, &tm, &vol, &AnalysisClass::standard_set());
+    let cfg = NidsLpConfig::homogeneous(dep.num_nodes, NodeCaps { cpu: 2e8, mem: 4e9 });
+    let manifest = generate_manifests(&dep, &solve_nids_lp(&dep, &cfg).unwrap().d);
+    let trace_cfg = TraceConfig::new(2500, 17);
+
+    let measured = |threads: usize| {
+        obs::scoped(&obs::Recorder::new(), || {
+            obs::set_enabled(true);
+            obs::set_alert_enabled(true);
+            parallel::with_threads(threads, || {
+                let source = || SessionStream::new(&topo, &tm, &trace_cfg);
+                let h = KeyedHasher::with_key(5);
+                run_coordinated_stream(
+                    &dep,
+                    &manifest,
+                    &paths,
+                    source,
+                    Placement::EventEngine,
+                    h,
+                    3,
+                )
+                .unwrap()
+            });
+            let alerts = obs::flush_alerts().unwrap();
+            let mut counters = obs::snapshot();
+            counters.retain(|(n, v)| {
+                n.starts_with("engine.") && matches!(v, obs::SnapshotValue::Counter(_))
+            });
+            (counters, alerts)
+        })
+    };
+
+    let solo = measured(1);
+    assert!(!solo.0.is_empty() && solo.1.emitted > 0, "the solo run recorded nothing");
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(|| measured(4));
+        let b = s.spawn(|| measured(4));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_eq!(a, solo, "first concurrent run differs from the solo run");
+    assert_eq!(b, solo, "second concurrent run differs from the solo run");
+    assert!(obs::snapshot().iter().all(|(n, _)| !n.starts_with("engine.")));
+    assert_eq!(obs::flush_alerts().unwrap(), obs::AlertStats::default());
 }
 
 /// The closed reconfiguration loop must be invisible when it never

@@ -205,14 +205,13 @@ fn data_plane_bit_identical_with_alert_plane_off_and_on() {
 
     let mut egress: Vec<Vec<u8>> = Vec::new();
     for threads in [1usize, 4] {
-        obs::reset_alerts();
-        obs::clear_alert_writers();
         let buf = SharedBuf::default();
-        obs::add_alert_writer(obs::AlertFormat::Jsonl, Box::new(buf.clone()));
-        obs::set_alert_enabled(true);
-        let on = parallel::with_threads(threads, || run_once(3));
-        let stats = obs::flush_alerts().unwrap();
-        obs::set_alert_enabled(false);
+        let (on, stats) = obs::scoped(&obs::Recorder::new(), || {
+            obs::add_alert_writer(obs::AlertFormat::Jsonl, Box::new(buf.clone()));
+            obs::set_alert_enabled(true);
+            let on = parallel::with_threads(threads, || run_once(3));
+            (on, obs::flush_alerts().unwrap())
+        });
 
         assert_eq!(on.alerts, baseline.alerts, "plane on must not perturb the run");
         for (a, b) in on.per_node.iter().zip(&baseline.per_node) {
@@ -225,8 +224,6 @@ fn data_plane_bit_identical_with_alert_plane_off_and_on() {
         assert_eq!(stats.emitted, stats.written + stats.deduped + stats.dropped_ratelimit);
         egress.push(buf.0.lock().unwrap_or_else(|e| e.into_inner()).clone());
     }
-    obs::clear_alert_writers();
-    obs::reset_alerts();
     assert_eq!(
         egress[0], egress[1],
         "egress must be byte-identical across thread counts at fixed shards"
