@@ -18,11 +18,11 @@
 //!   log is strictly monotone in the epoch number, and every node still
 //!   trusted at the horizon runs the final epoch.
 //!
-//! Knobs (each falls back with a warn-once + `config.invalid_env` count
-//! on unusable values): `NWDP_NET_LOSS` pins the sweep to one loss
-//! fraction in `[0, 1)`, `NWDP_NET_DELAY` sets the max one-way delay in
-//! replay-clock units, `NWDP_NET_RETRY` the push retry budget, and
-//! `NWDP_NET_BACKOFF` the base retry timeout.
+//! `NWDP_NET_LOSS` pins the sweep to one loss fraction in `[0, 1)`; an
+//! unusable value warns once, counts in `config.invalid_env` and falls
+//! back to 0.1. Every point uses a max one-way delay of `DELAY_MAX`
+//! replay-clock units and [`ClusterConfig::default`]'s push retry budget
+//! and base retry timeout.
 //!
 //! Results go to `results/cluster_convergence.csv` (per loss point) and
 //! `results/cluster_epochs.csv` (per epoch).
@@ -44,6 +44,8 @@ const PART_NODE: NodeId = NodeId(7);
 const PART_FROM: f64 = 0.5;
 const PART_UNTIL: f64 = 0.75;
 const PLAN_SEED: u64 = 19;
+/// Max one-way transport delay, in replay-clock units.
+const DELAY_MAX: f64 = 0.004;
 
 /// One loss point of the convergence sweep.
 #[derive(Debug)]
@@ -60,24 +62,11 @@ pub struct ClusterPoint {
     pub repair_bound: f64,
 }
 
-/// `var` as an `f64` in `[lo, hi)` when set and usable, else `default`
-/// (with the warn-once + counter contract of `NWDP_SHARDS`).
-fn f64_from_env(var: &str, default: f64, lo: f64, hi: f64, expecting: &str) -> f64 {
-    let Some(raw) = std::env::var_os(var) else { return default };
-    let raw = raw.to_string_lossy().into_owned();
-    match raw.trim().parse::<f64>() {
-        Ok(v) if v >= lo && v < hi => v,
-        _ => {
-            parallel::note_invalid_env_expecting(var, &raw, expecting);
-            default
-        }
-    }
-}
-
 /// The loss sweep: pinned to `NWDP_NET_LOSS` when set, else scale-sized.
 fn loss_points(scale: Scale) -> Vec<f64> {
     if std::env::var_os("NWDP_NET_LOSS").is_some() {
-        return vec![f64_from_env("NWDP_NET_LOSS", 0.1, 0.0, 1.0, "a loss fraction in [0, 1)")];
+        let loss = parallel::env_f64("NWDP_NET_LOSS", 0.0..1.0, "a loss fraction in [0, 1)");
+        return vec![loss.unwrap_or(0.1)];
     }
     match scale {
         Scale::Quick => vec![0.0, 0.1],
@@ -87,12 +76,6 @@ fn loss_points(scale: Scale) -> Vec<f64> {
 
 /// Run the convergence sweep at `scale`.
 pub fn run(scale: Scale) -> Vec<ClusterPoint> {
-    let delay_max =
-        f64_from_env("NWDP_NET_DELAY", 0.004, 1e-6, 0.05, "a one-way delay in (0, 0.05)");
-    let retry_budget = parallel::env_count("NWDP_NET_RETRY").unwrap_or(3).clamp(1, 16) as u32;
-    let backoff_base =
-        f64_from_env("NWDP_NET_BACKOFF", 0.025, 1e-4, 0.5, "a base timeout in (0, 0.5)");
-
     let ctx = NidsContext::internet2();
     let dep = ctx.deployment(9);
     let (_assignment, manifest) = ctx.manifests(&dep);
@@ -100,8 +83,6 @@ pub fn run(scale: Scale) -> Vec<ClusterPoint> {
 
     let mut cfg = ClusterConfig::default();
     cfg.health.miss_threshold = 4;
-    cfg.retry_budget = retry_budget;
-    cfg.backoff_base = backoff_base;
     // Alert forwarding rides along only when the alert plane is on: the
     // extra messages advance the transport RNG stream, so turning them on
     // unconditionally would break bit-identity with earlier commits.
@@ -117,7 +98,7 @@ pub fn run(scale: Scale) -> Vec<ClusterPoint> {
     let points = loss_points(scale)
         .into_iter()
         .map(|loss| {
-            let mut plan = FaultPlan::lossy(loss, 0.001, delay_max, PLAN_SEED);
+            let mut plan = FaultPlan::lossy(loss, 0.001, DELAY_MAX, PLAN_SEED);
             plan.crashes.push((CRASH_NODE, CRASH_AT));
             plan.partitions.push(Partition {
                 nodes: vec![PART_NODE],
@@ -127,7 +108,7 @@ pub fn run(scale: Scale) -> Vec<ClusterPoint> {
             let t0 = Instant::now();
             let run = run_cluster(&dep, &manifest, &caps, &plan, &cfg).expect("valid config");
             let wall_s = t0.elapsed().as_secs_f64();
-            assert_acceptance(&dep, &manifest, &cfg.health, delay_max, loss, run, wall_s)
+            assert_acceptance(&dep, &manifest, &cfg.health, loss, run, wall_s)
         })
         .collect();
     obs::set_enabled(was);
@@ -141,7 +122,6 @@ fn assert_acceptance(
     dep: &nwdp_core::NidsDeployment,
     initial: &nwdp_core::nids::SamplingManifest,
     health: &HealthConfig,
-    delay_max: f64,
     loss: f64,
     run: ClusterRun,
     wall_s: f64,
@@ -152,7 +132,7 @@ fn assert_acceptance(
         .detection_of(CRASH_NODE)
         .unwrap_or_else(|| panic!("crash of node {} never detected at loss {loss}", CRASH_NODE.0));
     let predicted = health.detect_at(CRASH_AT);
-    let slack = health.max_detection_delay() + delay_max + 1e-9;
+    let slack = health.max_detection_delay() + DELAY_MAX + 1e-9;
     // Beats lost to the link just before the crash pull `last_seen` (and
     // so the declaration) earlier than the grid prediction by up to the
     // same worst-case window — symmetric slack.

@@ -14,16 +14,12 @@
 //!
 //! The run asserts the ISSUE 8 acceptance criteria directly: at least 3
 //! live swaps, at least 1 rejected manifest, and a `resilience.coverage`
-//! series that never drops below the full-coverage repair bound.
-//!
-//! Knobs: `NWDP_RELOAD_EPOCHS` (epoch count, clamped to ≥ 5 so the swap /
-//! rejection assertions stay meaningful) and `NWDP_RELOAD_BLEND` (EWMA
-//! weight of the observed mix, default 0.5).
+//! series that never drops below the full-coverage repair bound. The run
+//! has 6 epochs and blends the observed mix in with EWMA weight 0.5.
 
 use crate::output::{f2, f4, Table};
 use crate::scenario::{default_caps, NidsContext};
 use crate::Scale;
-use nwdp_core::parallel;
 use nwdp_engine::{
     run_coordinated_stream_reload, Placement, ReloadConfig, ReloadOutcome, ReloadRun, Sabotage,
 };
@@ -46,21 +42,6 @@ pub struct ReloadBench {
     pub warm_fallbacks: u64,
 }
 
-/// `NWDP_RELOAD_BLEND` when set and parseable to a weight in `[0, 1]`,
-/// else `default`. Warns on stderr for an unusable value instead of
-/// silently ignoring it (same contract as `NWDP_SHARDS`).
-fn blend_from_env(default: f64) -> f64 {
-    let Some(raw) = std::env::var_os("NWDP_RELOAD_BLEND") else { return default };
-    let raw = raw.to_string_lossy().into_owned();
-    match raw.trim().parse::<f64>() {
-        Ok(b) if (0.0..=1.0).contains(&b) => b,
-        _ => {
-            parallel::note_invalid_env_expecting("NWDP_RELOAD_BLEND", &raw, "a number in [0, 1]");
-            default
-        }
-    }
-}
-
 fn counter_snapshot(prefix: &str) -> u64 {
     obs::snapshot()
         .iter()
@@ -71,14 +52,18 @@ fn counter_snapshot(prefix: &str) -> u64 {
         .sum()
 }
 
+/// Reload epochs of [`run`].
+const EPOCHS: usize = 6;
+/// EWMA weight of the observed mix in [`run`].
+const BLEND: f64 = 0.5;
+
 /// Run the mix-shift reload scenario at `scale`.
 pub fn run(scale: Scale) -> ReloadBench {
     let sessions = match scale {
         Scale::Quick => 10_000,
         Scale::Full => 40_000,
     };
-    let epochs = parallel::env_count("NWDP_RELOAD_EPOCHS").unwrap_or(6).max(5);
-    run_with(sessions, epochs, blend_from_env(0.5))
+    run_with(sessions, EPOCHS, BLEND)
 }
 
 /// Parameterized core of [`run`]: `epochs ≥ 5` keeps the ≥ 3 swaps +

@@ -141,7 +141,6 @@ pub fn rounding_cold_vs_warm(iterations: usize, n_rules: usize, seed: u64) -> Wa
             iterations,
             seed,
             warm_start: warm,
-            ..Default::default()
         };
         round_best_of(&inst, &relax, &opts).expect("rounding solves")
     };

@@ -21,18 +21,6 @@ use crate::parallel;
 use nwdp_obs as obs;
 use std::path::PathBuf;
 
-fn f64_knob(var: &str, default: f64, lo: f64, hi: f64, expecting: &str) -> f64 {
-    let Some(raw) = std::env::var_os(var) else { return default };
-    let raw = raw.to_string_lossy();
-    match raw.trim().parse::<f64>() {
-        Ok(v) if v.is_finite() && (lo..=hi).contains(&v) => v,
-        _ => {
-            parallel::note_invalid_env_expecting(var, &raw, expecting);
-            default
-        }
-    }
-}
-
 /// Parse `FILE[:format]`. The format suffix is only split off when it
 /// names a known format, so plain paths containing `:` still work.
 fn split_spec(spec: &str) -> (PathBuf, obs::AlertFormat) {
@@ -78,21 +66,20 @@ pub fn init_alert_from_env() -> Option<PathBuf> {
 pub fn alert_config_from_env() -> obs::AlertConfig {
     let default = obs::AlertConfig::default();
     obs::AlertConfig {
-        rate: f64_knob(
+        rate: parallel::env_f64(
             "NWDP_ALERT_RATE",
-            default.rate,
-            0.0,
-            f64::MAX,
+            0.0..=f64::MAX,
             "a non-negative alerts-per-replay-unit rate",
-        ),
-        burst: f64_knob("NWDP_ALERT_BURST", default.burst, 1.0, f64::MAX, "a burst size >= 1"),
-        suppress: f64_knob(
+        )
+        .unwrap_or(default.rate),
+        burst: parallel::env_f64("NWDP_ALERT_BURST", 1.0..=f64::MAX, "a burst size >= 1")
+            .unwrap_or(default.burst),
+        suppress: parallel::env_f64(
             "NWDP_ALERT_SUPPRESS",
-            default.suppress,
-            0.0,
-            1.0,
+            0.0..=1.0,
             "a suppression window in [0, 1]",
-        ),
+        )
+        .unwrap_or(default.suppress),
     }
 }
 

@@ -92,17 +92,13 @@ fn moved_fraction(
 }
 
 /// Compare two compiled deployments (same class list, possibly different
-/// routing) and plan the transition.
-///
-/// `_grid` is vestigial: moved fractions are now computed by an exact
-/// endpoint sweep rather than grid sampling (the argument is kept so the
-/// many existing call sites keep compiling).
+/// routing) and plan the transition. Moved fractions are computed by an
+/// exact endpoint sweep.
 pub fn plan_transition(
     old_dep: &NidsDeployment,
     old_manifest: &SamplingManifest,
     new_dep: &NidsDeployment,
     new_manifest: &SamplingManifest,
-    _grid: usize,
 ) -> TransitionPlan {
     assert_eq!(
         old_dep.classes.len(),
@@ -220,7 +216,7 @@ mod tests {
         // New: node 0 dropped off the path; node 1 owns [0, 0.75),
         // node 2 owns [0.75, 1).
         let (new_dep, new_man) = line_unit_manifest(&[1, 2], &[(1, 0.0, 0.75), (2, 0.75, 1.0)]);
-        let plan = plan_transition(&old_dep, &old_man, &new_dep, &new_man, 31);
+        let plan = plan_transition(&old_dep, &old_man, &new_dep, &new_man);
         assert_eq!(plan.units.len(), 1);
         let t = &plan.units[0];
         // Owner changes exactly on [0, 0.25) (0 → 1) and [0.75, 1) (1 → 2).
@@ -254,7 +250,7 @@ mod tests {
             rerouted.add_link(l.a, l.b, w);
         }
         let (new_dep, new_man) = compile(&rerouted);
-        let plan = plan_transition(&old_dep, &old_man, &new_dep, &new_man, 31);
+        let plan = plan_transition(&old_dep, &old_man, &new_dep, &new_man);
         for t in &plan.units {
             assert!(
                 (0.0..=1.0 + 1e-9).contains(&t.moved_fraction),
@@ -275,7 +271,7 @@ mod tests {
         // transition (no drains, no transfers, nothing moved).
         let (dep, man_a) = line_unit_manifest(&[0, 1], &[(0, 0.0, 0.5), (1, 0.5, 1.0)]);
         let (_, man_b) = line_unit_manifest(&[0, 1], &[(0, 0.0, 0.5), (1, 0.5, 1.0)]);
-        let plan = plan_transition(&dep, &man_a, &dep, &man_b, 7);
+        let plan = plan_transition(&dep, &man_a, &dep, &man_b);
         assert_eq!(plan.mean_moved_fraction, 0.0);
         assert!(plan.units.is_empty(), "zero-move units are elided from the plan");
         assert_eq!((plan.new_units, plan.retired_units), (0, 0));
@@ -285,7 +281,7 @@ mod tests {
     fn identical_deployments_need_no_transition() {
         let topo = internet2();
         let (dep, man) = compile(&topo);
-        let plan = plan_transition(&dep, &man, &dep, &man, 31);
+        let plan = plan_transition(&dep, &man, &dep, &man);
         assert_eq!(plan.mean_moved_fraction, 0.0);
         assert!(plan.units.is_empty());
         assert_eq!(plan.new_units, 0);
@@ -313,7 +309,7 @@ mod tests {
             rerouted.add_link(l.a, l.b, w);
         }
         let (new_dep, new_man) = compile(&rerouted);
-        let plan = plan_transition(&old_dep, &old_man, &new_dep, &new_man, 31);
+        let plan = plan_transition(&old_dep, &old_man, &new_dep, &new_man);
         // Something moved, but most of the network's assignments survive.
         assert!(plan.mean_moved_fraction > 0.0);
         assert!(plan.mean_moved_fraction < 0.9, "{}", plan.mean_moved_fraction);
@@ -345,7 +341,7 @@ mod tests {
         let a2 = solve_nids_lp(&dep, &cfg2).unwrap();
         let m1 = generate_manifests(&dep, &a1.d);
         let m2 = generate_manifests(&dep, &a2.d);
-        let plan = plan_transition(&dep, &m1, &dep, &m2, 31);
+        let plan = plan_transition(&dep, &m1, &dep, &m2);
         for t in &plan.units {
             assert!(t.transfer_from.is_empty(), "same paths ⇒ no transfers: {t:?}");
         }

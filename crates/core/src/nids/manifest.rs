@@ -125,28 +125,12 @@ impl SamplingManifest {
     /// 2. every point of the hash space is covered exactly `r` times by
     ///    `r` distinct nodes.
     ///
-    /// Thin wrapper over [`verify_coverage_exact`]: historically this
-    /// probed a midpoint grid of `grid` points, which could miss gaps or
-    /// overlaps narrower than a grid cell; the check is now an exact
-    /// interval sweep and the `grid` argument is ignored (kept for API
-    /// compatibility).
-    ///
-    /// [`verify_coverage_exact`]: SamplingManifest::verify_coverage_exact
-    pub fn verify_coverage(&self, dep: &NidsDeployment, _grid: usize) -> (usize, usize) {
-        self.verify_coverage_exact(dep)
-    }
-
-    /// Exact coverage check: for every unit, sweep the *elementary
-    /// intervals* induced by the segment endpoints of all of the unit's
-    /// node ranges. Coverage multiplicity is constant on each elementary
-    /// interval, so probing one interior point per interval is exact — no
-    /// gap or overlap can hide between probe points, unlike the old grid
-    /// sampling. Endpoints within [`SWEEP_EPS`] collapse into one seam
-    /// (FP drift from the running-range walk in [`generate_manifests`]
-    /// lives below the hash lattice and is not a real gap).
+    /// The check is exact: it probes one point per
+    /// [elementary interval](SamplingManifest::elementary_intervals), so
+    /// no gap or overlap can hide between probe points.
     ///
     /// Returns the coverage multiplicity (min, max) over all units.
-    pub fn verify_coverage_exact(&self, dep: &NidsDeployment) -> (usize, usize) {
+    pub fn verify_coverage(&self, dep: &NidsDeployment) -> (usize, usize) {
         let mut lo = usize::MAX;
         let mut hi = 0usize;
         for u in 0..dep.units.len() {
@@ -162,9 +146,32 @@ impl SamplingManifest {
     /// while failed single-node units are accounted as shed rather than
     /// flagged as gaps.
     pub fn unit_coverage_exact(&self, dep: &NidsDeployment, u: usize) -> (usize, usize) {
-        let unit = &dep.units[u];
+        let nodes = &dep.units[u].nodes;
+        let mut lo = usize::MAX;
+        let mut hi = 0usize;
+        for (a, b) in self.elementary_intervals(dep, u) {
+            let h = 0.5 * (a + b);
+            let covers = nodes.iter().filter(|&&j| self.should_analyze(u, j, h)).count();
+            lo = lo.min(covers);
+            hi = hi.max(covers);
+        }
+        (lo, hi)
+    }
+
+    /// The *elementary intervals* `(a, b)` of unit `u`, in ascending
+    /// order: the pieces of `[0, 1]` cut at the segment endpoints of all
+    /// of the unit's node ranges. Coverage multiplicity is constant on
+    /// each one, so probing its midpoint decides the whole interval.
+    /// Pieces of width at most [`SWEEP_EPS`] are skipped: they are seams
+    /// (FP drift from the running-range walk in [`generate_manifests`]
+    /// lives below the hash lattice and is not a real gap).
+    pub fn elementary_intervals(
+        &self,
+        dep: &NidsDeployment,
+        u: usize,
+    ) -> impl Iterator<Item = (f64, f64)> {
         let mut cuts: Vec<f64> = vec![0.0, 1.0];
-        for &j in &unit.nodes {
+        for &j in &dep.units[u].nodes {
             if let Some(ranges) = self.range(u, j) {
                 for seg in ranges.segments() {
                     cuts.push(seg.lo.clamp(0.0, 1.0));
@@ -173,19 +180,7 @@ impl SamplingManifest {
             }
         }
         cuts.sort_by(f64::total_cmp);
-        let mut lo = usize::MAX;
-        let mut hi = 0usize;
-        for w in 0..cuts.len() - 1 {
-            let (a, b) = (cuts[w], cuts[w + 1]);
-            if b - a <= SWEEP_EPS {
-                continue; // sub-lattice sliver: no representable hash
-            }
-            let h = 0.5 * (a + b);
-            let covers = unit.nodes.iter().filter(|&&j| self.should_analyze(u, j, h)).count();
-            lo = lo.min(covers);
-            hi = hi.max(covers);
-        }
-        (lo, hi)
+        (1..cuts.len()).map(move |w| (cuts[w - 1], cuts[w])).filter(|&(a, b)| b - a > SWEEP_EPS)
     }
 }
 
@@ -371,21 +366,7 @@ pub fn validate_manifests_excluding(
         if skip_units.contains(&u) {
             continue;
         }
-        let mut cuts: Vec<f64> = vec![0.0, 1.0];
-        for &j in &unit.nodes {
-            if let Some(ranges) = manifest.range(u, j) {
-                for seg in ranges.segments() {
-                    cuts.push(seg.lo.clamp(0.0, 1.0));
-                    cuts.push(seg.hi.clamp(0.0, 1.0));
-                }
-            }
-        }
-        cuts.sort_by(f64::total_cmp);
-        for w in 0..cuts.len() - 1 {
-            let (a, b) = (cuts[w], cuts[w + 1]);
-            if b - a <= SWEEP_EPS {
-                continue; // sub-lattice sliver: no representable hash
-            }
+        for (a, b) in manifest.elementary_intervals(dep, u) {
             let h = 0.5 * (a + b);
             let covers = unit.nodes.iter().filter(|&&j| manifest.should_analyze(u, j, h)).count();
             if covers < want {
@@ -459,7 +440,7 @@ mod tests {
         let cfg = NidsLpConfig::homogeneous(d.num_nodes, NodeCaps { cpu: 2e8, mem: 4e9 });
         let a = solve_nids_lp(&d, &cfg).unwrap();
         let m = generate_manifests(&d, &a.d);
-        let (lo, hi) = m.verify_coverage(&d, 101);
+        let (lo, hi) = m.verify_coverage(&d);
         assert_eq!((lo, hi), (1, 1), "every hash point covered exactly once");
     }
 
@@ -492,7 +473,7 @@ mod tests {
         cfg.redundancy = 2.0;
         let a = solve_nids_lp(&d2, &cfg).unwrap();
         let m = generate_manifests(&d2, &a.d);
-        let (lo, hi) = m.verify_coverage(&d2, 101);
+        let (lo, hi) = m.verify_coverage(&d2);
         assert_eq!((lo, hi), (2, 2), "every point covered exactly twice");
     }
 
@@ -526,14 +507,14 @@ mod tests {
             grid_lo = grid_lo.min(covers);
         }
         assert_eq!(grid_lo, 1, "the grid probe misses the gap");
-        assert_eq!(m.verify_coverage_exact(&d), (0, 1), "the sweep finds it");
+        assert_eq!(m.verify_coverage(&d), (0, 1), "the sweep finds it");
     }
 
     #[test]
     fn exact_sweep_catches_sub_grid_overlap() {
         let (d, m) =
             manifest_of(vec![RangeSet::interval(0.0, 0.49535), RangeSet::interval(0.49515, 1.0)]);
-        assert_eq!(m.verify_coverage_exact(&d), (1, 2));
+        assert_eq!(m.verify_coverage(&d), (1, 2));
     }
 
     #[test]
@@ -542,7 +523,7 @@ mod tests {
         // seam, not a gap.
         let (d, m) =
             manifest_of(vec![RangeSet::interval(0.0, 0.5), RangeSet::interval(0.5 + 3e-10, 1.0)]);
-        assert_eq!(m.verify_coverage_exact(&d), (1, 1));
+        assert_eq!(m.verify_coverage(&d), (1, 1));
     }
 
     #[test]
@@ -554,7 +535,7 @@ mod tests {
         let entries = (0..d.num_nodes)
             .flat_map(|j| m.node_entries(NodeId(j)).iter().cloned().map(move |e| (NodeId(j), e)));
         let rebuilt = SamplingManifest::from_entries(d.num_nodes, entries.collect::<Vec<_>>());
-        assert_eq!(rebuilt.verify_coverage_exact(&d), (1, 1));
+        assert_eq!(rebuilt.verify_coverage(&d), (1, 1));
         for (u, _) in d.units.iter().enumerate() {
             for j in 0..d.num_nodes {
                 assert_eq!(m.range(u, NodeId(j)), rebuilt.range(u, NodeId(j)));

@@ -95,20 +95,17 @@ pub fn solve_relaxation(
 /// [`solve_relaxation`] with a cross-call [`SolveContext`]: repeated
 /// relaxation solves over the same topology (capacity/parameter sweeps,
 /// what-if provisioning) warm-start from the previous optimum's basis and
-/// pre-materialize the lazy rows that were binding there.
+/// pre-materialize the lazy rows that were binding there. The relaxation
+/// always runs with a `near_margin` of 0.25, whatever `opts` carries.
 pub fn solve_relaxation_ctx(
     inst: &NipsInstance,
     opts: &RowGenOpts,
     ctx: &mut SolveContext,
 ) -> Result<RelaxSolution, RelaxError> {
-    let mut opts = opts.clone();
     // Predictive activation: coverage/VUB rows within 0.25 of binding get
     // materialized as soon as any violation appears, collapsing the
     // cutting-plane loop to a handful of rounds.
-    if opts.near_margin == 0.0 {
-        opts.near_margin = 0.25;
-    }
-    let opts = &opts;
+    let opts = &RowGenOpts { near_margin: 0.25, ..opts.clone() };
     let layout = Layout::new(inst);
     let RelaxLp { problem: p, lazy, evars, dvars } = build_lp(inst, &layout);
 

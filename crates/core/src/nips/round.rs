@@ -65,15 +65,16 @@ pub enum Strategy {
     GreedyLpResolve,
 }
 
+/// Probability divisor `α` (Fig 9 line 5).
+const ALPHA: f64 = 2.0;
+/// Violation budget factor `β` (Fig 9 line 7).
+const BETA: f64 = 2.0;
+/// Retries of the randomized trial before giving up on the check.
+const MAX_TRIES: usize = 60;
+
 /// Options for the rounding pipeline.
 #[derive(Debug, Clone)]
 pub struct RoundingOpts {
-    /// Probability divisor `α` (Fig 9 line 5).
-    pub alpha: f64,
-    /// Violation budget factor `β` (Fig 9 line 7).
-    pub beta: f64,
-    /// Retries of the randomized trial before giving up on the check.
-    pub max_tries: usize,
     /// Independent rounding runs; the best solution is kept (§3.4 runs 10).
     pub iterations: usize,
     pub strategy: Strategy,
@@ -88,9 +89,6 @@ pub struct RoundingOpts {
 impl Default for RoundingOpts {
     fn default() -> Self {
         RoundingOpts {
-            alpha: 2.0,
-            beta: 2.0,
-            max_tries: 60,
             iterations: 10,
             strategy: Strategy::GreedyLpResolve,
             seed: 0,
@@ -207,19 +205,9 @@ pub fn round_best_of(
     }
 }
 
-/// One randomized-rounding run (Fig 9 plus the selected refinement).
-pub fn round_once(
-    inst: &NipsInstance,
-    relax: &RelaxSolution,
-    opts: &RoundingOpts,
-    rng: &mut StdRng,
-) -> Result<NipsSolution, RoundError> {
-    round_once_ctx(inst, relax, opts, rng, &mut SolveContext::new())
-}
-
-/// [`round_once`] with an inner-LP solver context: the simplex re-solve
-/// warm-starts from `ctx` (a prior basis over the same instance) instead
-/// of a cold slack basis.
+/// One randomized-rounding run (Fig 9 plus the selected refinement). The
+/// simplex re-solve warm-starts from `ctx` (a prior basis over the same
+/// instance, or an empty context for a cold slack basis).
 pub fn round_once_ctx(
     inst: &NipsInstance,
     relax: &RelaxSolution,
@@ -230,7 +218,7 @@ pub fn round_once_ctx(
     let lay = &relax.layout;
     let (nr, nn) = (lay.n_rules, lay.n_nodes);
     let n_big = nn.max(nr) as f64;
-    let budget = (opts.beta * n_big.ln()).max(1.0);
+    let budget = (BETA * n_big.ln()).max(1.0);
     // Local tallies, flushed once at the end (trials run on worker
     // threads; the registry handles are atomic).
     let mut n_retries = 0u64;
@@ -248,14 +236,14 @@ pub fn round_once_ctx(
 
     // Fig 9 lines 4–9: randomized trial with violation check.
     let mut ehat = vec![vec![false; nn]; nr];
-    for trial in 0..opts.max_tries {
+    for trial in 0..MAX_TRIES {
         for (i, row) in ehat.iter_mut().enumerate().take(nr) {
             for (j, cell) in row.iter_mut().enumerate().take(nn) {
-                let p = (relax.e[lay.e(i, j)] / opts.alpha).clamp(0.0, 1.0);
+                let p = (relax.e[lay.e(i, j)] / ALPHA).clamp(0.0, 1.0);
                 *cell = rng.random_bool(p);
             }
         }
-        if trial + 1 == opts.max_tries || !violates_budget(inst, lay, &ehat, &eps, budget) {
+        if trial + 1 == MAX_TRIES || !violates_budget(inst, lay, &ehat, &eps, budget) {
             break;
         }
         n_retries += 1;

@@ -29,6 +29,7 @@
 use nwdp_obs as obs;
 use std::cell::Cell;
 use std::collections::BTreeSet;
+use std::ops::RangeBounds;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -61,8 +62,8 @@ pub fn note_invalid_env(var: &str, raw: &str) -> bool {
 }
 
 /// [`note_invalid_env`] with a caller-supplied description of the expected
-/// value shape (non-integer knobs like `NWDP_RELOAD_BLEND` pass e.g.
-/// `"a number in [0, 1]"`).
+/// value shape (non-integer knobs like `NWDP_ALERT_SUPPRESS` pass e.g.
+/// `"a suppression window in [0, 1]"`).
 pub fn note_invalid_env_expecting(var: &str, raw: &str, expected: &str) -> bool {
     if obs::enabled() {
         obs::Scope::new("config").counter_with("invalid_env", &[("var", var)]).inc();
@@ -92,6 +93,21 @@ pub fn env_count(var: &str) -> Option<usize> {
     let parsed = raw.to_str().and_then(parse_count);
     if parsed.is_none() {
         note_invalid_env(var, &raw.to_string_lossy());
+    }
+    parsed
+}
+
+/// Read a float-valued environment variable that must lie in `range`
+/// (`NWDP_NET_LOSS`, the `NWDP_ALERT_*` tuning knobs). Unparseable and
+/// out-of-range values warn through [`note_invalid_env_expecting`] with
+/// `expecting` and then fall back to the caller's default, exactly as if
+/// the variable were unset.
+pub fn env_f64(var: &str, range: impl RangeBounds<f64>, expecting: &str) -> Option<f64> {
+    let raw = std::env::var_os(var)?;
+    let raw = raw.to_string_lossy();
+    let parsed = raw.trim().parse::<f64>().ok().filter(|v| range.contains(v));
+    if parsed.is_none() {
+        note_invalid_env_expecting(var, &raw, expecting);
     }
     parsed
 }
@@ -325,6 +341,26 @@ mod tests {
         assert_eq!(parse_count("-1"), None);
         assert_eq!(parse_count("1.5"), None);
         assert_eq!(parse_count("4 threads"), None);
+    }
+
+    #[test]
+    fn env_f64_reads_in_range_values_only() {
+        let var = "NWDP_TEST_F64";
+        std::env::remove_var(var);
+        assert_eq!(env_f64(var, 0.0..1.0, "a fraction"), None, "unset");
+        std::env::set_var(var, " 0.25 ");
+        assert_eq!(env_f64(var, 0.0..1.0, "a fraction"), Some(0.25), "valid");
+        // `NWDP_NET_LOSS`'s half-open range rejects a loss of 1.
+        std::env::set_var(var, "1");
+        assert_eq!(env_f64(var, 0.0..1.0, "a fraction"), None, "out of range");
+        assert_eq!(env_f64(var, 0.0..=1.0, "a fraction"), Some(1.0), "inclusive bound");
+        for bad in ["-0.5", "inf", "NaN"] {
+            std::env::set_var(var, bad);
+            assert_eq!(env_f64(var, 0.0..=f64::MAX, "a number"), None, "{bad}");
+        }
+        std::env::set_var(var, "soon");
+        assert_eq!(env_f64(var, 0.0..1.0, "a fraction"), None, "garbage");
+        std::env::remove_var(var);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub use repair::{greedy_repair, lp_repair, manifest_loads, LpRepair, RepairOutco
 pub use scenario::{FailureKind, FailureScenario, FailureSchedule};
 
 use crate::nids::lp::NodeCaps;
-use crate::nids::manifest::{SamplingManifest, SWEEP_EPS};
+use crate::nids::manifest::SamplingManifest;
 use crate::units::NidsDeployment;
 use nwdp_obs as obs;
 use nwdp_topo::NodeId;
@@ -42,7 +42,7 @@ use nwdp_topo::NodeId;
 /// Traffic-weighted fraction of coverage lost when `blind` nodes observe
 /// nothing: for every unit, the exact measure of hash space covered by
 /// **no** sighted node, weighted by the unit's packet rate. Computed by
-/// the same elementary-interval sweep as `verify_coverage_exact`, so a
+/// the same elementary-interval sweep as `verify_coverage`, so a
 /// gap narrower than a grid cell cannot hide.
 pub fn manifest_gap_fraction(
     dep: &NidsDeployment,
@@ -51,27 +51,10 @@ pub fn manifest_gap_fraction(
 ) -> f64 {
     let mut lost = 0.0;
     let mut total = 0.0;
-    let mut cuts: Vec<f64> = Vec::new();
     for (u, unit) in dep.units.iter().enumerate() {
         total += unit.pkts;
-        cuts.clear();
-        cuts.push(0.0);
-        cuts.push(1.0);
-        for &j in &unit.nodes {
-            if let Some(ranges) = manifest.range(u, j) {
-                for seg in ranges.segments() {
-                    cuts.push(seg.lo.clamp(0.0, 1.0));
-                    cuts.push(seg.hi.clamp(0.0, 1.0));
-                }
-            }
-        }
-        cuts.sort_by(f64::total_cmp);
         let mut gap = 0.0;
-        for w in 0..cuts.len() - 1 {
-            let (a, b) = (cuts[w], cuts[w + 1]);
-            if b - a <= SWEEP_EPS {
-                continue;
-            }
+        for (a, b) in manifest.elementary_intervals(dep, u) {
             let h = 0.5 * (a + b);
             let sighted =
                 unit.nodes.iter().any(|&j| !blind.contains(&j) && manifest.should_analyze(u, j, h));

@@ -38,7 +38,7 @@
 
 use crate::migration::{plan_transition, TransitionPlan};
 use crate::nids::lp::{solve_nids_lp_excluding, NidsAssignment, NidsError, NidsLpConfig, NodeCaps};
-use crate::nids::manifest::{generate_manifests, ManifestEntry, SamplingManifest, SWEEP_EPS};
+use crate::nids::manifest::{generate_manifests, ManifestEntry, SamplingManifest};
 use crate::units::NidsDeployment;
 use nwdp_hash::{RangeSet, Segment};
 use nwdp_lp::WarmStart;
@@ -114,9 +114,10 @@ struct Piece {
 /// surviving on-path nodes, least-loaded first.
 ///
 /// The result is exact `RangeSet` arithmetic: every orphaned elementary
-/// interval wider than [`SWEEP_EPS`] is reassigned (or counted as
-/// unrecoverable when no eligible survivor exists), so the repaired
-/// manifest passes `verify_coverage_exact` on every recoverable unit.
+/// interval wider than [`SWEEP_EPS`](crate::nids::manifest::SWEEP_EPS) is
+/// reassigned (or counted as unrecoverable when no eligible survivor
+/// exists), so the repaired manifest passes `verify_coverage` on every
+/// recoverable unit.
 pub fn greedy_repair(
     dep: &NidsDeployment,
     manifest: &SamplingManifest,
@@ -149,7 +150,6 @@ pub fn greedy_repair(
     // Per orphaned-unit bound inputs: (survivors, min effective eligible
     // count, worst-case total repair cost c_u^max).
     let mut bound_units: HashMap<usize, (Vec<NodeId>, usize, f64)> = HashMap::new();
-    let mut cuts: Vec<f64> = Vec::new();
     for (u, unit) in dep.units.iter().enumerate() {
         total_traffic += unit.pkts;
         if !unit.nodes.iter().any(|&j| is_failed(j) && manifest.share(u, j) > 0.0) {
@@ -157,26 +157,10 @@ pub fn greedy_repair(
         }
         let survivors: Vec<NodeId> =
             unit.nodes.iter().copied().filter(|&j| !is_failed(j)).collect();
-        cuts.clear();
-        cuts.push(0.0);
-        cuts.push(1.0);
-        for &j in &unit.nodes {
-            if let Some(ranges) = manifest.range(u, j) {
-                for seg in ranges.segments() {
-                    cuts.push(seg.lo.clamp(0.0, 1.0));
-                    cuts.push(seg.hi.clamp(0.0, 1.0));
-                }
-            }
-        }
-        cuts.sort_by(f64::total_cmp);
         let mut lost_measure = 0.0;
         let mut min_eff_elig = usize::MAX;
         let mut assignable_measure = 0.0;
-        for w in 0..cuts.len() - 1 {
-            let (a, b) = (cuts[w], cuts[w + 1]);
-            if b - a <= SWEEP_EPS {
-                continue;
-            }
+        for (a, b) in manifest.elementary_intervals(dep, u) {
             let h = 0.5 * (a + b);
             let orphaned = unit
                 .nodes
@@ -362,7 +346,7 @@ pub fn lp_repair(
     for unit in &mut reduced.units {
         unit.nodes.retain(|j| !failed.contains(j));
     }
-    let plan = plan_transition(dep, old_manifest, &reduced, &manifest, 0);
+    let plan = plan_transition(dep, old_manifest, &reduced, &manifest);
     Ok(LpRepair { assignment, manifest, degraded_units, plan, warm: warm2 })
 }
 
@@ -503,7 +487,7 @@ mod tests {
         assert_eq!(out.repaired_units, 0);
         assert_eq!(out.moved_measure, 0.0);
         assert!(out.unrecoverable.is_empty());
-        assert_eq!(out.manifest.verify_coverage_exact(&dep), (1, 1));
+        assert_eq!(out.manifest.verify_coverage(&dep), (1, 1));
         assert!((out.max_load_after - out.max_load_before).abs() < 1e-12);
     }
 }

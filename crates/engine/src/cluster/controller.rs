@@ -46,6 +46,9 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
 
+/// Timeout multiplier per push attempt (exponential backoff).
+const BACKOFF_FACTOR: f64 = 2.0;
+
 pub(super) struct Controller<'a> {
     dep: &'a NidsDeployment,
     caps: &'a [NodeCaps],
@@ -100,7 +103,7 @@ impl<'a> Controller<'a> {
 
     /// Per-attempt timeout with exponential backoff and seeded jitter.
     fn timeout(&mut self, attempt: u32) -> f64 {
-        let base = self.cfg.backoff_base * self.cfg.backoff_factor.powi(attempt as i32);
+        let base = self.cfg.backoff_base * BACKOFF_FACTOR.powi(attempt as i32);
         base * self.rng.random_range(0.9..1.1)
     }
 

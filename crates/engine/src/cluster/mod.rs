@@ -174,14 +174,10 @@ pub struct ClusterConfig {
     pub retry_budget: u32,
     /// First-attempt push timeout.
     pub backoff_base: f64,
-    /// Timeout multiplier per attempt (exponential backoff).
-    pub backoff_factor: f64,
     /// Coverage multiplicity for validation.
     pub redundancy: f64,
     /// Optional capacity ceiling for validation.
     pub max_load: Option<f64>,
-    /// End of the run on the replay clock.
-    pub horizon: f64,
     /// Schedule an LP re-optimization one heartbeat after each greedy
     /// repair.
     pub lp_followup: bool,
@@ -199,10 +195,8 @@ impl Default for ClusterConfig {
             health: HealthConfig::default(),
             retry_budget: 3,
             backoff_base: 0.025,
-            backoff_factor: 2.0,
             redundancy: 1.0,
             max_load: None,
-            horizon: 1.0,
             lp_followup: false,
             alert_every: 0,
         }
@@ -280,6 +274,9 @@ impl ClusterRun {
         self.detection_of(node).is_some() && !self.failed_final.contains(&node)
     }
 }
+
+/// End of the run on the replay clock.
+const HORIZON: f64 = 1.0;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -374,13 +371,13 @@ pub fn run_cluster(
     // Ground-truth sample points at every plan boundary, so the coverage
     // timeline cannot miss a blind window narrower than the beat grid.
     for &(_, at) in &plan.crashes {
-        if at <= cfg.horizon {
+        if at <= HORIZON {
             q.push(at, Timer::Sample);
         }
     }
     for p in &plan.partitions {
         for at in [p.from, p.until] {
-            if at <= cfg.horizon {
+            if at <= HORIZON {
                 q.push(at, Timer::Sample);
             }
         }
@@ -398,7 +395,7 @@ pub fn run_cluster(
     coverage.push((0.0, sample(0.0, &nodes, &tx)));
 
     while let Some((t, batch)) = q.pop_batch() {
-        if t > cfg.horizon {
+        if t > HORIZON {
             break;
         }
         // Split the same-instant batch: per-node work (mailbox deliveries
@@ -534,7 +531,7 @@ pub fn run_cluster(
             coverage.push((t, sample(t, &nodes, &tx)));
         }
     }
-    coverage.push((cfg.horizon, sample(cfg.horizon, &nodes, &tx)));
+    coverage.push((HORIZON, sample(HORIZON, &nodes, &tx)));
 
     let node_epochs: Vec<u64> = nodes.iter().map(|c| locked(c).epoch).collect();
     let node_installs: Vec<Vec<(f64, u64)>> =

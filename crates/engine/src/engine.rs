@@ -282,10 +282,6 @@ impl<'a> Engine<'a> {
         })
     }
 
-    pub fn set_costs(&mut self, costs: CostModel) {
-        self.costs = costs;
-    }
-
     /// Swap the live sampling manifest mid-replay (coordinated placements
     /// only). This is how the resilience runner applies a repaired
     /// manifest once a failure is detected: connections whose module

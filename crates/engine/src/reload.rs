@@ -324,7 +324,7 @@ impl ReloadController {
                     }
                     Ok(()) => {
                         let plan =
-                            plan_transition(&self.dep, &self.manifest, &next_dep, &candidate, 0);
+                            plan_transition(&self.dep, &self.manifest, &next_dep, &candidate);
                         self.dep = next_dep;
                         self.manifest = Arc::new(candidate);
                         if metrics {

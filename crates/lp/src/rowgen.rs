@@ -53,16 +53,15 @@ pub struct RowGenResult {
     pub converged: bool,
 }
 
+/// Violation tolerance for activating a lazy row.
+const TOL: f64 = 1e-7;
+/// Give up after this many rounds.
+const MAX_ROUNDS: usize = 60;
+
 /// Options for [`solve_with_lazy_rows`].
 #[derive(Debug, Clone)]
 pub struct RowGenOpts {
     pub lp: SolverOpts,
-    /// Violation tolerance for activating a lazy row.
-    pub tol: f64,
-    /// Add at most this many rows per round (worst violations first).
-    pub batch: usize,
-    /// Give up after this many rounds.
-    pub max_rounds: usize,
     /// Predictive margin: when any row is violated, also activate rows
     /// within this distance of binding (they are very likely to be cut
     /// next round; activating them now saves whole re-solve rounds).
@@ -71,13 +70,7 @@ pub struct RowGenOpts {
 
 impl Default for RowGenOpts {
     fn default() -> Self {
-        RowGenOpts {
-            lp: SolverOpts::default(),
-            tol: 1e-7,
-            batch: usize::MAX,
-            max_rounds: 60,
-            near_margin: 0.0,
-        }
+        RowGenOpts { lp: SolverOpts::default(), near_margin: 0.0 }
     }
 }
 
@@ -196,7 +189,7 @@ pub fn solve_with_lazy_rows_ctx(
                 continue;
             }
             let v = r.violation(&sol.x);
-            if v > opts.tol {
+            if v > TOL {
                 violated.push((i, v));
             } else if v > -opts.near_margin {
                 near.push(i);
@@ -205,25 +198,18 @@ pub fn solve_with_lazy_rows_ctx(
         if violated.is_empty() {
             break (sol, true);
         }
-        if rounds >= opts.max_rounds {
+        if rounds >= MAX_ROUNDS {
             break (sol, false);
         }
+        // Worst violations first: the activation order fixes the row ids
+        // the warm basis is keyed on.
         violated.sort_by(|a, b| b.1.total_cmp(&a.1));
-        for &(i, _) in violated.iter().take(opts.batch) {
+        for i in violated.into_iter().map(|(i, _)| i).chain(near) {
             let r = &lazy[i];
             p.add_con(r.name.clone(), &r.terms, r.cmp, r.rhs);
             active[i] = true;
             activation.push(i);
             rows_added += 1;
-        }
-        if violated.len() <= opts.batch {
-            for i in near {
-                let r = &lazy[i];
-                p.add_con(r.name.clone(), &r.terms, r.cmp, r.rhs);
-                active[i] = true;
-                activation.push(i);
-                rows_added += 1;
-            }
         }
     };
 
@@ -299,22 +285,5 @@ mod tests {
         assert!(r.converged);
         assert_eq!(r.rows_added, 0);
         assert_eq!(r.rounds, 1);
-    }
-
-    #[test]
-    fn batch_limit_respected() {
-        let mut base = Problem::new(Sense::Max);
-        let vars: Vec<_> = (0..6).map(|j| base.add_var(format!("x{j}"), 0.0, 2.0, 1.0)).collect();
-        let lazy: Vec<_> = vars
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| LazyRow::new(format!("cap{i}"), vec![(v, 1.0)], Cmp::Le, 1.0))
-            .collect();
-        let opts = RowGenOpts { batch: 2, ..Default::default() };
-        let r = solve_with_lazy_rows(&base, &lazy, &opts);
-        assert!(r.converged);
-        assert_eq!(r.rows_added, 6);
-        assert!(r.rounds >= 4); // 3 adding rounds + final clean round
-        assert!((r.solution.objective - 6.0).abs() < 1e-6);
     }
 }

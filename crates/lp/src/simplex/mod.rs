@@ -137,47 +137,37 @@ pub trait BasisBackend {
     }
 }
 
+/// Feasibility tolerance.
+const TOL_FEAS: f64 = 1e-7;
+/// Reduced-cost (optimality) tolerance.
+const TOL_DJ: f64 = 1e-9;
+/// Consecutive degenerate pivots before switching to Bland's rule.
+const BLAND_TRIGGER: usize = 80;
+/// Recompute basic values every this many iterations.
+const REFRESH_EVERY: usize = 500;
+
+/// Pivot budget for the dual repair phase on an `m`-row LP: `4m + 100`.
+/// Worthwhile repairs land well under it (measured worst case ~2.6m
+/// pivots on the NIDS upgrade sweep, most need a handful), while a
+/// degenerate crawl that would run past it costs more than the cold solve
+/// it falls back to — and without a budget such a crawl burns the full
+/// `max_iters` cap, which is sized for complete cold solves and can be two
+/// orders of magnitude larger (a ~100 s stall observed in the reload
+/// loop's re-solves).
+const fn dual_budget(m: usize) -> usize {
+    4 * m + 100
+}
+
 /// Solver options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SolverOpts {
     /// Hard iteration cap (per phase). `None` derives one from problem size.
     pub max_iters: Option<usize>,
-    /// Feasibility tolerance.
-    pub tol_feas: f64,
-    /// Reduced-cost (optimality) tolerance.
-    pub tol_dj: f64,
     /// Use the dense backend when the row count is at most this. The
     /// default `0` sends every LP with rows to the sparse backend, which
     /// wins at every size the workspace solves (DESIGN.md, "Basis
     /// backends"); raise it only to opt in to the dense inverse.
     pub dense_row_limit: usize,
-    /// Consecutive degenerate pivots before switching to Bland's rule.
-    pub bland_trigger: usize,
-    /// Recompute basic values every this many iterations.
-    pub refresh_every: usize,
-    /// Pivot budget for the dual repair phase. `None` derives
-    /// `4m + 100` from the row count: worthwhile repairs land well under
-    /// it (measured worst case ~2.6m pivots on the NIDS upgrade sweep,
-    /// most need a handful), while a degenerate crawl that would run past
-    /// it costs more than the cold solve it falls back to — and without a
-    /// budget such a crawl burns the full `max_iters` cap, which is sized
-    /// for complete cold solves and can be two orders of magnitude
-    /// larger (a ~100 s stall observed in the reload loop's re-solves).
-    pub dual_budget: Option<usize>,
-}
-
-impl Default for SolverOpts {
-    fn default() -> Self {
-        SolverOpts {
-            max_iters: None,
-            tol_feas: 1e-7,
-            tol_dj: 1e-9,
-            dense_row_limit: 0,
-            bland_trigger: 80,
-            refresh_every: 500,
-            dual_budget: None,
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -281,7 +271,7 @@ struct Core<'a, B: BasisBackend> {
     /// changed since. Only a fresh `d` may declare a phase optimal.
     d_fresh: bool,
     /// `prices_in[j]`: column `j` is nonbasic, not fixed, and `d_j` points
-    /// into its feasible direction by more than `tol_dj`. Kept in step with
+    /// into its feasible direction by more than `TOL_DJ`. Kept in step with
     /// `d` and `state`, so pricing scans one byte per column.
     prices_in: Vec<bool>,
     /// `stale[s]`: the `d` and flags of pricing section `s` lag `π` (a
@@ -293,7 +283,6 @@ struct Core<'a, B: BasisBackend> {
     xb: Vec<f64>,
     rhs: Vec<f64>,
     backend: &'a mut B,
-    opts: &'a SolverOpts,
     iterations: usize,
     // scratch
     y: Vec<f64>,
@@ -467,7 +456,7 @@ impl<'a, B: BasisBackend> Core<'a, B> {
     }
 
     /// Whether moving nonbasic column `j` off its bound improves the
-    /// objective by more than `tol_dj` per unit, judged by the current
+    /// objective by more than `TOL_DJ` per unit, judged by the current
     /// `d_j`.
     #[inline]
     fn improving(&self, j: usize) -> bool {
@@ -477,9 +466,9 @@ impl<'a, B: BasisBackend> Core<'a, B> {
         let dj = self.d[j];
         match self.state[j] {
             VState::Basic(_) => false,
-            VState::AtLower => dj < -self.opts.tol_dj,
-            VState::AtUpper => dj > self.opts.tol_dj,
-            VState::FreeZero => dj.abs() > self.opts.tol_dj,
+            VState::AtLower => dj < -TOL_DJ,
+            VState::AtUpper => dj > TOL_DJ,
+            VState::FreeZero => dj.abs() > TOL_DJ,
         }
     }
 
@@ -854,7 +843,7 @@ impl<'a, B: BasisBackend> Core<'a, B> {
             if t <= 1e-10 {
                 self.degen_run += 1;
                 self.n_degen += 1;
-                if self.degen_run >= self.opts.bland_trigger {
+                if self.degen_run >= BLAND_TRIGGER {
                     self.bland = true;
                 }
             } else {
@@ -870,8 +859,7 @@ impl<'a, B: BasisBackend> Core<'a, B> {
                 if self.refactor() {
                     self.resync();
                 }
-            } else if self.iterations.is_multiple_of(self.opts.refresh_every)
-                || self.backend.hint_refactor()
+            } else if self.iterations.is_multiple_of(REFRESH_EVERY) || self.backend.hint_refactor()
             {
                 self.resync();
             }
@@ -916,7 +904,7 @@ impl<'a, B: BasisBackend> Core<'a, B> {
             // phase 2 after the repair mops up reduced costs this small.
             let slack = 1e-6 * (1.0 + self.cost[j].abs());
             match self.state[j] {
-                VState::AtLower if dj < -self.opts.tol_dj => {
+                VState::AtLower if dj < -TOL_DJ => {
                     if self.ub[j].is_finite() {
                         self.state[j] = VState::AtUpper;
                         self.state_changed(j);
@@ -925,7 +913,7 @@ impl<'a, B: BasisBackend> Core<'a, B> {
                         return false;
                     }
                 }
-                VState::AtUpper if dj > self.opts.tol_dj => {
+                VState::AtUpper if dj > TOL_DJ => {
                     if self.lb[j].is_finite() {
                         self.state[j] = VState::AtLower;
                         self.state_changed(j);
@@ -953,7 +941,7 @@ impl<'a, B: BasisBackend> Core<'a, B> {
     /// reduced cost on the right side of zero. The same row then updates
     /// the maintained `d`. Degenerate dual steps (ratio ≈ 0) trip the
     /// same bounded anti-cycling rule as the primal phase: after
-    /// `bland_trigger` of them in a row, both the row choice and the
+    /// `BLAND_TRIGGER` of them in a row, both the row choice and the
     /// ratio-test tie-break turn into smallest-index (Bland) selection,
     /// which cannot cycle.
     fn iterate_dual(&mut self, max_iters: usize) -> DualEnd {
@@ -967,7 +955,7 @@ impl<'a, B: BasisBackend> Core<'a, B> {
             }
             // ---- Leaving-variable pricing. ----
             let mut r = usize::MAX;
-            let mut worst = self.opts.tol_feas;
+            let mut worst = TOL_FEAS;
             for pos in 0..self.m {
                 let bi = self.basis[pos];
                 let x = self.xb[pos];
@@ -976,7 +964,7 @@ impl<'a, B: BasisBackend> Core<'a, B> {
                 }
                 let v = (self.lb[bi] - x).max(x - self.ub[bi]);
                 if bland {
-                    if v > self.opts.tol_feas && (r == usize::MAX || bi < self.basis[r]) {
+                    if v > TOL_FEAS && (r == usize::MAX || bi < self.basis[r]) {
                         r = pos;
                     }
                 } else if v > worst {
@@ -1116,7 +1104,7 @@ impl<'a, B: BasisBackend> Core<'a, B> {
             if best_ratio <= 1e-10 {
                 degen_run += 1;
                 self.n_degen += 1;
-                if degen_run >= self.opts.bland_trigger {
+                if degen_run >= BLAND_TRIGGER {
                     bland = true;
                 }
             } else {
@@ -1127,8 +1115,7 @@ impl<'a, B: BasisBackend> Core<'a, B> {
                 if self.refactor() {
                     self.resync();
                 }
-            } else if self.iterations.is_multiple_of(self.opts.refresh_every)
-                || self.backend.hint_refactor()
+            } else if self.iterations.is_multiple_of(REFRESH_EVERY) || self.backend.hint_refactor()
             {
                 self.resync();
             }
@@ -1482,7 +1469,7 @@ fn try_solve<B: BasisBackend>(
             for i in w.m..m {
                 let sj = n + i;
                 let v = resid[i];
-                let fits = v >= lb[sj] - opts.tol_feas && v <= ub[sj] + opts.tol_feas;
+                let fits = v >= lb[sj] - TOL_FEAS && v <= ub[sj] + TOL_FEAS;
                 if fits {
                     basis[i] = sj;
                     xb[i] = v;
@@ -1530,7 +1517,7 @@ fn try_solve<B: BasisBackend>(
         for i in 0..m {
             let sj = n + i;
             let v = resid[i];
-            let fits = v >= lb[sj] - opts.tol_feas && v <= ub[sj] + opts.tol_feas;
+            let fits = v >= lb[sj] - TOL_FEAS && v <= ub[sj] + TOL_FEAS;
             if fits {
                 basis[i] = sj;
                 xb[i] = v;
@@ -1582,7 +1569,6 @@ fn try_solve<B: BasisBackend>(
         xb,
         rhs,
         backend,
-        opts,
         iterations: 0,
         y: vec![0.0; m],
         y_touched: Vec::new(),
@@ -1706,7 +1692,7 @@ fn try_solve<B: BasisBackend>(
                 // solve cold, and a stalled (degenerate-crawling) repair
                 // would otherwise burn the whole cold-solve-sized cap
                 // before falling back.
-                let dual_budget = opts.dual_budget.unwrap_or(4 * m + 100).min(max_iters);
+                let dual_budget = dual_budget(m).min(max_iters);
                 match core.iterate_dual(dual_budget) {
                     DualEnd::PrimalFeasible => {
                         repaired = true;
@@ -1765,7 +1751,7 @@ fn try_solve<B: BasisBackend>(
             }
         }
         let infeas: f64 = (n + m..ncols).map(|j| core.var_value(j).abs()).sum();
-        if infeas > opts.tol_feas * 10.0 {
+        if infeas > TOL_FEAS * 10.0 {
             core.flush_metrics(core.iterations, t0);
             return SolveAttempt::Done(fail(&core, Status::Infeasible), None);
         }
@@ -1807,7 +1793,7 @@ fn try_solve<B: BasisBackend>(
     }
     // Never report an infeasible point as Optimal: numerical trouble is
     // surfaced as IterLimit instead of a silently wrong answer.
-    if p.max_violation(&x) > opts.tol_feas.max(1e-6) * 100.0 {
+    if p.max_violation(&x) > TOL_FEAS.max(1e-6) * 100.0 {
         let mut s = fail(&core, Status::IterLimit);
         s.x = x;
         return SolveAttempt::Done(s, None);

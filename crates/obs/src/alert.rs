@@ -56,6 +56,7 @@
 //! With `NWDP_ALERT` unset nothing is stamped, buffered, or written —
 //! outputs stay bit-identical to a build without the alert plane.
 
+use crate::json::quote_into;
 use crate::recorder::{lock, with_current};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -493,34 +494,18 @@ pub fn reset_alerts() {
 // Encoders
 // ---------------------------------------------------------------------
 
-fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Encode one record as a single JSONL line (no trailing newline). The
 /// output parses with [`crate::parse_json`] and string fields round-trip
 /// whatever bytes the detection put in them.
 pub fn encode_jsonl(rec: &AlertRecord) -> String {
     let mut s = String::with_capacity(192);
-    let _ = write!(s, "{{\"ts\":{:?},\"node\":{},\"class\":\"", rec.ts, rec.node);
-    json_escape_into(&mut s, &rec.class);
-    s.push_str("\",\"kind\":\"");
-    json_escape_into(&mut s, &rec.kind);
+    let _ = write!(s, "{{\"ts\":{:?},\"node\":{},\"class\":", rec.ts, rec.node);
+    quote_into(&mut s, &rec.class);
+    s.push_str(",\"kind\":");
+    quote_into(&mut s, &rec.kind);
     let _ = write!(
         s,
-        "\",\"subject\":{},\"severity\":{},\"src_ip\":{},\"dst_ip\":{},\"src_port\":{},\"dst_port\":{},\"proto\":{}}}",
+        ",\"subject\":{},\"severity\":{},\"src_ip\":{},\"dst_ip\":{},\"src_port\":{},\"dst_port\":{},\"proto\":{}}}",
         rec.subject, rec.severity, rec.src_ip, rec.dst_ip, rec.src_port, rec.dst_port, rec.proto
     );
     s

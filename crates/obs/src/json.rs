@@ -65,7 +65,8 @@ fn push_entry(buf: &mut String, name: &str, value: &str) {
         buf.push(',');
     }
     buf.push('\n');
-    let _ = write!(buf, "{}:{value}", quote(name));
+    quote_into(buf, name);
+    let _ = write!(buf, ":{value}");
 }
 
 /// JSON has no NaN/Infinity literals; exported as null.
@@ -79,8 +80,9 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Append `s` to `out` as a quoted JSON string. The metrics snapshot, the
+/// trace journal and the alert JSONL encoder all escape through here.
+pub(crate) fn quote_into(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {
@@ -96,7 +98,6 @@ fn quote(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// Minimal JSON value for validation and test assertions.
@@ -161,7 +162,7 @@ impl Json {
                 let _ = write!(out, "{b}");
             }
             Json::Num(v) => out.push_str(&fmt_f64(*v)),
-            Json::Str(s) => out.push_str(&quote(s)),
+            Json::Str(s) => quote_into(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -178,7 +179,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&quote(k));
+                    quote_into(out, k);
                     out.push(':');
                     v.render_into(out);
                 }

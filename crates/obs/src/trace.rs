@@ -46,6 +46,7 @@
 //!   stderr writer: the historical simplex diagnostic env var now emits
 //!   the same structured records, one JSON line each, to stderr.
 
+use crate::json::quote_into;
 use crate::recorder::{lock, with_current, Recorder};
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -221,24 +222,6 @@ thread_local! {
     static TLS: RefCell<ThreadBuf> = RefCell::new(ThreadBuf::new());
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn fields_into(out: &mut String, fields: &[(&str, TraceValue)]) {
     if fields.is_empty() {
         return;
@@ -248,7 +231,7 @@ fn fields_into(out: &mut String, fields: &[(&str, TraceValue)]) {
         if i > 0 {
             out.push(',');
         }
-        escape_into(out, k);
+        quote_into(out, k);
         out.push(':');
         match v {
             TraceValue::U64(x) => {
@@ -267,7 +250,7 @@ fn fields_into(out: &mut String, fields: &[(&str, TraceValue)]) {
             TraceValue::Bool(x) => {
                 let _ = write!(out, "{x}");
             }
-            TraceValue::Str(x) => escape_into(out, x),
+            TraceValue::Str(x) => quote_into(out, x),
         }
     }
     out.push('}');
@@ -357,7 +340,7 @@ fn open_span(name: &str, fields: &[(&str, TraceValue)], parent: Option<Option<u6
         };
         let tid = t.tid;
         let _ = write!(t.buf, "{{\"ev\":\"B\",\"name\":");
-        escape_into(&mut t.buf, name);
+        quote_into(&mut t.buf, name);
         let _ = write!(t.buf, ",\"id\":{id}");
         if let Some(p) = parent {
             let _ = write!(t.buf, ",\"parent\":{p}");
@@ -390,7 +373,7 @@ pub fn event(name: &str, fields: &[(&str, TraceValue)]) {
         let parent = t.stack.last().copied();
         let tid = t.tid;
         let _ = write!(t.buf, "{{\"ev\":\"I\",\"name\":");
-        escape_into(&mut t.buf, name);
+        quote_into(&mut t.buf, name);
         if let Some(p) = parent {
             let _ = write!(t.buf, ",\"parent\":{p}");
         }

@@ -21,16 +21,17 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Mutex;
 
+/// Conservative upper bound on the droppable fraction (used for the
+/// automatic ε).
+const MAXDROP: f64 = 0.01;
+
 /// FPL configuration.
 #[derive(Debug, Clone)]
 pub struct FplConfig {
     pub epochs: usize,
     /// Perturbation scale ε; `None` derives the theorem's value from the
-    /// instance (D = M·N·L, R = A = Σ T_items × maxdrop).
+    /// instance (D = M·N·L, R = A = Σ T_items × `MAXDROP`).
     pub epsilon: Option<f64>,
-    /// Conservative upper bound on the droppable fraction (used for the
-    /// automatic ε).
-    pub maxdrop: f64,
     pub seed: u64,
     /// Also track the non-adaptive "follow the leader" baseline (no
     /// perturbation) for comparison.
@@ -44,14 +45,7 @@ pub struct FplConfig {
 
 impl Default for FplConfig {
     fn default() -> Self {
-        FplConfig {
-            epochs: 200,
-            epsilon: None,
-            maxdrop: 0.01,
-            seed: 0,
-            track_ftl: false,
-            reuse_oracle: true,
-        }
+        FplConfig { epochs: 200, epsilon: None, seed: 0, track_ftl: false, reuse_oracle: true }
     }
 }
 
@@ -63,9 +57,6 @@ pub enum FplError {
     /// `epochs == 0`: there is no round to play, and every per-epoch
     /// trajectory (including the Fig 11 regret series) would be empty.
     ZeroEpochs,
-    /// `maxdrop` must be a positive finite fraction in `(0, 1]`: it scales
-    /// the Theorem 3.1 constants R = A that derive the automatic ε.
-    BadMaxDrop(f64),
     /// An explicit `epsilon` must be positive and finite — perturbations
     /// are drawn from `[0, 1/ε)`.
     BadEpsilon(f64),
@@ -75,9 +66,6 @@ impl std::fmt::Display for FplError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FplError::ZeroEpochs => write!(f, "FPL needs at least one epoch (epochs == 0)"),
-            FplError::BadMaxDrop(v) => {
-                write!(f, "maxdrop must be a positive fraction in (0, 1], got {v}")
-            }
             FplError::BadEpsilon(v) => {
                 write!(f, "epsilon must be positive and finite, got {v}")
             }
@@ -139,8 +127,8 @@ impl WeightLayout {
 ///
 /// `inst` supplies the network/volume/capacity model; its own
 /// `match_rates` are ignored (the adversary provides each epoch's truth).
-/// Degenerate configurations — zero epochs, a non-positive `maxdrop`, an
-/// explicit non-positive ε — are rejected with a typed [`FplError`] before
+/// Degenerate configurations — zero epochs, an explicit non-positive ε —
+/// are rejected with a typed [`FplError`] before
 /// any epoch runs.
 pub fn run_fpl(
     inst: &NipsInstance,
@@ -151,9 +139,6 @@ pub fn run_fpl(
     assert_eq!(adversary.n_paths(), inst.paths.len());
     if cfg.epochs == 0 {
         return Err(FplError::ZeroEpochs);
-    }
-    if !cfg.maxdrop.is_finite() || cfg.maxdrop <= 0.0 || cfg.maxdrop > 1.0 {
-        return Err(FplError::BadMaxDrop(cfg.maxdrop));
     }
     if let Some(e) = cfg.epsilon {
         if !e.is_finite() || e <= 0.0 {
@@ -202,9 +187,9 @@ pub fn run_fpl(
         d
     };
 
-    // Theorem 3.1 constants: D = M·N·L, R = A = Σ T_items × maxdrop.
+    // Theorem 3.1 constants: D = M·N·L, R = A = Σ T_items × MAXDROP.
     let d_const = (np * inst.num_nodes * nr) as f64;
-    let ra: f64 = inst.paths.iter().map(|p| p.items).sum::<f64>() * cfg.maxdrop;
+    let ra: f64 = inst.paths.iter().map(|p| p.items).sum::<f64>() * MAXDROP;
     let epsilon =
         cfg.epsilon.unwrap_or_else(|| (d_const / (ra * ra * cfg.epochs as f64).max(1e-12)).sqrt());
 
@@ -335,14 +320,6 @@ mod tests {
         let mut adv = StochasticUniform::new(3, inst.paths.len(), 0.01, 1);
         let zero = FplConfig { epochs: 0, ..Default::default() };
         assert_eq!(run_fpl(&inst, &mut adv, &zero).unwrap_err(), FplError::ZeroEpochs);
-        for maxdrop in [0.0, -0.5, 1.5, f64::INFINITY] {
-            let cfg = FplConfig { epochs: 5, maxdrop, ..Default::default() };
-            assert_eq!(
-                run_fpl(&inst, &mut adv, &cfg).unwrap_err(),
-                FplError::BadMaxDrop(maxdrop),
-                "maxdrop {maxdrop}"
-            );
-        }
         for eps in [0.0, -1.0, f64::INFINITY] {
             let cfg = FplConfig { epochs: 5, epsilon: Some(eps), ..Default::default() };
             assert_eq!(

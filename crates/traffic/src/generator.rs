@@ -1,11 +1,11 @@
 //! Network-wide trace generation.
 //!
 //! Reproduces the paper's custom traffic generator (§2.4): given a
-//! topology, a traffic matrix, a routing policy, and a traffic profile, it
-//! emits a network-wide session trace. Anomalous activity (scans, SYN
-//! floods, Blaster propagation, signature-carrying payloads) is injected at
-//! configurable rates so that the corresponding NIDS modules have something
-//! to detect.
+//! topology, a traffic matrix, a routing policy, and the mixed traffic
+//! profile, it emits a network-wide session trace. Anomalous activity
+//! (scans, SYN floods, Blaster propagation, signature-carrying payloads) is
+//! injected at configurable rates so that the corresponding NIDS modules
+//! have something to detect.
 //!
 //! Addressing scheme: node `i` owns the prefix `10.i.0.0/16`; hosts are
 //! `10.i.h.x` with `h, x` drawn from a small per-node pool. The ingress of
@@ -65,29 +65,23 @@ impl AnomalyConfig {
     }
 }
 
-/// Trace generation parameters.
+/// Application exchanges per benign session (request/response rounds).
+const EXCHANGES: u8 = 2;
+/// Host pool size per node (distinct addresses).
+const HOSTS_PER_NODE: u16 = 200;
+
+/// Trace generation parameters. Benign sessions follow
+/// [`TrafficProfile::mixed`].
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
     pub sessions: usize,
-    pub profile: TrafficProfile,
     pub anomalies: AnomalyConfig,
     pub seed: u64,
-    /// Application exchanges per benign session (request/response rounds).
-    pub exchanges: u8,
-    /// Host pool size per node (distinct addresses).
-    pub hosts_per_node: u16,
 }
 
 impl TraceConfig {
     pub fn new(sessions: usize, seed: u64) -> Self {
-        TraceConfig {
-            sessions,
-            profile: TrafficProfile::mixed(),
-            anomalies: AnomalyConfig::default(),
-            seed,
-            exchanges: 2,
-            hosts_per_node: 200,
-        }
+        TraceConfig { sessions, anomalies: AnomalyConfig::default(), seed }
     }
 }
 
@@ -128,6 +122,7 @@ pub fn generate_trace(topo: &Topology, tm: &TrafficMatrix, cfg: &TraceConfig) ->
 /// truncation is needed.
 pub struct SessionStream {
     cfg: TraceConfig,
+    profile: TrafficProfile,
     rng: StdRng,
     n: usize,
     // Cumulative distribution over ordered (s, d) pairs.
@@ -160,6 +155,7 @@ impl SessionStream {
         SessionStream {
             rng: StdRng::seed_from_u64(cfg.seed),
             cfg: cfg.clone(),
+            profile: TrafficProfile::mixed(),
             n,
             pairs,
             cum,
@@ -178,8 +174,8 @@ impl SessionStream {
     fn mk_tuple(&mut self, s: NodeId, d: NodeId, kind: &SessionKind) -> FiveTuple {
         let app = kind.app();
         FiveTuple::new(
-            host_ip(s, self.rng.random_range(1..self.cfg.hosts_per_node)),
-            host_ip(d, self.rng.random_range(1..self.cfg.hosts_per_node)),
+            host_ip(s, self.rng.random_range(1..HOSTS_PER_NODE)),
+            host_ip(d, self.rng.random_range(1..HOSTS_PER_NODE)),
             self.rng.random_range(1024..65000),
             app.server_port(),
             app.ip_proto(),
@@ -202,7 +198,7 @@ impl SessionStream {
             // A burst of probes from one scanner towards many hosts spread
             // over the network (same source node per burst).
             let (s, _) = self.sample_pair();
-            let scanner = host_ip(s, self.rng.random_range(1..self.cfg.hosts_per_node));
+            let scanner = host_ip(s, self.rng.random_range(1..HOSTS_PER_NODE));
             let burst = a.scan_fanout.min(self.cfg.sessions - self.generated);
             for _ in 0..burst {
                 let d = loop {
@@ -213,7 +209,7 @@ impl SessionStream {
                 };
                 let tuple = FiveTuple::new(
                     scanner,
-                    host_ip(d, self.rng.random_range(1..self.cfg.hosts_per_node)),
+                    host_ip(d, self.rng.random_range(1..HOSTS_PER_NODE)),
                     self.rng.random_range(1024..65000),
                     self.rng.random_range(1..1024), // scans sweep low ports
                     6,
@@ -225,7 +221,7 @@ impl SessionStream {
             let kind = SessionKind::SynFloodPkt;
             // Flood: fixed victim per destination node, random spoofed srcs.
             let tuple = FiveTuple::new(
-                host_ip(s, self.rng.random_range(1..self.cfg.hosts_per_node)),
+                host_ip(s, self.rng.random_range(1..HOSTS_PER_NODE)),
                 host_ip(d, 1), // the victim
                 self.rng.random_range(1024..65000),
                 kind.app().server_port(),
@@ -239,14 +235,14 @@ impl SessionStream {
             self.push(tuple, kind, s, d, 1);
         } else {
             let (s, d) = self.sample_pair();
-            let app = self.cfg.profile.sample(&mut self.rng);
+            let app = self.profile.sample(&mut self.rng);
             let kind = if self.rng.random_range(0.0..1.0) < a.infected_fraction {
                 SessionKind::InfectedPayload(app)
             } else {
                 SessionKind::Normal(app)
             };
             let tuple = self.mk_tuple(s, d, &kind);
-            let exchanges = 1 + self.rng.random_range(0..=self.cfg.exchanges.max(1));
+            let exchanges = 1 + self.rng.random_range(0..=EXCHANGES);
             self.push(tuple, kind, s, d, exchanges);
         }
     }

@@ -112,21 +112,6 @@ impl TrafficProfile {
         ])
     }
 
-    /// A realistic web-dominated mix.
-    pub fn web_heavy() -> Self {
-        TrafficProfile::new(vec![
-            (AppProtocol::Http, 0.70),
-            (AppProtocol::Dns, 0.15),
-            (AppProtocol::Smtp, 0.05),
-            (AppProtocol::Ssh, 0.03),
-            (AppProtocol::Ftp, 0.02),
-            (AppProtocol::Irc, 0.02),
-            (AppProtocol::Telnet, 0.01),
-            (AppProtocol::Tftp, 0.01),
-            (AppProtocol::OtherTcp, 0.01),
-        ])
-    }
-
     /// Single-protocol profile (used to isolate a module, as in Fig 5).
     pub fn only(app: AppProtocol) -> Self {
         TrafficProfile::new(vec![(app, 1.0)])

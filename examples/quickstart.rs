@@ -51,7 +51,7 @@ fn main() {
 
     // 5. Compile hash-range sampling manifests (Fig 2) and inspect them.
     let manifest = generate_manifests(&dep, &assignment.d);
-    let (lo, hi) = manifest.verify_coverage(&dep, 101);
+    let (lo, hi) = manifest.verify_coverage(&dep);
     println!("coverage check: every hash point covered between {lo} and {hi} times");
     println!("\nper-node responsibilities (share of total analysis work):");
     for node in topo.nodes() {

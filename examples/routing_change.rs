@@ -43,7 +43,7 @@ fn main() {
     }
     let (new_dep, new_man) = compile(&after);
 
-    let plan = plan_transition(&old_dep, &old_man, &new_dep, &new_man, 51);
+    let plan = plan_transition(&old_dep, &old_man, &new_dep, &new_man);
     println!("reroute: Chicago–NewYork link cost x10\n");
     println!(
         "mean hash-space churn per unit: {:.1}% (duplicated work while old connections drain)",

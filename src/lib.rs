@@ -40,7 +40,7 @@
 //! let assignment = solve_nids_lp(&dep, &cfg).unwrap();
 //! let manifest = generate_manifests(&dep, &assignment.d);
 //! assert!(assignment.max_load < 1.0, "no node overloaded");
-//! assert_eq!(manifest.verify_coverage(&dep, 64), (1, 1));
+//! assert_eq!(manifest.verify_coverage(&dep), (1, 1));
 //! ```
 
 pub use nwdp_core as core;

@@ -20,7 +20,7 @@ fn nids_pipeline_end_to_end() {
     let assignment = solve_nids_lp(&dep, &cfg).unwrap();
     assert!(assignment.max_load > 0.0);
     let manifest = generate_manifests(&dep, &assignment.d);
-    assert_eq!(manifest.verify_coverage(&dep, 64), (1, 1));
+    assert_eq!(manifest.verify_coverage(&dep), (1, 1));
 
     // Enough volume for coordination's balancing to dominate its (small)
     // per-connection overhead at the hotspot.

@@ -47,7 +47,7 @@ proptest! {
             .collect();
         let manifest = nwdp::core::nids::generate_manifests(&dep, &d);
         // Every probe point is covered exactly once.
-        let (lo, hi) = manifest.verify_coverage(&dep, 97);
+        let (lo, hi) = manifest.verify_coverage(&dep);
         prop_assert_eq!((lo, hi), (1, 1));
         // Shares match the requested fractions.
         for (u, split) in splits.iter().enumerate() {
@@ -169,7 +169,7 @@ proptest! {
         let manifest = nwdp::core::nids::generate_manifests(&dep, &d);
 
         // Exact multiplicity r on a mid-point grid.
-        let (lo, hi) = manifest.verify_coverage(&dep, 127);
+        let (lo, hi) = manifest.verify_coverage(&dep);
         prop_assert_eq!((lo, hi), (r, r), "grid coverage must be exactly {}", r);
 
         for (u, unit) in dep.units.iter().enumerate() {

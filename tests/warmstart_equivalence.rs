@@ -169,13 +169,7 @@ fn rounding_warm_start_matches_cold() {
     for strategy in [Strategy::LpResolve, Strategy::GreedyLpResolve] {
         under_thread_counts(|| {
             let run = |warm: bool| {
-                let opts = RoundingOpts {
-                    strategy,
-                    iterations: 4,
-                    seed: 23,
-                    warm_start: warm,
-                    ..Default::default()
-                };
+                let opts = RoundingOpts { strategy, iterations: 4, seed: 23, warm_start: warm };
                 round_best_of(&inst, &relax, &opts).unwrap()
             };
             let cold = run(false);
