@@ -12,9 +12,8 @@
 //! `--metrics-out FILE` (or the `NWDP_METRICS=FILE` environment variable)
 //! enables the `nwdp-obs` metrics layer and writes a JSON dump of every
 //! counter/gauge/timer/histogram on exit, plus a `timeseries.csv` of the
-//! replay-clock series under `--out`. A miniature end-to-end pipeline
-//! runs first so the dump always carries simplex, rounding and per-node
-//! engine series, even for experiments that exercise only one subsystem.
+//! replay-clock series under `--out`. The dump holds only the work of
+//! the experiments requested.
 //!
 //! `NWDP_TRACE=FILE` additionally journals every span/event to a JSONL
 //! file; `repro report` turns that journal (and optionally the metrics
@@ -22,8 +21,8 @@
 
 use nwdp_bench::output::Table;
 use nwdp_bench::{
-    alerts, cluster, fig10, fig11, fig5, fig678, opttime, reload, report, selftest, throughput,
-    warmstart, Scale,
+    alerts, cluster, fig10, fig11, fig5, fig678, opttime, reload, report, throughput, warmstart,
+    Scale,
 };
 use nwdp_core::obs;
 use std::path::PathBuf;
@@ -197,11 +196,6 @@ fn main() {
         println!("repro: alert egress to {}", p.display());
     }
     let root_span = obs::span!("repro");
-    if metrics_on {
-        println!("repro: metrics enabled, running pipeline selftest");
-        let _span = obs::span!("phase.selftest");
-        selftest::metrics_selftest();
-    }
 
     println!(
         "repro: scale = {:?}, experiments = {:?}, output = {}",

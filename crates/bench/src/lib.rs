@@ -17,7 +17,6 @@ pub mod reload;
 pub mod report;
 pub mod resilience;
 pub mod scenario;
-pub mod selftest;
 pub mod throughput;
 pub mod warmstart;
 

@@ -60,6 +60,18 @@ fn counter(metrics: &Json, name: &str) -> f64 {
     metrics.get(&format!("counters/{name}")).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
+/// Asserts that every histogram in a metrics sidecar carries its p50,
+/// p95 and p99 quantiles; returns how many histograms there are.
+fn histograms_with_quantiles(metrics: &Json) -> usize {
+    let hists = metrics.get("histograms").and_then(Json::as_obj).expect("histograms object");
+    for (name, h) in hists {
+        for q in ["p50", "p95", "p99"] {
+            assert!(h.get(q).is_some(), "histogram {name} lacks {q}");
+        }
+    }
+    hists.len()
+}
+
 /// Split one CSV line, honouring double-quoted cells (the warm-start
 /// table's `detail` column holds commas).
 fn split_csv(line: &str) -> Vec<String> {
@@ -123,19 +135,17 @@ fn fig5_metrics_trace_journal_and_report() {
 
     let m = json(&dir.join("metrics.json"));
     assert_eq!(m.get("version").and_then(Json::as_f64), Some(1.0));
-    for key in ["simplex.solves", "simplex.iterations", "round.trials", "rowgen.solves"] {
-        assert!(counter(&m, key) > 0.0, "missing or zero counter: {key}");
-    }
-    let counters = m.get("counters").and_then(Json::as_obj).expect("counters object");
-    assert!(
-        counters
-            .iter()
-            .any(|(k, v)| k.starts_with("engine.packets{") && v.as_f64().unwrap_or(0.0) > 0.0),
-        "no per-node engine packet counters"
-    );
-    for (name, h) in m.get("histograms").and_then(Json::as_obj).into_iter().flatten() {
-        for q in ["p50", "p95", "p99"] {
-            assert!(h.get(q).is_some(), "histogram {name} lacks {q}");
+    histograms_with_quantiles(&m);
+    // Fig 5 solves no LP and runs no rounding, FPL or flow oracle, so the
+    // sidecar must hold no such metric: it records only the requested work.
+    for kind in ["counters", "gauges", "timers", "histograms"] {
+        for (name, _) in m.get(kind).and_then(Json::as_obj).into_iter().flatten() {
+            assert!(
+                !["simplex.", "rowgen.", "round.", "fpl.", "flow."]
+                    .iter()
+                    .any(|p| name.starts_with(p)),
+                "fig 5 metrics hold {kind} {name} from work fig 5 never did"
+            );
         }
     }
 
@@ -148,6 +158,10 @@ fn fig5_metrics_trace_journal_and_report() {
         match rec.get("ev").and_then(Json::as_str) {
             Some("B") => {
                 assert!(open.insert(id()), "line {}: duplicate span id", n + 1);
+                let name = rec.get("name").and_then(Json::as_str).expect("span has a name");
+                if name.starts_with("phase.") {
+                    assert_eq!(name, "phase.fig5", "line {}: a phase fig 5 did not ask for", n + 1);
+                }
                 spans += 1;
             }
             Some("E") => assert!(open.remove(&id()), "line {}: close without open", n + 1),
@@ -170,7 +184,7 @@ fn fig5_metrics_trace_journal_and_report() {
 #[test]
 fn nids_upgrade_sweep_accepts_every_warm_basis() {
     let dir = workdir("warm");
-    repro(&dir, &[], "warm --quick --out results");
+    repro(&dir, &[], "warm --quick --out results --metrics-out metrics.json");
     let rows = read_csv(&dir.join("results/warmstart_cold_vs_warm.csv"));
     let r = rows
         .iter()
@@ -179,6 +193,13 @@ fn nids_upgrade_sweep_accepts_every_warm_basis() {
     assert!(num(r, "hits") > 0.0, "sweep accepted no warm bases: {r:?}");
     assert_eq!(num(r, "fallbacks"), 0.0, "sweep fell back cold: {r:?}");
     assert!(num(r, "warm iters") < num(r, "cold iters"), "warm pass saved no iterations: {r:?}");
+
+    // The sweeps solve NIDS LPs and NIPS relaxations and round them.
+    let m = json(&dir.join("metrics.json"));
+    for key in ["simplex.solves", "simplex.iterations", "round.trials", "rowgen.solves"] {
+        assert!(counter(&m, key) > 0.0, "missing or zero counter: {key}");
+    }
+    assert!(histograms_with_quantiles(&m) > 0, "warm run recorded no histogram");
 }
 
 #[test]
@@ -203,6 +224,14 @@ fn reload_counters_and_coverage_series_are_emitted() {
     assert!(series_len(&out.join("timeseries.csv"), "resilience.coverage") > 0);
 
     let m = json(&out.join("metrics.json"));
+    let counters = m.get("counters").and_then(Json::as_obj).expect("counters object");
+    assert!(
+        counters
+            .iter()
+            .any(|(k, v)| k.starts_with("engine.packets{") && v.as_f64().unwrap_or(0.0) > 0.0),
+        "no per-node engine packet counters"
+    );
+    assert!(histograms_with_quantiles(&m) > 0, "reload run recorded no histogram");
     assert!(counter(&m, "reload.swaps") >= 3.0, "reload.swaps");
     assert!(counter(&m, "reload.rejected") >= 1.0, "reload.rejected");
     assert_eq!(

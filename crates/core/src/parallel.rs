@@ -251,24 +251,6 @@ where
     out
 }
 
-/// Map `f` over contiguous chunks of `items` (at most `chunk` elements
-/// each), fanning the chunks out across threads. Results are one `R` per
-/// chunk, in chunk order; `f` receives `(chunk_start_index, chunk)`.
-pub fn par_chunks<T, R, F>(items: &[T], chunk: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    let chunk = chunk.max(1);
-    let n_chunks = items.len().div_ceil(chunk);
-    par_map_n(n_chunks, |c| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(items.len());
-        f(lo, &items[lo..hi])
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,14 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_covers_every_item_once() {
-        let items: Vec<usize> = (0..1000).collect();
-        let sums = with_threads(3, || par_chunks(&items, 64, |_, c| c.iter().sum::<usize>()));
-        assert_eq!(sums.len(), 1000usize.div_ceil(64));
-        assert_eq!(sums.iter().sum::<usize>(), items.iter().sum::<usize>());
-    }
-
-    #[test]
     fn par_map_grid_groups_rows_in_order() {
         for threads in [1, 3, 8] {
             let got = with_threads(threads, || par_map_grid(4, 3, |r, c| 10 * r + c));
@@ -316,7 +290,6 @@ mod tests {
         assert_eq!(par_map_n(0, |i| i), Vec::<usize>::new());
         assert_eq!(par_map_n(1, |i| i + 5), vec![5]);
         assert_eq!(par_map(&[] as &[u8], |_, &b| b), Vec::<u8>::new());
-        assert_eq!(par_chunks(&[] as &[u8], 8, |_, c| c.len()), Vec::<usize>::new());
     }
 
     #[test]

@@ -267,12 +267,6 @@ impl ClusterRun {
     pub fn detection_of(&self, node: NodeId) -> Option<&Detection> {
         self.detections.iter().find(|d| d.node == node)
     }
-
-    /// True when `node` was declared failed during the run but had
-    /// cleared the declaration (a heartbeat got through) by its end.
-    pub fn is_recovered(&self, node: NodeId) -> bool {
-        self.detection_of(node).is_some() && !self.failed_final.contains(&node)
-    }
 }
 
 /// End of the run on the replay clock.

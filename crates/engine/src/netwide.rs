@@ -45,10 +45,6 @@ impl NetworkRun {
         self.per_node.iter().map(|s| s.mem_peak).max().unwrap_or(0)
     }
 
-    pub fn total_cpu(&self) -> u64 {
-        self.per_node.iter().map(|s| s.cpu_cycles).sum()
-    }
-
     /// Assemble a run from per-node stats in node order (alerts are their
     /// union) and publish its load profile under `mode`.
     pub(crate) fn collect(mode: &str, per_node: Vec<RunStats>) -> Self {

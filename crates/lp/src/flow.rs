@@ -52,14 +52,6 @@ impl MinCostFlow {
         self.graph.len() - 1
     }
 
-    pub fn add_nodes(&mut self, n: usize) -> std::ops::Range<usize> {
-        let start = self.graph.len();
-        for _ in 0..n {
-            self.graph.push(Vec::new());
-        }
-        start..self.graph.len()
-    }
-
     /// Add a directed arc `u → v` with capacity `cap ≥ 0` and per-unit cost.
     pub fn add_arc(&mut self, u: usize, v: usize, cap: i64, cost: f64) -> ArcId {
         assert!(cap >= 0, "negative capacity");

@@ -7,9 +7,10 @@
 //!
 //! - [`model::Problem`]: a sparse column-wise LP/MIP builder;
 //! - [`simplex`]: a bounded-variable two-phase revised simplex with two
-//!   basis backends — a dense explicit inverse for small/medium problems
-//!   and a sparse product-form inverse (eta file + permutation) for the
-//!   large, highly structured NIPS relaxations;
+//!   basis backends. Every LP runs on the sparse product-form inverse
+//!   (eta file + permutation) by default; the dense explicit inverse runs
+//!   only when a caller opts in via [`SolverOpts::dense_row_limit`], and
+//!   serves as the oracle the sparse backend is cross-checked against;
 //! - [`rowgen`]: lazy-constraint (row generation) wrapper for formulations
 //!   whose row set is huge but mostly slack at the optimum (the GUB/VUB
 //!   rows of the NIPS relaxation);
@@ -19,8 +20,6 @@
 //!   requirements are proportional (the paper's evaluation setting);
 //! - [`milp`]: branch-and-bound over the simplex, used on small instances
 //!   to compare randomized rounding against the true integer optimum;
-//! - [`presolve`]: opt-in problem reductions (fixed variables, empty and
-//!   singleton rows) with reversible solution mapping;
 //! - [`check`]: independent KKT verification, the test oracle certifying
 //!   optimality of simplex output without sharing its code path.
 
@@ -28,7 +27,6 @@ pub mod check;
 pub mod flow;
 pub mod milp;
 pub mod model;
-pub mod presolve;
 pub mod rowgen;
 pub mod simplex;
 pub mod solution;

@@ -155,16 +155,6 @@ impl Problem {
         self.vars[v.0].ub = ub;
     }
 
-    /// Change a variable's objective coefficient.
-    pub fn set_obj(&mut self, v: VarId, obj: f64) {
-        self.vars[v.0].obj = obj;
-    }
-
-    /// Change a constraint's right-hand side.
-    pub fn set_rhs(&mut self, c: ConId, rhs: f64) {
-        self.cons[c.0].rhs = rhs;
-    }
-
     pub fn num_vars(&self) -> usize {
         self.vars.len()
     }

@@ -64,25 +64,6 @@ impl MatchRates {
         self.n_paths
     }
 
-    /// Elementwise mean of many scenarios (used by online adaptation to
-    /// average observed history).
-    pub fn mean_of(scenarios: &[MatchRates]) -> MatchRates {
-        assert!(!scenarios.is_empty());
-        let (nr, np) = (scenarios[0].n_rules, scenarios[0].n_paths);
-        let mut rates = vec![0.0; nr * np];
-        for s in scenarios {
-            assert_eq!(s.n_rules, nr);
-            assert_eq!(s.n_paths, np);
-            for (acc, &r) in rates.iter_mut().zip(&s.rates) {
-                *acc += r;
-            }
-        }
-        for r in rates.iter_mut() {
-            *r /= scenarios.len() as f64;
-        }
-        MatchRates { n_rules: nr, n_paths: np, rates }
-    }
-
     /// Fresh all-zero rates (builder for custom scenarios).
     pub fn zeros(n_rules: usize, n_paths: usize) -> Self {
         MatchRates { n_rules, n_paths, rates: vec![0.0; n_rules * n_paths] }
@@ -125,17 +106,5 @@ mod tests {
                 assert!((0.0..=1.0).contains(&m.rate(i, k)));
             }
         }
-    }
-
-    #[test]
-    fn mean_of_scenarios() {
-        let mut a = MatchRates::zeros(1, 2);
-        a.set_rate(0, 0, 0.2);
-        let mut b = MatchRates::zeros(1, 2);
-        b.set_rate(0, 0, 0.4);
-        b.set_rate(0, 1, 1.0);
-        let m = MatchRates::mean_of(&[a, b]);
-        assert!((m.rate(0, 0) - 0.3).abs() < 1e-12);
-        assert!((m.rate(0, 1) - 0.5).abs() < 1e-12);
     }
 }

@@ -112,11 +112,6 @@ impl TrafficProfile {
         ])
     }
 
-    /// Single-protocol profile (used to isolate a module, as in Fig 5).
-    pub fn only(app: AppProtocol) -> Self {
-        TrafficProfile::new(vec![(app, 1.0)])
-    }
-
     pub fn weight(&self, app: AppProtocol) -> f64 {
         self.weights.iter().find(|(a, _)| *a == app).map_or(0.0, |(_, w)| *w)
     }
@@ -162,14 +157,5 @@ mod tests {
             assert_eq!(AppProtocol::from_port(a.server_port()), Some(a));
         }
         assert_eq!(AppProtocol::from_port(4444), None);
-    }
-
-    #[test]
-    fn only_profile_is_degenerate() {
-        let p = TrafficProfile::only(AppProtocol::Irc);
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..50 {
-            assert_eq!(p.sample(&mut rng), AppProtocol::Irc);
-        }
     }
 }

@@ -38,10 +38,6 @@ impl SessionKind {
             SessionKind::Blaster => AppProtocol::Tftp,     // Blaster pulls itself via TFTP
         }
     }
-
-    pub fn is_malicious(&self) -> bool {
-        !matches!(self, SessionKind::Normal(_))
-    }
 }
 
 /// A compact session spec. `tuple` is oriented initiator → responder.
@@ -202,11 +198,6 @@ impl Session {
                 }
             }
         }
-    }
-
-    /// Total bytes without materializing packets.
-    pub fn byte_count(&self) -> usize {
-        self.packets().iter().map(|p| p.size as usize).sum()
     }
 }
 
