@@ -1,19 +1,25 @@
 //! `repro resilience` — coverage under node failure vs. detection delay.
 //!
 //! For every single-node crash on Internet2 and a sweep of heartbeat
-//! detection windows, run the detect → greedy-repair pipeline
-//! ([`nwdp_core::resilience::simulate_node_failure`]) and account for the
-//! exact traffic-weighted coverage over the replay: the gap while the
-//! crash is undetected, the residual gap after repair (the crashed node's
-//! own ingress/egress units), and the integrated coverage-time lost. The
-//! CSV shows the paper-style trade-off: detection delay buys blindness
+//! detection windows, compile the crash into the manifest timeline the
+//! resilient replay executes ([`nwdp_engine::plan_manifest_epochs`]: one
+//! epoch before detection, one greedy-repaired epoch after) and take the
+//! exact traffic-weighted coverage step function of that timeline
+//! ([`nwdp_engine::coverage_timeline`]): the gap while the crash is
+//! undetected, the residual gap after repair (the crashed node's own
+//! ingress/egress units), and the integrated coverage-time lost. The CSV
+//! shows the paper-style trade-off: detection delay buys blindness
 //! linearly, repair caps the damage at the unrecoverable share.
 
 use crate::output::{f2, f3, f4, Table};
 use crate::scenario::{default_caps, NidsContext, Scale};
 use nwdp_core::nids::NidsLpConfig;
-use nwdp_core::resilience::{simulate_node_failure, HealthConfig};
+use nwdp_core::resilience::{greedy_repair, FailureSchedule, HealthConfig};
+use nwdp_engine::{coverage_timeline, plan_manifest_epochs, ResilienceConfig};
 use nwdp_topo::NodeId;
+
+/// Replay fraction at which every swept crash strikes.
+const FAIL_AT: f64 = 0.25;
 
 /// One (detection window, crashed node) measurement.
 #[derive(Debug, Clone)]
@@ -44,7 +50,6 @@ pub fn run(scale: Scale) -> Vec<ResiliencePoint> {
     let dep = ctx.deployment(9);
     let (_assignment, manifest) = ctx.manifests(&dep);
     let cfg = NidsLpConfig::homogeneous(dep.num_nodes, default_caps());
-    let fail_at = 0.25;
     let windows: &[f64] = match scale {
         Scale::Quick => &[0.01, 0.05, 0.2],
         Scale::Full => &[0.005, 0.01, 0.02, 0.05, 0.1, 0.2],
@@ -52,29 +57,32 @@ pub fn run(scale: Scale) -> Vec<ResiliencePoint> {
     let mut points = Vec::new();
     for &w in windows {
         // Two missed beats of interval w/2 = a worst-case window of w.
-        let health = HealthConfig { heartbeat_interval: w / 2.0, miss_threshold: 2, phase: 0.0 };
+        let health = HealthConfig { heartbeat_interval: w / 2.0, miss_threshold: 2 };
         for j in 0..dep.num_nodes {
-            let report =
-                simulate_node_failure(&dep, &manifest, &cfg.caps, NodeId(j), fail_at, &health);
-            // Sample the coverage step function at its breakpoints: the
-            // run's start, the failure, the repair, and the end of replay.
-            let tl = &report.timeline;
-            let mut breaks = vec![0.0, tl.fail_at, tl.repaired_at, 1.0];
-            breaks.sort_by(f64::total_cmp);
-            breaks.dedup();
-            breaks.retain(|&t| (0.0..=1.0).contains(&t));
-            let coverage: Vec<(f64, f64)> =
-                breaks.iter().map(|&t| (t, tl.coverage_at(t))).collect();
+            let node = NodeId(j);
+            let schedule = FailureSchedule::single_crash(node, FAIL_AT);
+            let res = ResilienceConfig { caps: &cfg.caps, schedule: &schedule, health };
+            let epochs = plan_manifest_epochs(&dep, &manifest, &res);
+            // Breakpoints: the run's start, the crash, the repair; the
+            // last level holds to the end of the replay.
+            let mut coverage = coverage_timeline(&dep, &res, &epochs);
+            let at_crash = coverage.iter().find(|&&(t, _)| t == FAIL_AT).expect("crash breakpoint");
+            let blind_gap = 1.0 - at_crash.1;
+            let last = coverage.last().expect("timeline starts at 0").1;
+            coverage.push((1.0, last));
+            let lost_coverage_time =
+                coverage.windows(2).map(|w| (w[1].0 - w[0].0) * (1.0 - w[0].1)).sum();
+            let repair = greedy_repair(&dep, &manifest, &cfg.caps, &[node]);
             points.push(ResiliencePoint {
                 detection_window: w,
                 node: j,
                 coverage,
-                blind_gap: report.timeline.blind_gap,
-                residual_gap: report.timeline.residual_gap,
-                lost_coverage_time: report.timeline.lost_coverage_time(1.0),
-                moved_measure: report.repair.moved_measure,
-                load_after: report.repair.max_load_after,
-                load_bound: report.repair.load_bound,
+                blind_gap,
+                residual_gap: 1.0 - last,
+                lost_coverage_time,
+                moved_measure: repair.moved_measure,
+                load_after: repair.max_load_after,
+                load_bound: repair.load_bound,
             });
         }
     }
@@ -155,10 +163,39 @@ mod tests {
     fn sweep_is_monotone_in_detection_window() {
         let pts = run(Scale::Quick);
         assert_eq!(pts.len(), 3 * 11, "3 windows x 11 Internet2 nodes");
+        let ctx = NidsContext::internet2();
+        let dep = ctx.deployment(9);
+        let (_assignment, manifest) = ctx.manifests(&dep);
+        let caps = NidsLpConfig::homogeneous(dep.num_nodes, default_caps()).caps;
+        let unrecoverable: Vec<f64> = (0..dep.num_nodes)
+            .map(|j| {
+                greedy_repair(&dep, &manifest, &caps, &[NodeId(j)]).unrecoverable_traffic_fraction
+            })
+            .collect();
         for p in &pts {
             assert!(p.blind_gap > 0.0 && p.blind_gap < 1.0);
             assert!(p.residual_gap <= p.blind_gap + 1e-12);
             assert!(p.load_after <= p.load_bound + 1e-9);
+            // The residual gap is exactly the unrecoverable traffic
+            // fraction (the crashed node's ingress/egress units).
+            assert!(
+                (p.residual_gap - unrecoverable[p.node]).abs() < 1e-9,
+                "residual {} vs unrecoverable {}",
+                p.residual_gap,
+                unrecoverable[p.node]
+            );
+            // The repair lands on the detection grid, and the lost
+            // coverage-time integrates the two steps in closed form.
+            let health =
+                HealthConfig { heartbeat_interval: p.detection_window / 2.0, miss_threshold: 2 };
+            let repair_at = p.coverage[2].0;
+            assert!((repair_at - health.detect_at(FAIL_AT)).abs() < 1e-12);
+            let closed = (repair_at - FAIL_AT) * p.blind_gap + (1.0 - repair_at) * p.residual_gap;
+            assert!(
+                (p.lost_coverage_time - closed).abs() < 1e-12,
+                "lost {} vs closed form {closed}",
+                p.lost_coverage_time
+            );
         }
         // Longer detection windows can only lose more coverage-time for
         // the same crash.
@@ -180,7 +217,7 @@ mod tests {
             // with fail for an instant detector, never with the ends.
             assert!(p.coverage.len() >= 3 && p.coverage.len() <= 4, "{:?}", p.coverage);
             assert_eq!(p.coverage.first().unwrap(), &(0.0, 1.0), "full coverage before crash");
-            let blind = p.coverage.iter().find(|(t, _)| *t == 0.25).expect("crash breakpoint");
+            let blind = p.coverage.iter().find(|(t, _)| *t == FAIL_AT).expect("crash breakpoint");
             assert!((blind.1 - (1.0 - p.blind_gap)).abs() < 1e-12);
             let end = p.coverage.last().unwrap();
             assert_eq!(end.0, 1.0);

@@ -1,6 +1,7 @@
 //! End-to-end checks on the artifacts `repro` writes: the metrics and
 //! trace sidecars, the run report, and the CSV / JSONL outputs of the
-//! `warm`, `throughput`, `reload`, `cluster` and `alerts` experiments.
+//! `warm`, `throughput`, `reload`, `resilience`, `cluster` and `alerts`
+//! experiments.
 //!
 //! Every test runs the binary as its own process in its own directory,
 //! so each run records into its own process-default `nwdp-obs` recorder. What an experiment's `run` already asserts in-process (the
@@ -239,6 +240,25 @@ fn reload_counters_and_coverage_series_are_emitted() {
         num(r, "swapped") + num(r, "rejected") + counter(&m, "reload.solve_failed"),
         "every re-solve ends in a swap, a rejection or a failed solve"
     );
+}
+
+#[test]
+fn resilience_sweep_runs_the_epoch_planner() {
+    let dir = workdir("resilience");
+    repro(&dir, &[], "resilience --quick --out res --metrics-out res/metrics.json");
+    let out = dir.join("res");
+    assert_eq!(read_csv(&out.join("resilience_crash_sweep.csv")).len(), 33, "3 windows x 11 nodes");
+    assert_eq!(read_csv(&out.join("resilience_detection_tradeoff.csv")).len(), 3);
+    assert_eq!(
+        read_csv(&out.join("resilience_coverage_timeseries.csv")).len(),
+        132,
+        "start, crash, repair and end of replay per crash"
+    );
+
+    let m = json(&out.join("metrics.json"));
+    assert_eq!(counter(&m, "resilience.repairs"), 33.0, "one repair per crash");
+    assert_eq!(counter(&m, "resilience.epochs"), 66.0, "a blind and a repaired epoch per crash");
+    assert!(series_len(&out.join("timeseries.csv"), "resilience.coverage") > 0);
 }
 
 #[test]

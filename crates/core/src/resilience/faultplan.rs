@@ -7,15 +7,7 @@
 //! time windows, and hard node crashes. The plan is pure data — the
 //! engine's transport consumes it with its own seeded RNG, so the same
 //! plan + seed reproduces the same delivery schedule bit for bit.
-//!
-//! [`FaultPlan::from_schedule`] bridges the PR 4 scenario machinery: a
-//! seeded [`FailureSchedule`] of crash/partition events becomes the
-//! crash/partition part of a plan, layered under whatever link-level loss
-//! and delay the caller configures. `CapacityDegraded` events have no
-//! network-level meaning and are ignored by the bridge (capacity is the
-//! `degrade` module's concern, not the transport's).
 
-use crate::resilience::scenario::{FailureKind, FailureSchedule};
 use nwdp_topo::NodeId;
 
 /// Loss and delay of one (directed or undirected) link. Delay bounds are
@@ -96,24 +88,6 @@ impl FaultPlan {
         FaultPlan { link: LinkFault::lossy(drop_p, delay_min, delay_max), ..FaultPlan::clean(seed) }
     }
 
-    /// Bridge from a PR 4 [`FailureSchedule`]: crash events become hard
-    /// crashes, partition events become single-node partition windows,
-    /// and capacity-degradation events are dropped (no network meaning).
-    /// `link` supplies the loss/delay layer the schedule never modelled.
-    pub fn from_schedule(schedule: &FailureSchedule, link: LinkFault, seed: u64) -> Self {
-        let mut plan = FaultPlan { link, ..FaultPlan::clean(seed) };
-        for ev in &schedule.events {
-            match ev.kind {
-                FailureKind::Crash => plan.crashes.push((ev.node, ev.at)),
-                FailureKind::Partition { until } => {
-                    plan.partitions.push(Partition { nodes: vec![ev.node], from: ev.at, until })
-                }
-                FailureKind::CapacityDegraded { .. } => {}
-            }
-        }
-        plan
-    }
-
     /// Effective link fault for messages to/from `node`.
     pub fn link(&self, node: NodeId) -> LinkFault {
         self.overrides.iter().find(|(n, _)| *n == node).map(|(_, l)| *l).unwrap_or(self.link)
@@ -134,24 +108,11 @@ impl FaultPlan {
     pub fn cut(&self, node: NodeId, now: f64) -> bool {
         self.node_dead(node, now) || self.partitioned(node, now)
     }
-
-    /// Nodes the plan ever crashes or partitions — the ground-truth
-    /// blind set for coverage floors.
-    pub fn disturbed_nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self.crashes.iter().map(|&(n, _)| n).collect();
-        for p in &self.partitions {
-            nodes.extend(p.nodes.iter().copied());
-        }
-        nodes.sort_by_key(|n| n.index());
-        nodes.dedup();
-        nodes
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resilience::scenario::FailureScenario;
 
     #[test]
     fn cut_tracks_crashes_and_partition_windows() {
@@ -169,7 +130,6 @@ mod tests {
         assert!(!plan.cut(NodeId(7), 0.75), "partition heals at `until`");
 
         assert!(!plan.cut(NodeId(1), 0.6));
-        assert_eq!(plan.disturbed_nodes(), vec![NodeId(3), NodeId(7)]);
     }
 
     #[test]
@@ -182,34 +142,5 @@ mod tests {
         let l = LinkFault::lossy(1.5, 0.01, 0.001);
         assert!(l.drop_p < 1.0);
         assert!(l.delay_max >= l.delay_min);
-    }
-
-    #[test]
-    fn schedule_bridge_maps_crash_and_partition_and_drops_capacity() {
-        let schedule = FailureSchedule {
-            events: vec![
-                FailureScenario { node: NodeId(1), at: 0.2, kind: FailureKind::Crash },
-                FailureScenario {
-                    node: NodeId(4),
-                    at: 0.3,
-                    kind: FailureKind::Partition { until: 0.6 },
-                },
-                FailureScenario {
-                    node: NodeId(5),
-                    at: 0.4,
-                    kind: FailureKind::CapacityDegraded { factor: 0.5 },
-                },
-            ],
-        };
-        let plan = FaultPlan::from_schedule(&schedule, LinkFault::lossy(0.05, 0.001, 0.002), 42);
-        assert_eq!(plan.crashes, vec![(NodeId(1), 0.2)]);
-        assert_eq!(
-            plan.partitions,
-            vec![Partition { nodes: vec![NodeId(4)], from: 0.3, until: 0.6 }]
-        );
-        // Capacity degradation has no transport meaning.
-        assert_eq!(plan.disturbed_nodes(), vec![NodeId(1), NodeId(4)]);
-        assert!((plan.link(NodeId(5)).drop_p - 0.05).abs() < 1e-12);
-        assert_eq!(plan.seed, 42);
     }
 }

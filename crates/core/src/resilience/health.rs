@@ -1,12 +1,12 @@
-//! Heartbeat-based failure detection and detection-window accounting.
+//! Heartbeat-based failure detection.
 //!
-//! Two detection models live here, mirroring the repo's evolution:
+//! Two detection models live here:
 //!
 //! - [`HealthConfig::detect_at`] — the closed-form *grid prediction*:
 //!   given a failure instant, where on the beat grid the controller
-//!   *would* notice it. Pure arithmetic, used by the single-process
-//!   resilience harness and as the reference the distributed cluster is
-//!   measured against.
+//!   *would* notice it. Pure arithmetic, used by the engine's epoch
+//!   planner (`plan_manifest_epochs`) and as the reference the
+//!   distributed cluster is measured against.
 //! - [`HeartbeatMonitor`] — the *message-event* model: the controller
 //!   feeds it actual heartbeat **arrivals** (which a lossy transport may
 //!   have dropped, delayed, or reordered) and sweeps it on the beat grid;
@@ -16,25 +16,22 @@
 //!
 //! Between the failure instant and the detection instant the network is
 //! **blind** on the failed node's hash ranges — no survivor knows to pick
-//! them up. The timeline type turns (failure time, detection delay,
-//! repair quality) into exact coverage-over-time accounting for the
-//! `repro resilience` harness.
+//! them up.
 //!
 //! All times are replay fractions, matching the scenario clock.
 
 use nwdp_topo::NodeId;
 
-/// Why a [`HealthConfig`] is unusable. Env/config-driven values reach the
-/// controller through [`HealthConfig::validate`], so a typo'd knob is a
-/// typed error to report, never a panic inside `detect_at`.
+/// Why a [`HealthConfig`] is unusable. The cluster controller and the
+/// heartbeat monitor check their config with [`HealthConfig::validate`],
+/// so a bad value is a typed error to report, never a panic inside
+/// `detect_at`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum HealthConfigError {
     /// `heartbeat_interval` must be positive (and finite).
     NonPositiveInterval(f64),
     /// `miss_threshold == 0` would declare every node dead instantly.
     ZeroMissThreshold,
-    /// `phase` must lie in `[0, 1)` — it is a fraction of one interval.
-    PhaseOutOfRange(f64),
 }
 
 impl std::fmt::Display for HealthConfigError {
@@ -46,46 +43,29 @@ impl std::fmt::Display for HealthConfigError {
             HealthConfigError::ZeroMissThreshold => {
                 write!(f, "miss_threshold == 0: at least one missed beat is needed to detect")
             }
-            HealthConfigError::PhaseOutOfRange(p) => {
-                write!(f, "phase {p} outside [0, 1): the beat grid offset is an interval fraction")
-            }
         }
     }
 }
 
 impl std::error::Error for HealthConfigError {}
 
-/// Heartbeat/health-check configuration. All times are replay fractions.
+/// Heartbeat/health-check configuration. All times are replay fractions;
+/// beats fire at `k · heartbeat_interval` for `k = 1, 2, …`.
 #[derive(Debug, Clone, Copy)]
 pub struct HealthConfig {
     /// Spacing of heartbeats.
     pub heartbeat_interval: f64,
     /// Consecutive missed beats before the node is declared failed.
     pub miss_threshold: u32,
-    /// Offset of the beat grid within `[0, 1)` of an interval (beats fire
-    /// at `(k + phase) · heartbeat_interval`).
-    pub phase: f64,
 }
 
 impl Default for HealthConfig {
     fn default() -> Self {
-        HealthConfig { heartbeat_interval: 0.02, miss_threshold: 2, phase: 0.0 }
+        HealthConfig { heartbeat_interval: 0.02, miss_threshold: 2 }
     }
 }
 
 impl HealthConfig {
-    /// Build a validated config; the typed error names the offending
-    /// field, so env-driven values surface as diagnostics, not panics.
-    pub fn validated(
-        heartbeat_interval: f64,
-        miss_threshold: u32,
-        phase: f64,
-    ) -> Result<Self, HealthConfigError> {
-        let cfg = HealthConfig { heartbeat_interval, miss_threshold, phase };
-        cfg.validate()?;
-        Ok(cfg)
-    }
-
     /// Check the config without consuming it. [`detect_at`] and the
     /// monitor assume a validated config; controllers call this once at
     /// construction and propagate the error.
@@ -97,9 +77,6 @@ impl HealthConfig {
         }
         if self.miss_threshold == 0 {
             return Err(HealthConfigError::ZeroMissThreshold);
-        }
-        if !(0.0..1.0).contains(&self.phase) {
-            return Err(HealthConfigError::PhaseOutOfRange(self.phase));
         }
         Ok(())
     }
@@ -113,7 +90,7 @@ impl HealthConfig {
     /// than panicking (callers gate at construction).
     pub fn detect_at(&self, fail_at: f64) -> f64 {
         let i = self.heartbeat_interval;
-        let first_missed = ((fail_at - self.phase * i) / i).ceil() * i + self.phase * i;
+        let first_missed = (fail_at / i).ceil() * i;
         first_missed + self.miss_threshold.saturating_sub(1) as f64 * i
     }
 
@@ -216,55 +193,13 @@ impl HeartbeatMonitor {
     }
 }
 
-/// Coverage-over-time accounting for one failure.
-#[derive(Debug, Clone, Copy)]
-pub struct FailureTimeline {
-    /// Failure instant (replay fraction).
-    pub fail_at: f64,
-    /// Instant the health check fires.
-    pub detected_at: f64,
-    /// Instant the repaired manifest takes effect. The greedy fast path
-    /// is pure range arithmetic, so this equals `detected_at` on the
-    /// replay clock; its wall-clock cost is exported separately as
-    /// `resilience.repair_ns`.
-    pub repaired_at: f64,
-    /// Traffic-weighted coverage gap while blind (= the failed node's
-    /// manifest share of observed traffic).
-    pub blind_gap: f64,
-    /// Gap remaining after repair (unrecoverable units).
-    pub residual_gap: f64,
-}
-
-impl FailureTimeline {
-    /// Traffic-weighted coverage fraction at replay fraction `t`.
-    pub fn coverage_at(&self, t: f64) -> f64 {
-        if t < self.fail_at {
-            1.0
-        } else if t < self.repaired_at {
-            1.0 - self.blind_gap
-        } else {
-            1.0 - self.residual_gap
-        }
-    }
-
-    /// Integral of the coverage *deficit* `1 - coverage(t)` over
-    /// `[0, horizon]`: the total traffic-fraction·time lost to the
-    /// failure. The paper-style summary number for a resilience run.
-    pub fn lost_coverage_time(&self, horizon: f64) -> f64 {
-        let blind_end = self.repaired_at.min(horizon);
-        let blind = (blind_end - self.fail_at).max(0.0) * self.blind_gap;
-        let residual = (horizon - self.repaired_at).max(0.0) * self.residual_gap;
-        blind + residual
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn detection_grid_arithmetic() {
-        let h = HealthConfig { heartbeat_interval: 0.1, miss_threshold: 3, phase: 0.0 };
+        let h = HealthConfig { heartbeat_interval: 0.1, miss_threshold: 3 };
         // Failure right on a beat: that beat is missed.
         assert!((h.detect_at(0.2) - 0.4).abs() < 1e-12);
         // Failure just after a beat waits almost a full extra interval.
@@ -280,54 +215,35 @@ mod tests {
     }
 
     #[test]
-    fn phase_shifts_the_grid() {
-        let h = HealthConfig { heartbeat_interval: 0.1, miss_threshold: 1, phase: 0.5 };
-        // Beats at 0.05, 0.15, ... — a failure at 0.1 is caught at 0.15.
-        assert!((h.detect_at(0.1) - 0.15).abs() < 1e-12);
-    }
-
-    #[test]
     fn validation_rejects_non_positive_interval() {
         for bad in [0.0, -0.5, f64::NAN, f64::INFINITY] {
-            let err = HealthConfig::validated(bad, 2, 0.0).unwrap_err();
+            let err =
+                HealthConfig { heartbeat_interval: bad, miss_threshold: 2 }.validate().unwrap_err();
             assert!(
                 matches!(err, HealthConfigError::NonPositiveInterval(_)),
                 "interval {bad} gave {err:?}"
             );
         }
-        // Display names the field so env diagnostics read well.
-        let err = HealthConfig::validated(-1.0, 2, 0.0).unwrap_err();
+        // Display names the field so diagnostics read well.
+        let err =
+            HealthConfig { heartbeat_interval: -1.0, miss_threshold: 2 }.validate().unwrap_err();
         assert_eq!(err, HealthConfigError::NonPositiveInterval(-1.0));
         assert!(format!("{err}").contains("non-positive interval"));
     }
 
     #[test]
     fn validation_rejects_zero_miss_threshold() {
-        let err = HealthConfig::validated(0.02, 0, 0.0).unwrap_err();
+        let err =
+            HealthConfig { heartbeat_interval: 0.02, miss_threshold: 0 }.validate().unwrap_err();
         assert_eq!(err, HealthConfigError::ZeroMissThreshold);
         assert!(format!("{err}").contains("miss_threshold == 0"));
-    }
-
-    #[test]
-    fn validation_rejects_phase_outside_unit_interval() {
-        for bad in [-0.1, 1.0, 2.5, f64::NAN] {
-            let err = HealthConfig::validated(0.02, 2, bad).unwrap_err();
-            assert!(
-                matches!(err, HealthConfigError::PhaseOutOfRange(_)),
-                "phase {bad} gave {err:?}"
-            );
-        }
-        let err = HealthConfig::validated(0.02, 2, 1.5).unwrap_err();
-        assert!(format!("{err}").contains("[0, 1)"));
-        // The boundary cases that are fine.
-        assert!(HealthConfig::validated(0.02, 2, 0.0).is_ok());
-        assert!(HealthConfig::validated(0.02, 1, 0.999).is_ok());
+        assert!(HealthConfig { heartbeat_interval: 0.02, miss_threshold: 1 }.validate().is_ok());
         assert!(HealthConfig::default().validate().is_ok());
     }
 
     #[test]
     fn monitor_keeps_beating_nodes_alive() {
-        let cfg = HealthConfig { heartbeat_interval: 0.1, miss_threshold: 2, phase: 0.0 };
+        let cfg = HealthConfig { heartbeat_interval: 0.1, miss_threshold: 2 };
         let mut m = HeartbeatMonitor::new(cfg, 3, 0.01, 0.0).unwrap();
         // Beats arrive slightly late (transport delay) but within grace.
         for k in 1..=8 {
@@ -342,7 +258,7 @@ mod tests {
 
     #[test]
     fn monitor_declares_silent_node_within_deadline() {
-        let cfg = HealthConfig { heartbeat_interval: 0.1, miss_threshold: 2, phase: 0.0 };
+        let cfg = HealthConfig { heartbeat_interval: 0.1, miss_threshold: 2 };
         let mut m = HeartbeatMonitor::new(cfg, 2, 0.0, 0.0).unwrap();
         // Node 0 beats until 0.3 then goes silent; node 1 keeps beating.
         for k in 1..=3 {
@@ -372,7 +288,7 @@ mod tests {
 
     #[test]
     fn monitor_recovery_clears_the_declaration() {
-        let cfg = HealthConfig { heartbeat_interval: 0.1, miss_threshold: 1, phase: 0.0 };
+        let cfg = HealthConfig { heartbeat_interval: 0.1, miss_threshold: 1 };
         let mut m = HeartbeatMonitor::new(cfg, 1, 0.0, 0.0).unwrap();
         assert_eq!(m.sweep(0.2), vec![NodeId(0)]);
         // The late heartbeat reports the recovery exactly once.
@@ -391,23 +307,5 @@ mod tests {
             HeartbeatMonitor::new(cfg, 4, 0.0, 0.0),
             Err(HealthConfigError::NonPositiveInterval(_))
         ));
-    }
-
-    #[test]
-    fn timeline_integrates_exactly() {
-        let tl = FailureTimeline {
-            fail_at: 0.2,
-            detected_at: 0.3,
-            repaired_at: 0.3,
-            blind_gap: 0.4,
-            residual_gap: 0.05,
-        };
-        assert_eq!(tl.coverage_at(0.0), 1.0);
-        assert!((tl.coverage_at(0.25) - 0.6).abs() < 1e-12);
-        assert!((tl.coverage_at(0.9) - 0.95).abs() < 1e-12);
-        // 0.1 blind at gap 0.4 + 0.7 residual at 0.05.
-        assert!((tl.lost_coverage_time(1.0) - (0.1 * 0.4 + 0.7 * 0.05)).abs() < 1e-12);
-        // Horizon before repair clips the residual term.
-        assert!((tl.lost_coverage_time(0.25) - 0.05 * 0.4).abs() < 1e-12);
     }
 }

@@ -58,11 +58,6 @@ pub struct FailureSchedule {
 }
 
 impl FailureSchedule {
-    /// No failures.
-    pub fn none() -> Self {
-        FailureSchedule { events: Vec::new() }
-    }
-
     /// A single permanent crash.
     pub fn single_crash(node: NodeId, at: f64) -> Self {
         FailureSchedule { events: vec![FailureScenario { node, at, kind: FailureKind::Crash }] }
@@ -112,11 +107,6 @@ impl FailureSchedule {
             })
             .fold(1.0, f64::min)
     }
-
-    /// The earliest event time, if any.
-    pub fn first_at(&self) -> Option<f64> {
-        self.events.iter().map(|e| e.at).min_by(f64::total_cmp)
-    }
 }
 
 #[cfg(test)]
@@ -163,6 +153,5 @@ mod tests {
         assert_eq!(sched.capacity_factor(NodeId(3), 0.05), 1.0);
         assert_eq!(sched.capacity_factor(NodeId(3), 0.5), 0.5);
         assert_eq!(sched.capacity_factor(NodeId(1), 0.5), 1.0);
-        assert_eq!(sched.first_at(), Some(0.1));
     }
 }

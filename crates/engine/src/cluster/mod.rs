@@ -1,8 +1,9 @@
 //! # Distributed control plane: message-passing nodes over a faulty
 //! transport
 //!
-//! Everything before this module noticed failures by *arithmetic*
-//! (`health::detect_at`'s closed-form grid). Here the cluster is real —
+//! The resilient replay's epoch planner (`plan_manifest_epochs`) notices
+//! failures by *arithmetic* (`HealthConfig::detect_at`'s closed-form
+//! grid). Here the cluster is real —
 //! in-process, but message-passing: each node is an actor with a typed
 //! mailbox ([`NodeActor`]), a controller actor pushes epoch-numbered
 //! manifest updates and collects heartbeats, and a [`FaultPlan`]-driven
@@ -28,12 +29,13 @@
 //! ## Degradation semantics
 //!
 //! A partitioned minority cannot receive pushes, so it keeps serving its
-//! **last validated manifest** — stale but safe, and exactly the blind
-//! window `FailureTimeline` accounts: the ground-truth coverage timeline
-//! in [`ClusterRun::coverage`] counts a partitioned node's ranges as
-//! unobserved while it is cut, and its manifest as stale-but-fenced when
-//! it heals (the controller re-pushes on the first heartbeat back, and
-//! the node's epoch fence makes the catch-up idempotent).
+//! **last validated manifest** — stale but safe. The ground-truth
+//! coverage timeline in [`ClusterRun::coverage`] counts a partitioned
+//! node's ranges as unobserved while it is cut (the blind window that
+//! `coverage_timeline` accounts for in the resilient replay), and its
+//! manifest as stale-but-fenced when it heals (the controller re-pushes
+//! on the first heartbeat back, and the node's epoch fence makes the
+//! catch-up idempotent).
 
 mod clock;
 mod controller;
@@ -357,11 +359,10 @@ pub fn run_cluster(
 
     let mut q = EventQueue::new();
     let i = cfg.health.heartbeat_interval;
-    let first_grid = if cfg.health.phase > 0.0 { cfg.health.phase * i } else { i };
     for j in 0..dep.num_nodes {
-        q.push(first_grid, Timer::NodeBeat { node: NodeId(j) });
+        q.push(i, Timer::NodeBeat { node: NodeId(j) });
     }
-    q.push(first_grid, Timer::HealthSweep);
+    q.push(i, Timer::HealthSweep);
     // Ground-truth sample points at every plan boundary, so the coverage
     // timeline cannot miss a blind window narrower than the beat grid.
     for &(_, at) in &plan.crashes {

@@ -377,10 +377,7 @@ pub fn coverage_timeline(
     breakpoints.retain(|&t| (0.0..1.0).contains(&t));
     let mut out = Vec::with_capacity(breakpoints.len());
     for &t in &breakpoints {
-        let mut blind: Vec<NodeId> =
-            cfg.schedule.events.iter().filter(|e| e.blind_at(t)).map(|e| e.node).collect();
-        blind.sort();
-        blind.dedup();
+        let blind = cfg.schedule.blind_nodes(t);
         let active = epochs.iter().rev().find(|ep| ep.from <= t);
         let gap = active.map_or(0.0, |ep| manifest_gap_fraction(dep, &ep.manifest, &blind));
         let covered = 1.0 - gap;

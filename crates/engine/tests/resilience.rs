@@ -62,13 +62,13 @@ fn scoped_to(alert: &Alert, node: NodeId) -> bool {
 
 /// Heartbeat config that detects a crash at `t = 0` immediately.
 fn instant_detection() -> HealthConfig {
-    HealthConfig { heartbeat_interval: 0.01, miss_threshold: 1, phase: 0.0 }
+    HealthConfig { heartbeat_interval: 0.01, miss_threshold: 1 }
 }
 
 /// Heartbeat config whose detection window never closes within the
 /// replay: a crash stays unrepaired for the whole run.
 fn never_detects() -> HealthConfig {
-    HealthConfig { heartbeat_interval: 10.0, miss_threshold: 2, phase: 0.0 }
+    HealthConfig { heartbeat_interval: 10.0, miss_threshold: 2 }
 }
 
 #[test]
@@ -257,8 +257,7 @@ fn detection_delay_costs_exactly_the_blind_window() {
     let instant = run_with(instant_detection());
     // Detection after half the replay: until then the original manifest
     // runs with `x` blind.
-    let delayed =
-        run_with(HealthConfig { heartbeat_interval: 0.25, miss_threshold: 3, phase: 0.0 });
+    let delayed = run_with(HealthConfig { heartbeat_interval: 0.25, miss_threshold: 3 });
 
     assert_eq!(delayed.epochs.len(), 2);
     assert!(delayed.epochs[0].failed.is_empty(), "blind window runs the original manifest");
@@ -272,7 +271,7 @@ fn detection_delay_costs_exactly_the_blind_window() {
     // The coverage time series reproduces the blind window exactly: the
     // original-manifest gap from the crash until detection at 0.5, the
     // repaired-manifest residual gap afterwards.
-    let health = HealthConfig { heartbeat_interval: 0.25, miss_threshold: 3, phase: 0.0 };
+    let health = HealthConfig { heartbeat_interval: 0.25, miss_threshold: 3 };
     let timeline = coverage_timeline(
         &dep,
         &ResilienceConfig { caps: &caps, schedule: &schedule, health },

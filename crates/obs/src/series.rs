@@ -6,8 +6,8 @@
 //! into a final number; a [`Series`] keeps the trajectory.
 //!
 //! The x-axis is whatever clock the caller passes — the resilience
-//! subsystem uses the replay-fraction clock (the same one
-//! `resilience::FailureTimeline` runs on), the online game uses the
+//! subsystem uses the replay-fraction clock (the one failure schedules
+//! and `coverage_timeline` run on), the online game uses the
 //! epoch index, the LP layer uses the re-solve index. Points are
 //! recorded in call order and exported as one long CSV
 //! (`series,t,value`), deterministic given deterministic callers.

@@ -64,10 +64,9 @@ pub mod prelude {
     };
     pub use nwdp_core::resilience::{
         covered_fraction, distance_weighted_values, greedy_repair, lp_repair,
-        manifest_gap_fraction, manifest_loads, shed_overload, simulate_node_failure,
-        DegradeOutcome, FailureKind, FailureReport, FailureScenario, FailureSchedule,
-        FailureTimeline, FaultPlan, HealthConfig, HealthConfigError, HeartbeatMonitor, LinkFault,
-        Partition, RepairOutcome,
+        manifest_gap_fraction, manifest_loads, shed_overload, DegradeOutcome, FailureKind,
+        FailureScenario, FailureSchedule, FaultPlan, HealthConfig, HealthConfigError,
+        HeartbeatMonitor, LinkFault, Partition, RepairOutcome,
     };
     pub use nwdp_core::{
         build_units, AnalysisClass, ClassScope, ClassSetError, NidsDeployment, UnitKey,
