@@ -27,12 +27,16 @@ done
 echo "== perfbench build + unit tests =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== warm-start equivalence (thread counts 1 and 4) =="
+echo "== warm-start equivalence and NIDS decomposition vs oracle (thread counts 1 and 4) =="
 # The warm-start layer must be objective-invariant regardless of the
 # parallel fan-out width; the test itself also flips thread counts
-# internally, so both env settings double-cover the contract.
+# internally, so both env settings double-cover the contract. The
+# Dantzig-Wolfe NIDS solve must match the simplex oracle's objective and
+# give bit-identical manifests at either width.
 NWDP_THREADS=1 cargo test -q --test warmstart_equivalence
 NWDP_THREADS=4 cargo test -q --test warmstart_equivalence
+NWDP_THREADS=1 cargo test -q --test nids_dw_oracle
+NWDP_THREADS=4 cargo test -q --test nids_dw_oracle
 
 echo "== resilience suites (thread counts 1 and 4) =="
 # Manifest repair and the resilient replay must be bit-identical under any

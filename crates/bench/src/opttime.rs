@@ -2,8 +2,9 @@
 //! claims: 0.42 s for the 50-node NIDS LP with CPLEX; ≈220 s for the
 //! 50-node NIPS rounding pipeline).
 //!
-//! Our solver is a from-scratch simplex, so absolute numbers differ; the
-//! claim that matters — reconfiguration is fast enough to rerun every few
+//! Our solvers are from scratch (the NIDS LP by Dantzig–Wolfe
+//! decomposition over our simplex), so absolute numbers differ; the claim
+//! that matters — reconfiguration is fast enough to rerun every few
 //! minutes — is what these measurements check.
 
 use crate::output::{f2, Table};
@@ -39,7 +40,13 @@ pub fn nids_lp_time(n: usize, seed: u64) -> OptTime {
         what: "NIDS LP (21 classes)".into(),
         nodes: n,
         seconds: secs,
-        detail: format!("{} units, {} simplex iterations", dep.units.len(), a.lp_iterations),
+        detail: format!(
+            "{} units, {} DW rounds, {} master simplex iterations, gap {:.1e}",
+            dep.units.len(),
+            a.dw_rounds,
+            a.lp_iterations,
+            a.gap
+        ),
     }
 }
 

@@ -5,9 +5,9 @@
 //! mid-run*: the first half of the trace follows the gravity traffic
 //! matrix the LP was provisioned against, the second half switches to a
 //! uniform mix. The [`nwdp_engine::ReloadController`] observes each
-//! epoch's per-pair counts, re-solves through the warm-start +
-//! dual-repair chain, and hot-swaps validated manifests into the live
-//! engines between epochs. One boundary is deliberately sabotaged
+//! epoch's per-pair counts, re-solves seeded with the previous solve's
+//! column pool, and hot-swaps validated manifests into the live engines
+//! between epochs. One boundary is deliberately sabotaged
 //! ([`Sabotage::AtEpoch`]) so every run also exercises the validation
 //! gate's rejection path: the corrupt candidate must be refused with the
 //! old manifest still serving.
@@ -37,7 +37,9 @@ pub struct ReloadBench {
     pub blend: f64,
     pub run: ReloadRun,
     pub wall_s: f64,
-    /// Warm-start hits / fallbacks across the run's re-solves.
+    /// Warm-start hits / fallbacks of the simplex across the run's
+    /// re-solves (each Dantzig–Wolfe round after the first restarts its
+    /// master LP from the previous round's basis).
     pub warm_hits: u64,
     pub warm_fallbacks: u64,
 }
@@ -150,6 +152,8 @@ fn outcome_label(o: &ReloadOutcome) -> (&'static str, String) {
 }
 
 /// Per-boundary CSV: what the controller decided at each epoch boundary.
+/// `lp_iters` counts the simplex iterations of the re-solve's
+/// Dantzig–Wolfe master LPs.
 pub fn table(b: &ReloadBench) -> Table {
     let mut t = Table::new(
         "Closed-loop reload decisions (Internet2, gravity -> uniform mix shift)",

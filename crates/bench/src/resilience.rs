@@ -54,11 +54,15 @@ pub fn run(scale: Scale) -> Vec<ResiliencePoint> {
         Scale::Quick => &[0.01, 0.05, 0.2],
         Scale::Full => &[0.005, 0.01, 0.02, 0.05, 0.1, 0.2],
     };
+    // The direct repair depends only on the crashed node, not the window.
+    let repairs: Vec<_> = (0..dep.num_nodes)
+        .map(|j| greedy_repair(&dep, &manifest, &cfg.caps, &[NodeId(j)]))
+        .collect();
     let mut points = Vec::new();
     for &w in windows {
         // Two missed beats of interval w/2 = a worst-case window of w.
         let health = HealthConfig { heartbeat_interval: w / 2.0, miss_threshold: 2 };
-        for j in 0..dep.num_nodes {
+        for (j, repair) in repairs.iter().enumerate() {
             let node = NodeId(j);
             let schedule = FailureSchedule::single_crash(node, FAIL_AT);
             let res = ResilienceConfig { caps: &cfg.caps, schedule: &schedule, health };
@@ -72,7 +76,6 @@ pub fn run(scale: Scale) -> Vec<ResiliencePoint> {
             coverage.push((1.0, last));
             let lost_coverage_time =
                 coverage.windows(2).map(|w| (w[1].0 - w[0].0) * (1.0 - w[0].1)).sum();
-            let repair = greedy_repair(&dep, &manifest, &cfg.caps, &[node]);
             points.push(ResiliencePoint {
                 detection_window: w,
                 node: j,

@@ -13,11 +13,12 @@
 //! 1e-9, and reports the wall-clock and simplex-iteration delta.
 
 use crate::output::{f2, Table};
-use nwdp_core::nids::{NidsLpConfig, NodeCaps};
+use nwdp_core::nids::{simplex_oracle, NidsLpConfig, NodeCaps};
 use nwdp_core::nips::{round_best_of, solve_relaxation, NipsInstance, RoundingOpts, Strategy};
 use nwdp_core::provision::nids_upgrade_plan;
 use nwdp_core::{build_units, AnalysisClass};
 use nwdp_lp::rowgen::RowGenOpts;
+use nwdp_lp::WarmStart;
 use nwdp_obs as obs;
 use nwdp_online::adversary::StochasticUniform;
 use nwdp_online::fpl::{run_fpl, FplConfig};
@@ -173,17 +174,19 @@ pub fn rounding_cold_vs_warm(iterations: usize, n_rules: usize, seed: u64) -> Wa
     }
 }
 
-/// NIDS what-if upgrade sweep (one LP re-solve per node): cold solves vs
-/// basis chained through the sweep.
+/// NIDS what-if upgrade sweep (one LP re-solve per node) on the
+/// [`simplex_oracle`]: cold solves vs the basis chained through the sweep.
 ///
-/// This used to be the fallback showcase: upgrading a node rescales that
-/// node's constraint coefficients, which perturbs the basic values far
-/// past primal feasibility, so validation rejected every warm basis. The
-/// dual simplex phase now repairs those bases in place (the old basis
-/// stays dual feasible under the rescaled columns), so the sweep is a
-/// genuine warm-start win; `warm_hits` / `warm_fallbacks` / `dual_pivots`
-/// report the repair economics, and the chained sweep must still match
-/// cold objectives exactly.
+/// Production solves the NIDS LP by decomposition (`nids_upgrade_plan`
+/// chains a column pool); this comparison keeps the one-piece simplex
+/// formulation because it is the dual-phase showcase. Upgrading a node
+/// rescales that node's constraint coefficients, which perturbs the basic
+/// values far past primal feasibility; the old basis stays dual feasible
+/// under the rescaled columns, and the dual simplex phase repairs it in
+/// place, so every step of the sweep is a warm-start hit.
+/// `warm_hits` / `warm_fallbacks` / `dual_pivots` report the repair
+/// economics, and the chained sweep must match cold objectives exactly,
+/// as must the production plan's baseline.
 pub fn provisioning_cold_vs_warm(factor: f64) -> WarmComparison {
     let t = internet2();
     let paths = PathDb::shortest_paths(&t);
@@ -191,42 +194,51 @@ pub fn provisioning_cold_vs_warm(factor: f64) -> WarmComparison {
     let vol = VolumeModel::internet2_baseline();
     let dep = build_units(&t, &paths, &tm, &vol, &AnalysisClass::standard_set());
     let cfg = NidsLpConfig::homogeneous(dep.num_nodes, NodeCaps { cpu: 2e8, mem: 4e9 });
-    // Cold comparator: per-node fresh solves, exactly what
-    // `nids_upgrade_plan` did before warm-start chaining.
-    let cold_plan = || {
-        use nwdp_core::nids::solve_nids_lp;
-        let base = solve_nids_lp(&dep, &cfg).expect("solves");
-        let mut best = (0usize, 0.0f64);
-        for j in 0..dep.num_nodes {
-            let mut c = cfg.clone();
-            c.caps[j].cpu *= factor;
-            c.caps[j].mem *= factor;
-            let up = solve_nids_lp(&dep, &c).expect("solves");
-            let g = (base.max_load - up.max_load).max(0.0);
-            if g > best.1 {
-                best = (j, g);
-            }
-        }
-        (base.max_load, best.1)
+    let upgraded = |j: usize| {
+        let mut c = cfg.clone();
+        c.caps[j].cpu *= factor;
+        c.caps[j].mem *= factor;
+        c
     };
-    let (cold, cold_secs, cold_iters) = measured(cold_plan);
+    let oracle = |c: &NidsLpConfig, warm: Option<&WarmStart>| {
+        let (a, basis, _) = simplex_oracle(&dep, c, &[], warm).expect("solves");
+        (a.max_load, basis)
+    };
+    // One sweep: the baseline, then each node upgraded in turn, with or
+    // without the basis chained. Returns (baseline, best gain).
+    let sweep = |chain: bool| {
+        let (base, mut basis) = oracle(&cfg, None);
+        let mut best = 0.0f64;
+        for j in 0..dep.num_nodes {
+            let warm = if chain { basis.as_ref() } else { None };
+            let (up, next) = oracle(&upgraded(j), warm);
+            basis = next;
+            best = best.max(base - up);
+        }
+        (base, best)
+    };
+    let (cold, cold_secs, cold_iters) = measured(|| sweep(false));
     let hits0 = counter_snapshot("simplex.warmstart_hits");
     let falls0 = counter_snapshot("simplex.warmstart_fallbacks");
     let duals0 = counter_snapshot("simplex.dual_pivots");
-    let (warm, warm_secs, warm_iters) =
-        measured(|| nids_upgrade_plan(&dep, &cfg, factor).expect("solves"));
+    let (warm, warm_secs, warm_iters) = measured(|| sweep(true));
     let hits = counter_snapshot("simplex.warmstart_hits") - hits0;
     let fallbacks = counter_snapshot("simplex.warmstart_fallbacks") - falls0;
     let dual_pivots = counter_snapshot("simplex.dual_pivots") - duals0;
-    let delta = (cold.0 - warm.base_max_load).abs();
+    let delta = (cold.0 - warm.0).abs().max((cold.1 - warm.1).abs());
     assert!(
         delta <= 1e-9 * (1.0 + cold.0.abs()),
-        "provisioning warm/cold baselines diverged: {} vs {}",
-        cold.0,
-        warm.base_max_load
+        "provisioning warm/cold sweeps diverged: {cold:?} vs {warm:?}"
+    );
+    let plan = nids_upgrade_plan(&dep, &cfg, factor).expect("solves");
+    let plan_best = plan.gain[plan.best_node];
+    assert!(
+        (plan.base_max_load - cold.0).abs().max((plan_best - cold.1).abs()) <= 1e-9 * cold.0,
+        "decomposition plan ({}, {plan_best}) vs simplex {cold:?}",
+        plan.base_max_load
     );
     WarmComparison {
-        what: format!("NIDS upgrade sweep ({} nodes)", dep.num_nodes),
+        what: format!("NIDS upgrade sweep ({} nodes, simplex oracle)", dep.num_nodes),
         cold_secs,
         warm_secs,
         cold_iters,

@@ -234,6 +234,10 @@ fn reload_counters_and_coverage_series_are_emitted() {
     );
     assert!(histograms_with_quantiles(&m) > 0, "reload run recorded no histogram");
     assert!(counter(&m, "reload.swaps") >= 3.0, "reload.swaps");
+    // Every re-solve is a Dantzig–Wolfe solve that certified its gap.
+    assert!(counter(&m, "nids.dw_rounds") > 0.0, "nids.dw_rounds");
+    let gap = m.get("gauges/nids.gap").and_then(Json::as_f64).expect("nids.gap gauge");
+    assert!(gap <= 1e-9, "uncertified NIDS gap {gap}");
     assert!(counter(&m, "reload.rejected") >= 1.0, "reload.rejected");
     assert_eq!(
         counter(&m, "reload.resolves"),

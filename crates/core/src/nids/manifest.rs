@@ -643,12 +643,15 @@ mod tests {
     #[test]
     fn validation_rejects_foreign_node_ranges() {
         let (d, good) = lp_manifest();
-        // Move some unit's whole range onto a node outside its eligible
-        // set: structurally a ForeignNode violation.
+        // Move some unsplit unit's whole range onto a node outside its
+        // eligible set: structurally a ForeignNode violation.
         let (u, victim) = d
             .units
             .iter()
             .enumerate()
+            .filter(|(u, unit)| {
+                unit.nodes.iter().filter(|&&j| good.share(*u, j) > 0.0).count() == 1
+            })
             .find_map(|(u, unit)| {
                 let outsider = (0..d.num_nodes).map(NodeId).find(|n| !unit.nodes.contains(n))?;
                 Some((u, outsider))

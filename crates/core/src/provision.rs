@@ -47,20 +47,17 @@ pub fn nids_upgrade_plan(
     factor: f64,
 ) -> Result<NidsUpgradePlan, crate::nids::lp::NidsError> {
     assert!(factor > 1.0, "an upgrade must increase capacity");
-    // Chain the basis through the sweep: each re-solve changes only LP
-    // coefficients (one node's capacities), so the previous optimum is an
-    // excellent starting basis. The capacity rescale leaves the old basis
-    // dual feasible but primal infeasible; the simplex dual phase repairs
-    // it in a handful of pivots instead of rejecting it, so every step of
-    // the sweep is a warm-start hit.
-    let (base, mut warm) = solve_nids_lp_warm(dep, cfg, None)?;
+    // Chain the column pool through the sweep: each re-solve changes only
+    // one node's capacities, so the previous optimum's assignments,
+    // re-costed, seed the master close to the new optimum.
+    let (base, mut pool) = solve_nids_lp_warm(dep, cfg, None)?;
     let mut gain = Vec::with_capacity(dep.num_nodes);
     for j in 0..dep.num_nodes {
         let mut c = cfg.clone();
         c.caps[j].cpu *= factor;
         c.caps[j].mem *= factor;
-        let (up, snap) = solve_nids_lp_warm(dep, &c, warm.as_ref())?;
-        warm = snap;
+        let (up, next) = solve_nids_lp_warm(dep, &c, Some(&pool))?;
+        pool = next;
         gain.push((base.max_load - up.max_load).max(0.0));
     }
     let best_node = best_gain_node(&gain);

@@ -34,5 +34,5 @@ pub mod solution;
 pub use check::{verify_kkt, KktTol};
 pub use model::{Cmp, ConId, Problem, Sense, VarId};
 pub use rowgen::SolveContext;
-pub use simplex::{solve, solve_from, solve_warm, SolverOpts, WarmStart};
+pub use simplex::{solve, solve_warm, SolverOpts, WarmStart};
 pub use solution::{Solution, Status};

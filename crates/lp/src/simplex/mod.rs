@@ -2,9 +2,9 @@
 //!
 //! The driver is generic over a [`BasisBackend`] that maintains the basis
 //! factorization. [`sparse::SparseFactors`] keeps a sparse LU with eta
-//! updates and is the backend [`solve`] / [`solve_warm`] / [`solve_from`]
-//! build for every LP: it beats the dense inverse at every size the
-//! workspace solves, from 15-row packing LPs to the 814-row NIDS LP.
+//! updates and is the backend [`solve`] / [`solve_warm`] build for every
+//! LP: it beats the dense inverse at every size the workspace solves, from
+//! 15-row packing LPs to the 814-row NIDS LP.
 //! [`dense::DenseInverse`] keeps an explicit dense `B⁻¹`; it runs only
 //! when a caller opts in via [`SolverOpts::dense_row_limit`], and it is
 //! the independent oracle the sparse backend is cross-checked against.
@@ -25,8 +25,10 @@
 //!
 //! Every optimal solve emits a [`WarmStart`] snapshot — the final basis
 //! (variable states plus values). A later solve can restart from it via
-//! [`solve_from`] / [`solve_warm`] when the variable count is unchanged
-//! and rows were only appended (`w.n == n`, `w.m <= m`). Within that
+//! [`solve_warm`] when the variable count is unchanged
+//! and rows were only appended (`w.n == n`, `w.m <= m`); a snapshot
+//! extended by [`WarmStart::with_new_columns`] serves a problem with
+//! appended columns, as column generation's master LPs grow. Within that
 //! shape, *anything else may change*: objective costs (the FPL oracle's
 //! perturbed weights), variable bounds (rules rounded on/off), right-hand
 //! sides (capacity what-ifs) and even matrix coefficients (hardware
@@ -1206,6 +1208,25 @@ impl WarmStart {
     }
 }
 
+impl WarmStart {
+    /// This snapshot for the same problem with `k` structural columns
+    /// appended after the existing ones, each nonbasic at its lower bound.
+    /// Column generation re-solves its master this way: the old optimal
+    /// basis stays primal feasible, so the primal simplex resumes from it
+    /// and only has to price the new columns in.
+    pub fn with_new_columns(&self, k: usize) -> WarmStart {
+        let mut states = Vec::with_capacity(self.states.len() + k);
+        states.extend_from_slice(&self.states[..self.n]);
+        states.resize(self.n + k, 0);
+        states.extend_from_slice(&self.states[self.n..]);
+        let mut values = Vec::with_capacity(self.values.len() + k);
+        values.extend_from_slice(&self.values[..self.n]);
+        values.resize(self.n + k, 0.0);
+        values.extend_from_slice(&self.values[self.n..]);
+        WarmStart { n: self.n + k, m: self.m, states, values }
+    }
+}
+
 /// Solve `p` with the given backend.
 pub fn solve_with_backend<B: BasisBackend>(
     p: &Problem,
@@ -1871,20 +1892,6 @@ pub fn solve_warm(
     }
 }
 
-/// Re-solve `p` starting from a prior optimal basis (see the module-level
-/// "Warm starts" section for validity and fallback semantics). Costs,
-/// bounds, right-hand sides and matrix coefficients may all differ from
-/// the solve that produced `warm`; rows may have been appended but not
-/// removed, and the variable count must match — otherwise the solve
-/// silently falls back to a cold start (`simplex.warmstart_fallbacks`).
-pub fn solve_from(
-    p: &Problem,
-    opts: &SolverOpts,
-    warm: &WarmStart,
-) -> (Solution, Option<WarmStart>) {
-    solve_warm(p, opts, Some(warm))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2023,7 +2030,7 @@ mod tests {
             let (first, warm) = solve_warm(&loose, &opts, None);
             assert_eq!(first.status, Status::Optimal, "{name}");
             let mut sol = None;
-            let probe = probed(|| sol = Some(solve_from(&tight, &opts, &warm.unwrap()).0));
+            let probe = probed(|| sol = Some(solve_warm(&tight, &opts, warm.as_ref()).0));
             let sol = sol.unwrap();
             assert_eq!(sol.status, Status::Optimal, "{name}");
             verify_kkt(&tight, &sol, KktTol::default()).unwrap();

@@ -1,6 +1,6 @@
 //! Warm-start correctness: resuming from an optimal snapshot after adding
-//! rows must reach the same optimum as a cold solve, on both backends,
-//! certified by KKT.
+//! rows, or columns through `WarmStart::with_new_columns`, must reach the
+//! same optimum as a cold solve, on both backends, certified by KKT.
 
 use nwdp_lp::simplex::{solve_warm, SolverOpts};
 use nwdp_lp::{verify_kkt, Cmp, KktTol, Problem, Sense, Status};
@@ -103,4 +103,57 @@ fn warm_start_detects_new_infeasibility() {
     let (s, snap) = solve_warm(&p, &opts, warm.as_ref());
     assert_eq!(s.status, Status::Infeasible);
     assert!(snap.is_none(), "no snapshot from a failed solve");
+}
+
+/// Column generation's growing master: a max LP over the first `k` of
+/// `cols` (each a cost and one coefficient per row), `≤` rows.
+fn column_lp(cols: &[(f64, Vec<f64>)], k: usize, rhs: &[f64]) -> Problem {
+    let mut p = Problem::new(Sense::Max);
+    let vars: Vec<_> = cols[..k]
+        .iter()
+        .enumerate()
+        .map(|(j, c)| p.add_var(format!("x{j}"), 0.0, 1.0, c.0))
+        .collect();
+    for (i, &b) in rhs.iter().enumerate() {
+        let terms: Vec<_> = vars.iter().zip(&cols[..k]).map(|(&v, c)| (v, c.1[i])).collect();
+        p.add_con(format!("r{i}"), &terms, Cmp::Le, b);
+    }
+    p
+}
+
+#[test]
+fn warm_matches_cold_across_column_additions() {
+    for trial in 0..60u64 {
+        let mut rng = StdRng::seed_from_u64(trial * 11 + 3);
+        let rows = rng.random_range(2..6);
+        let rhs: Vec<f64> = (0..rows).map(|_| rng.random_range(1.0..3.0)).collect();
+        let cols: Vec<(f64, Vec<f64>)> = (0..12)
+            .map(|_| {
+                let a = (0..rows).map(|_| rng.random_range(0.2..1.5)).collect();
+                (rng.random_range(0.1..2.0), a)
+            })
+            .collect();
+        let mut opts = SolverOpts::default();
+        if trial % 2 == 0 {
+            opts.dense_row_limit = usize::MAX;
+        }
+        let (s0, mut warm) = solve_warm(&column_lp(&cols, 4, &rhs), &opts, None);
+        assert_eq!(s0.status, Status::Optimal, "trial {trial} base");
+        for (from, to) in [(4, 7), (7, 12)] {
+            let p = column_lp(&cols, to, &rhs);
+            let extended = warm.as_ref().map(|w| w.with_new_columns(to - from));
+            let (sw, next) = solve_warm(&p, &opts, extended.as_ref());
+            let (sc, _) = solve_warm(&p, &opts, None);
+            assert_eq!(sw.status, Status::Optimal, "trial {trial} to {to} warm");
+            assert!(
+                (sw.objective - sc.objective).abs() < 1e-9 * (1.0 + sc.objective.abs()),
+                "trial {trial} to {to}: warm {} vs cold {}",
+                sw.objective,
+                sc.objective
+            );
+            verify_kkt(&p, &sw, KktTol::default())
+                .unwrap_or_else(|e| panic!("trial {trial} to {to}: {e}"));
+            warm = next;
+        }
+    }
 }

@@ -35,9 +35,10 @@ fn main() {
     let cfg = NidsLpConfig::homogeneous(dep.num_nodes, NodeCaps { cpu: 2e8, mem: 4e9 });
     let assignment = solve_nids_lp(&dep, &cfg).expect("LP solves");
     println!(
-        "optimal max load: {:.1}% of node capacity ({} simplex iterations)\n",
+        "optimal max load: {:.1}% of node capacity ({} decomposition rounds, gap {:.0e})\n",
         assignment.max_load * 100.0,
-        assignment.lp_iterations
+        assignment.dw_rounds,
+        assignment.gap
     );
 
     // 4. Compare against the single-vantage-point (edge-only) deployment.

@@ -1,10 +1,12 @@
 //! Warm starting is a pure performance optimization: every re-solve loop
-//! that reuses a basis, a row-generation context, or a pre-built flow
-//! network must land on the same objective as solving cold from scratch
-//! (≤ 1e-9 relative), and must do so under any thread-count override.
+//! that reuses a column pool, a basis, a row-generation context, or a
+//! pre-built flow network must land on the same objective as solving cold
+//! from scratch (≤ 1e-9 relative), and must do so under any thread-count
+//! override.
 //!
 //! Covers the four reuse sites of the warm-start layer:
-//! - `solve_nids_lp_warm` basis chaining (provisioning sweep pattern),
+//! - `solve_nids_lp_warm` column-pool chaining (provisioning sweep and
+//!   reload patterns),
 //! - `solve_relaxation_ctx` row-generation context reuse (TCAM sweep),
 //! - `RoundingOpts::warm_start` shared-baseline inner-LP starts,
 //! - `FplConfig::reuse_oracle` flow-network re-pricing across epochs.
@@ -47,26 +49,54 @@ fn nips_setup(n_rules: usize, cap_frac: f64, seed: u64) -> NipsInstance {
     NipsInstance::evaluation_setup(&topo, &paths, &tm, &vol, n_rules, cap_frac, rates)
 }
 
-/// NIDS LP: chaining the basis through a capacity sweep must reproduce the
-/// cold per-instance optima exactly (the LP has a unique optimal value).
+/// NIDS LP: chaining the column pool through a capacity sweep and through
+/// reload-style volume blends must reproduce the cold per-instance optima
+/// (the LP has a unique optimal value).
 #[test]
 fn nids_lp_warm_chain_matches_cold() {
     let (dep, cfg) = nids_setup();
     under_thread_counts(|| {
-        let (cold_base, _) = solve_nids_lp_warm(&dep, &cfg, None).unwrap();
-        let mut warm = None;
+        let (cold_base, mut pool) = solve_nids_lp_warm(&dep, &cfg, None).unwrap();
         for j in 0..dep.num_nodes {
             let mut c = cfg.clone();
             c.caps[j].cpu *= 2.0;
             c.caps[j].mem *= 2.0;
             let (cold, _) = solve_nids_lp_warm(&dep, &c, None).unwrap();
-            let (hot, snap) = solve_nids_lp_warm(&dep, &c, warm.as_ref()).unwrap();
-            warm = snap;
+            let (hot, next) = solve_nids_lp_warm(&dep, &c, Some(&pool)).unwrap();
+            pool = next;
             close(cold.max_load, hot.max_load, &format!("NIDS upgrade node {j}"));
         }
-        let (cold_again, _) = solve_nids_lp_warm(&dep, &cfg, warm.as_ref()).unwrap();
+        let (cold_again, mut pool) = solve_nids_lp_warm(&dep, &cfg, Some(&pool)).unwrap();
         close(cold_base.max_load, cold_again.max_load, "NIDS baseline re-solve");
+
+        // Reload epochs: each unit's volume moves a fifth of the way toward
+        // its class's uniform share, and the pool of one epoch seeds the next.
+        let mut step = dep.clone();
+        for e in 0..4 {
+            step = blend_toward_uniform(&step, 0.2);
+            let (cold, _) = solve_nids_lp_warm(&step, &cfg, None).unwrap();
+            let (hot, next) = solve_nids_lp_warm(&step, &cfg, Some(&pool)).unwrap();
+            pool = next;
+            close(cold.max_load, hot.max_load, &format!("NIDS blend epoch {e}"));
+            assert!(hot.dw_rounds <= cold.dw_rounds, "epoch {e}: the pool cost rounds");
+        }
     });
+}
+
+/// Each unit's volume moved `w` of the way toward its class's uniform share.
+fn blend_toward_uniform(dep: &NidsDeployment, w: f64) -> NidsDeployment {
+    let mut totals = vec![(0.0, 0.0, 0.0); dep.classes.len()];
+    for u in &dep.units {
+        let t = &mut totals[u.class];
+        *t = (t.0 + u.pkts, t.1 + u.items, t.2 + 1.0);
+    }
+    let mut next = dep.clone();
+    for u in &mut next.units {
+        let (p, i, n) = totals[u.class];
+        u.pkts = (1.0 - w) * u.pkts + w * p / n;
+        u.items = (1.0 - w) * u.items + w * i / n;
+    }
+    next
 }
 
 /// Coefficient-rescaled LP family (the dual-phase stress case): a
