@@ -209,7 +209,7 @@ impl<'a> Controller<'a> {
         let mut lp_cfg = NidsLpConfig::homogeneous(self.dep.num_nodes, self.caps[0]);
         lp_cfg.caps = self.caps.to_vec();
         lp_cfg.redundancy = self.cfg.redundancy;
-        match lp_repair(self.dep, &self.manifest, &lp_cfg, &failed, None) {
+        match lp_repair(self.dep, &self.manifest, &lp_cfg, &failed) {
             Ok(lp) => {
                 let mut skip = self.skip_units.clone();
                 skip.extend(lp.degraded_units.iter().copied());
