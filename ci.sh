@@ -50,8 +50,10 @@ NWDP_THREADS=4 cargo test -q --test proptest_resilience
 
 # Repair code must never unwrap a hash-range lookup: a missing
 # (unit, node) entry is a legal state (node not assigned, node failed),
-# not a bug to panic on. Same rule for the resilience library sources
-# (test modules below #[cfg(test)] are exempt, as in the NaN lint).
+# not a bug to panic on. Same rule for the resilience library sources and
+# for the coverage sweep, load formula and moved-fraction code repair
+# relies on (test modules below #[cfg(test)] are exempt, as in the NaN
+# lint).
 echo "== resilience panic-path grep lint =="
 range_hits="$(grep -rnE '\.range\([^)]*\)[[:space:]]*\.(unwrap|expect)\(' crates/ src/ --include='*.rs' | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true)"
 if [ -n "$range_hits" ]; then
@@ -59,11 +61,12 @@ if [ -n "$range_hits" ]; then
   echo "$range_hits" >&2
   exit 1
 fi
-res_hits="$(for f in crates/core/src/resilience/*.rs; do
+res_hits="$(for f in crates/core/src/resilience/*.rs crates/core/src/nids/manifest.rs \
+  crates/core/src/migration.rs; do
   awk '/#\[cfg\(test\)\]/{exit} /\.(unwrap|expect)\(/ && $0 !~ /^[[:space:]]*\/\//{print FILENAME":"FNR": "$0}' "$f"
 done)"
 if [ -n "$res_hits" ]; then
-  echo "found unwrap()/expect() in resilience library code:" >&2
+  echo "found unwrap()/expect() in resilience or repair-path library code:" >&2
   echo "$res_hits" >&2
   exit 1
 fi

@@ -14,7 +14,7 @@
 //! connections drain) and the set of owners that require explicit state
 //! transfer (Sommer/Paxson-style \[34\]) because the new routes bypass them.
 
-use crate::nids::SamplingManifest;
+use crate::nids::{coverage_sweep, SamplingManifest};
 use crate::units::{NidsDeployment, UnitKey};
 use nwdp_topo::NodeId;
 use std::collections::HashMap;
@@ -47,53 +47,9 @@ pub struct TransitionPlan {
     pub retired_units: usize,
 }
 
-/// Fraction of `[0, 1)` where the owner under `old` differs from the owner
-/// under `new`, computed exactly by sweeping the elementary intervals
-/// induced by both manifests' segment endpoints (ownership is constant on
-/// each). The owner of a point is the first covering node in the unit's
-/// eligible-node order (the unique owner at redundancy 1; the same
-/// deterministic representative either way at higher redundancy).
-fn moved_fraction(
-    old: &SamplingManifest,
-    old_unit: usize,
-    old_nodes: &[NodeId],
-    new: &SamplingManifest,
-    new_unit: usize,
-    new_nodes: &[NodeId],
-) -> f64 {
-    let mut cuts: Vec<f64> = vec![0.0, 1.0];
-    let mut push_cuts = |m: &SamplingManifest, u: usize, nodes: &[NodeId]| {
-        for &j in nodes {
-            if let Some(ranges) = m.range(u, j) {
-                for seg in ranges.segments() {
-                    cuts.push(seg.lo.clamp(0.0, 1.0));
-                    cuts.push(seg.hi.clamp(0.0, 1.0));
-                }
-            }
-        }
-    };
-    push_cuts(old, old_unit, old_nodes);
-    push_cuts(new, new_unit, new_nodes);
-    cuts.sort_by(f64::total_cmp);
-    let mut moved = 0.0;
-    for w in 0..cuts.len() - 1 {
-        let (a, b) = (cuts[w], cuts[w + 1]);
-        if b <= a {
-            continue;
-        }
-        let h = 0.5 * (a + b);
-        let old_owner = old_nodes.iter().find(|&&n| old.should_analyze(old_unit, n, h));
-        let new_owner = new_nodes.iter().find(|&&n| new.should_analyze(new_unit, n, h));
-        if old_owner != new_owner {
-            moved += b - a;
-        }
-    }
-    moved
-}
-
 /// Compare two compiled deployments (same class list, possibly different
-/// routing) and plan the transition. Moved fractions are computed by an
-/// exact endpoint sweep.
+/// routing) and plan the transition. Moved fractions are computed by the
+/// exact [`coverage_sweep`].
 pub fn plan_transition(
     old_dep: &NidsDeployment,
     old_manifest: &SamplingManifest,
@@ -119,8 +75,21 @@ pub fn plan_transition(
         };
         matched += 1;
         let old_unit = &old_dep.units[ou];
-        let moved =
-            moved_fraction(old_manifest, ou, &old_unit.nodes, new_manifest, nu, &unit.nodes);
+        // The moved fraction: the measure of `[0, 1)` where the owner
+        // differs, swept over the old unit's slots followed by the new
+        // unit's. A point's owner on each side is its first covering node
+        // in that unit's node order (the unique owner at redundancy 1; the
+        // same deterministic representative at higher redundancy).
+        let k = old_unit.nodes.len();
+        let mut slots = old_manifest.unit_slots(ou, &old_unit.nodes);
+        slots.extend(new_manifest.unit_slots(nu, &unit.nodes));
+        let moved = coverage_sweep(&slots)
+            .filter(|(_, _, covering)| {
+                let old_owner = (0..k).find(|&i| covering(i)).map(|i| old_unit.nodes[i]);
+                let new_owner = (k..slots.len()).find(|&i| covering(i)).map(|i| unit.nodes[i - k]);
+                old_owner != new_owner
+            })
+            .fold(0.0, |moved, (a, b, _)| moved + (b - a));
         moved_total += moved;
         if moved == 0.0 {
             continue;

@@ -211,7 +211,7 @@ struct Instance<'a> {
     start: Vec<u32>,
     /// Unit `u`'s slots are `slots[u]..slots[u + 1]` of a choice vector.
     slots: Vec<u32>,
-    /// `(cpu_per_pkt · pkts, mem_per_item · items)` per unit.
+    /// [`NidsDeployment::unit_demand`] per unit.
     demand: Vec<(f64, f64)>,
     /// `(1 / cpu, 1 / mem)` per node.
     inv_cap: Vec<(f64, f64)>,
@@ -235,14 +235,7 @@ impl<'a> Instance<'a> {
             nodes,
             start,
             slots,
-            demand: dep
-                .units
-                .iter()
-                .map(|u| {
-                    let class = &dep.classes[u.class];
-                    (class.cpu_per_pkt * u.pkts, class.mem_per_item * u.items)
-                })
-                .collect(),
+            demand: (0..dep.units.len()).map(|u| dep.unit_demand(u)).collect(),
             inv_cap: cfg.caps.iter().map(|c| (1.0 / c.cpu, 1.0 / c.mem)).collect(),
         }
     }

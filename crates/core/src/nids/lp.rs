@@ -213,11 +213,11 @@ pub fn loads_from_assignment(
 ) -> (Vec<f64>, Vec<f64>) {
     let mut cpu = vec![0.0; dep.num_nodes];
     let mut mem = vec![0.0; dep.num_nodes];
-    for (u, unit) in dep.units.iter().enumerate() {
-        let class = &dep.classes[unit.class];
-        for &(j, f) in &d[u] {
-            cpu[j.index()] += class.cpu_per_pkt * unit.pkts * f / caps[j.index()].cpu;
-            mem[j.index()] += class.mem_per_item * unit.items * f / caps[j.index()].mem;
+    for (u, fracs) in d.iter().enumerate() {
+        let (c, m) = dep.unit_demand(u);
+        for &(j, f) in fracs {
+            cpu[j.index()] += c * f / caps[j.index()].cpu;
+            mem[j.index()] += m * f / caps[j.index()].mem;
         }
     }
     (cpu, mem)

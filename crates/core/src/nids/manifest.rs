@@ -119,15 +119,21 @@ impl SamplingManifest {
         self.range(unit, node).map_or(0.0, |r| r.measure())
     }
 
+    /// The unit's range at each of `nodes`, in order: the owner slots
+    /// [`coverage_sweep`] takes.
+    pub fn unit_slots(&self, unit: usize, nodes: &[NodeId]) -> Vec<Option<&RangeSet>> {
+        nodes.iter().map(|&j| self.range(unit, j)).collect()
+    }
+
     /// Verify the manifest invariants for every unit:
     /// 1. the ranges of distinct nodes are disjoint within each unit
     ///    (multiplicity never exceeds the redundancy level), and
     /// 2. every point of the hash space is covered exactly `r` times by
     ///    `r` distinct nodes.
     ///
-    /// The check is exact: it probes one point per
-    /// [elementary interval](SamplingManifest::elementary_intervals), so
-    /// no gap or overlap can hide between probe points.
+    /// The check is exact: it probes one point per elementary interval of
+    /// the [`coverage_sweep`], so no gap or overlap can hide between probe
+    /// points.
     ///
     /// Returns the coverage multiplicity (min, max) over all units.
     pub fn verify_coverage(&self, dep: &NidsDeployment) -> (usize, usize) {
@@ -146,42 +152,65 @@ impl SamplingManifest {
     /// while failed single-node units are accounted as shed rather than
     /// flagged as gaps.
     pub fn unit_coverage_exact(&self, dep: &NidsDeployment, u: usize) -> (usize, usize) {
-        let nodes = &dep.units[u].nodes;
-        let mut lo = usize::MAX;
-        let mut hi = 0usize;
-        for (a, b) in self.elementary_intervals(dep, u) {
-            let h = 0.5 * (a + b);
-            let covers = nodes.iter().filter(|&&j| self.should_analyze(u, j, h)).count();
-            lo = lo.min(covers);
-            hi = hi.max(covers);
-        }
-        (lo, hi)
+        let slots = self.unit_slots(u, &dep.units[u].nodes);
+        coverage_sweep(&slots).fold((usize::MAX, 0), |(lo, hi), (_, _, covering)| {
+            let covers = (0..slots.len()).filter(|&i| covering(i)).count();
+            (lo.min(covers), hi.max(covers))
+        })
     }
+}
 
-    /// The *elementary intervals* `(a, b)` of unit `u`, in ascending
-    /// order: the pieces of `[0, 1]` cut at the segment endpoints of all
-    /// of the unit's node ranges. Coverage multiplicity is constant on
-    /// each one, so probing its midpoint decides the whole interval.
-    /// Pieces of width at most [`SWEEP_EPS`] are skipped: they are seams
-    /// (FP drift from the running-range walk in [`generate_manifests`]
-    /// lives below the hash lattice and is not a real gap).
-    pub fn elementary_intervals(
-        &self,
-        dep: &NidsDeployment,
-        u: usize,
-    ) -> impl Iterator<Item = (f64, f64)> {
-        let mut cuts: Vec<f64> = vec![0.0, 1.0];
-        for &j in &dep.units[u].nodes {
-            if let Some(ranges) = self.range(u, j) {
-                for seg in ranges.segments() {
-                    cuts.push(seg.lo.clamp(0.0, 1.0));
-                    cuts.push(seg.hi.clamp(0.0, 1.0));
-                }
+/// The coverage sweep of one unit's hash space, given the unit's range at
+/// each owner slot: `[0, 1]` cut at the clamped segment endpoints, yielded
+/// as `(a, b, covering)` in ascending order. `covering(i)` says whether
+/// slot `i`'s range contains the piece's midpoint, which is
+/// [`SamplingManifest::should_analyze`]'s verdict there; coverage is
+/// constant on each piece. Pieces of width at most [`SWEEP_EPS`] are
+/// skipped: they are seams (FP drift from the running-range walk in
+/// [`generate_manifests`] lives below the hash lattice and is not a real
+/// gap). Validation, `verify_coverage`, blind-node gaps, greedy repair and
+/// transition planning are all folds over this sweep.
+pub fn coverage_sweep<'a>(
+    slots: &'a [Option<&'a RangeSet>],
+) -> impl Iterator<Item = (f64, f64, impl Fn(usize) -> bool + 'a)> + 'a {
+    let mut cuts: Vec<f64> = vec![0.0, 1.0];
+    for ranges in slots.iter().flatten() {
+        for seg in ranges.segments() {
+            cuts.push(seg.lo.clamp(0.0, 1.0));
+            cuts.push(seg.hi.clamp(0.0, 1.0));
+        }
+    }
+    cuts.sort_by(f64::total_cmp);
+    (1..cuts.len()).filter_map(move |w| {
+        let (a, b) = (cuts[w - 1], cuts[w]);
+        let h = 0.5 * (a + b);
+        (b - a > SWEEP_EPS)
+            .then_some((a, b, move |i: usize| slots[i].is_some_and(|r| r.contains(h))))
+    })
+}
+
+/// Per-node (CPU, memory) capacity fractions induced by a manifest: each
+/// unit's [`NidsDeployment::unit_demand`] times the node's hash share,
+/// which is what validation checks and repair manipulates.
+pub fn manifest_loads(
+    dep: &NidsDeployment,
+    caps: &[NodeCaps],
+    manifest: &SamplingManifest,
+) -> (Vec<f64>, Vec<f64>) {
+    assert_eq!(caps.len(), dep.num_nodes, "capacity vector size mismatch");
+    let mut cpu = vec![0.0; dep.num_nodes];
+    let mut mem = vec![0.0; dep.num_nodes];
+    for (u, unit) in dep.units.iter().enumerate() {
+        let (c, m) = dep.unit_demand(u);
+        for &j in &unit.nodes {
+            let share = manifest.share(u, j);
+            if share > 0.0 {
+                cpu[j.index()] += c * share / caps[j.index()].cpu;
+                mem[j.index()] += m * share / caps[j.index()].mem;
             }
         }
-        cuts.sort_by(f64::total_cmp);
-        (1..cuts.len()).map(move |w| (cuts[w - 1], cuts[w])).filter(|&(a, b)| b - a > SWEEP_EPS)
     }
+    (cpu, mem)
 }
 
 /// Why the validation gate rejected a candidate manifest. Every variant
@@ -262,9 +291,7 @@ impl std::fmt::Display for ManifestValidationError {
 impl std::error::Error for ManifestValidationError {}
 
 /// Optional capacity check for [`validate_manifests`]: reject manifests
-/// whose implied per-node cpu/mem load (same formula as
-/// [`loads_from_assignment`](crate::nids::lp::loads_from_assignment), with
-/// manifest shares as the fractions) exceeds `max_load`.
+/// whose [`manifest_loads`] exceed `max_load` on some node.
 #[derive(Debug, Clone)]
 pub struct CapacityCeiling<'a> {
     pub caps: &'a [NodeCaps],
@@ -279,11 +306,11 @@ pub struct CapacityCeiling<'a> {
 /// 1. structural integrity — node count, unit/class/key indices resolve in
 ///    `dep`, ranges only on eligible nodes, segments finite inside `[0, 1]`;
 /// 2. exact coverage — every unit's hash space covered by exactly
-///    `round(redundancy)` *distinct* nodes (elementary-interval sweep, the
-///    same arithmetic as [`SamplingManifest::unit_coverage_exact`], so no
-///    gap or overlap wider than [`SWEEP_EPS`] can hide);
-/// 3. capacity — when `ceiling` is given, the manifest-implied load of
-///    every node stays at or under `ceiling.max_load`.
+///    `round(redundancy)` *distinct* nodes (the [`coverage_sweep`], as in
+///    [`SamplingManifest::unit_coverage_exact`], so no gap or overlap
+///    wider than [`SWEEP_EPS`] can hide);
+/// 3. capacity — when `ceiling` is given, the [`manifest_loads`] of every
+///    node stay at or under `ceiling.max_load`.
 ///
 /// Returns the first violation found; `Ok(())` means the manifest may go
 /// live. Callers keep the previous manifest serving on `Err`.
@@ -366,9 +393,9 @@ pub fn validate_manifests_excluding(
         if skip_units.contains(&u) {
             continue;
         }
-        for (a, b) in manifest.elementary_intervals(dep, u) {
-            let h = 0.5 * (a + b);
-            let covers = unit.nodes.iter().filter(|&&j| manifest.should_analyze(u, j, h)).count();
+        let slots = manifest.unit_slots(u, &unit.nodes);
+        for (a, b, covering) in coverage_sweep(&slots) {
+            let covers = (0..slots.len()).filter(|&i| covering(i)).count();
             if covers < want {
                 return Err(E::CoverageGap { unit: u, lo: a, hi: b, covers, want });
             }
@@ -379,22 +406,7 @@ pub fn validate_manifests_excluding(
     }
     // 3. Capacity ceiling from manifest-implied loads.
     if let Some(ceiling) = ceiling {
-        debug_assert_eq!(ceiling.caps.len(), dep.num_nodes, "caps per node");
-        let mut cpu = vec![0.0f64; dep.num_nodes];
-        let mut mem = vec![0.0f64; dep.num_nodes];
-        for (u, unit) in dep.units.iter().enumerate() {
-            let class = &dep.classes[unit.class];
-            for &j in &unit.nodes {
-                let share = manifest.share(u, j);
-                if share <= 0.0 {
-                    continue;
-                }
-                cpu[j.index()] +=
-                    class.cpu_per_pkt * unit.pkts * share / ceiling.caps[j.index()].cpu;
-                mem[j.index()] +=
-                    class.mem_per_item * unit.items * share / ceiling.caps[j.index()].mem;
-            }
-        }
+        let (cpu, mem) = manifest_loads(dep, ceiling.caps, manifest);
         for j in 0..dep.num_nodes {
             if cpu[j] > ceiling.max_load + 1e-9 {
                 return Err(E::CapacityExceeded {

@@ -11,7 +11,8 @@ pub use lp::{
     solve_nids_lp_warm, ColumnPool, NidsAssignment, NidsError, NidsLpConfig, NodeCaps, GAP_TOL,
 };
 pub use manifest::{
-    generate_manifests, validate_manifests, validate_manifests_excluding, CapacityCeiling,
-    ManifestEntry, ManifestValidationError, SamplingManifest,
+    coverage_sweep, generate_manifests, manifest_loads, validate_manifests,
+    validate_manifests_excluding, CapacityCeiling, ManifestEntry, ManifestValidationError,
+    SamplingManifest,
 };
 pub use manifest_io::{node_manifest_from_text, node_manifest_to_text, NodeManifest};

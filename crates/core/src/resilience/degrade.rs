@@ -93,11 +93,10 @@ pub fn shed_overload(
         let mut load: Vec<(usize, f64, f64, f64)> = Vec::new(); // (unit, cpu, mem, measure)
         let (mut cpu, mut mem) = (0.0f64, 0.0f64);
         for e in manifest.node_entries(node) {
-            let unit = &dep.units[e.unit];
-            let class = &dep.classes[unit.class];
+            let (dc, dm) = dep.unit_demand(e.unit);
             let measure = e.ranges.measure();
-            let c = class.cpu_per_pkt * unit.pkts * measure * surge / cap.cpu;
-            let m = class.mem_per_item * unit.items * measure * surge / cap.mem;
+            let c = dc * measure * surge / cap.cpu;
+            let m = dm * measure * surge / cap.mem;
             cpu += c;
             mem += m;
             total_measure += measure;
@@ -169,8 +168,7 @@ mod tests {
     use super::*;
     use crate::class::AnalysisClass;
     use crate::nids::lp::{solve_nids_lp, NidsLpConfig};
-    use crate::nids::manifest::generate_manifests;
-    use crate::resilience::repair::manifest_loads;
+    use crate::nids::manifest::{generate_manifests, manifest_loads};
     use crate::units::build_units;
     use nwdp_topo::{internet2, PathDb};
     use nwdp_traffic::{TrafficMatrix, VolumeModel};

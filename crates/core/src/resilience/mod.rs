@@ -32,18 +32,19 @@ pub mod scenario;
 pub use degrade::{distance_weighted_values, shed_overload, DegradeOutcome, ShedAction};
 pub use faultplan::{FaultPlan, LinkFault, Partition};
 pub use health::{HealthConfig, HealthConfigError, HeartbeatMonitor};
-pub use repair::{greedy_repair, lp_repair, manifest_loads, LpRepair, RepairOutcome};
+pub use repair::{greedy_repair, lp_repair, LpRepair, RepairOutcome};
 pub use scenario::{FailureKind, FailureScenario, FailureSchedule};
 
-use crate::nids::manifest::SamplingManifest;
+use crate::nids::manifest::{coverage_sweep, SamplingManifest};
 use crate::units::NidsDeployment;
 use nwdp_topo::NodeId;
 
 /// Traffic-weighted fraction of coverage lost when `blind` nodes observe
 /// nothing: for every unit, the exact measure of hash space covered by
 /// **no** sighted node, weighted by the unit's packet rate. Computed by
-/// the same elementary-interval sweep as `verify_coverage`, so a
-/// gap narrower than a grid cell cannot hide.
+/// the same [`coverage_sweep`] as `verify_coverage`, so a gap narrower
+/// than a grid cell cannot hide. `1 - manifest_gap_fraction(.., &[])` is
+/// the covered fraction of a live manifest.
 pub fn manifest_gap_fraction(
     dep: &NidsDeployment,
     manifest: &SamplingManifest,
@@ -53,15 +54,12 @@ pub fn manifest_gap_fraction(
     let mut total = 0.0;
     for (u, unit) in dep.units.iter().enumerate() {
         total += unit.pkts;
-        let mut gap = 0.0;
-        for (a, b) in manifest.elementary_intervals(dep, u) {
-            let h = 0.5 * (a + b);
-            let sighted =
-                unit.nodes.iter().any(|&j| !blind.contains(&j) && manifest.should_analyze(u, j, h));
-            if !sighted {
-                gap += b - a;
-            }
-        }
+        let slots = manifest.unit_slots(u, &unit.nodes);
+        let gap = coverage_sweep(&slots)
+            .filter(|(_, _, covering)| {
+                !unit.nodes.iter().enumerate().any(|(i, j)| !blind.contains(j) && covering(i))
+            })
+            .fold(0.0, |gap, (a, b, _)| gap + (b - a));
         lost += gap.min(1.0) * unit.pkts;
     }
     if total > 0.0 {
@@ -69,15 +67,6 @@ pub fn manifest_gap_fraction(
     } else {
         0.0
     }
-}
-
-/// Convenience: `1 - manifest_gap_fraction`.
-pub fn covered_fraction(
-    dep: &NidsDeployment,
-    manifest: &SamplingManifest,
-    blind: &[NodeId],
-) -> f64 {
-    1.0 - manifest_gap_fraction(dep, manifest, blind)
 }
 
 #[cfg(test)]
@@ -115,7 +104,6 @@ mod tests {
                 / total;
         assert!((gap - share).abs() < 1e-9, "gap {gap} vs share {share}");
         assert!(gap > 0.0, "an Internet2 node always carries something");
-        assert!((covered_fraction(&dep, &m, &[node]) - (1.0 - gap)).abs() < 1e-12);
         // No blindness, no gap.
         assert_eq!(manifest_gap_fraction(&dep, &m, &[]), 0.0);
     }

@@ -37,36 +37,13 @@
 
 use crate::migration::{plan_transition, TransitionPlan};
 use crate::nids::lp::{solve_nids_lp_excluding, NidsAssignment, NidsError, NidsLpConfig, NodeCaps};
-use crate::nids::manifest::{generate_manifests, ManifestEntry, SamplingManifest};
+use crate::nids::manifest::{
+    coverage_sweep, generate_manifests, manifest_loads, ManifestEntry, SamplingManifest,
+};
 use crate::units::NidsDeployment;
 use nwdp_hash::{RangeSet, Segment};
 use nwdp_topo::NodeId;
 use std::collections::HashMap;
-
-/// Per-node (CPU, memory) capacity fractions induced by a manifest.
-///
-/// The LP reports loads for its fractional assignment; this recomputes
-/// them from actual hash shares, which is what repair manipulates.
-pub fn manifest_loads(
-    dep: &NidsDeployment,
-    caps: &[NodeCaps],
-    manifest: &SamplingManifest,
-) -> (Vec<f64>, Vec<f64>) {
-    assert_eq!(caps.len(), dep.num_nodes, "capacity vector size mismatch");
-    let mut cpu = vec![0.0; dep.num_nodes];
-    let mut mem = vec![0.0; dep.num_nodes];
-    for (u, unit) in dep.units.iter().enumerate() {
-        let class = &dep.classes[unit.class];
-        for &j in &unit.nodes {
-            let share = manifest.share(u, j);
-            if share > 0.0 {
-                cpu[j.index()] += class.cpu_per_pkt * unit.pkts * share / caps[j.index()].cpu;
-                mem[j.index()] += class.mem_per_item * unit.items * share / caps[j.index()].mem;
-            }
-        }
-    }
-    (cpu, mem)
-}
 
 /// Result of the greedy fast-path repair.
 #[derive(Debug, Clone)]
@@ -134,10 +111,8 @@ pub fn greedy_repair(
 
     // φ-cost per unit of hash measure when unit `u` lands on node `j`.
     let piece_cost = |u: usize, j: NodeId| -> f64 {
-        let unit = &dep.units[u];
-        let class = &dep.classes[unit.class];
-        class.cpu_per_pkt * unit.pkts / caps[j.index()].cpu
-            + class.mem_per_item * unit.items / caps[j.index()].mem
+        let (cpu, mem) = dep.unit_demand(u);
+        cpu / caps[j.index()].cpu + mem / caps[j.index()].mem
     };
 
     // ---- Pass 1: decompose orphaned ranges into elementary pieces. ----
@@ -153,23 +128,29 @@ pub fn greedy_repair(
         if !unit.nodes.iter().any(|&j| is_failed(j) && manifest.share(u, j) > 0.0) {
             continue;
         }
+        let slots = manifest.unit_slots(u, &unit.nodes);
         let survivors: Vec<NodeId> =
             unit.nodes.iter().copied().filter(|&j| !is_failed(j)).collect();
         let mut lost_measure = 0.0;
         let mut min_eff_elig = usize::MAX;
         let mut assignable_measure = 0.0;
-        for (a, b) in manifest.elementary_intervals(dep, u) {
-            let h = 0.5 * (a + b);
+        for (a, b, covering) in coverage_sweep(&slots) {
             let orphaned = unit
                 .nodes
                 .iter()
-                .filter(|&&j| is_failed(j) && manifest.should_analyze(u, j, h))
+                .enumerate()
+                .filter(|&(i, &j)| is_failed(j) && covering(i))
                 .count();
             if orphaned == 0 {
                 continue;
             }
-            let eligible: Vec<NodeId> =
-                survivors.iter().copied().filter(|&j| !manifest.should_analyze(u, j, h)).collect();
+            let eligible: Vec<NodeId> = unit
+                .nodes
+                .iter()
+                .enumerate()
+                .filter(|&(i, &j)| !is_failed(j) && !covering(i))
+                .map(|(_, &j)| j)
+                .collect();
             let replicas = orphaned.min(eligible.len());
             if orphaned > eligible.len() {
                 lost_measure += (b - a) * (orphaned - eligible.len()) as f64;

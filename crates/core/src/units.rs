@@ -44,6 +44,17 @@ pub struct NidsDeployment {
     pub num_nodes: usize,
 }
 
+impl NidsDeployment {
+    /// Unit `u`'s whole-unit demand `(cpu_per_pkt · pkts, mem_per_item ·
+    /// items)`. A node's load from the unit is this pair times its share
+    /// of the unit's hash space, divided by the node's capacity.
+    pub fn unit_demand(&self, u: usize) -> (f64, f64) {
+        let unit = &self.units[u];
+        let class = &self.classes[unit.class];
+        (class.cpu_per_pkt * unit.pkts, class.mem_per_item * unit.items)
+    }
+}
+
 /// Derive coordination units for `classes` under the given network model.
 pub fn build_units(
     topo: &Topology,

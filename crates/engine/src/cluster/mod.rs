@@ -52,7 +52,7 @@ use nwdp_core::nids::manifest::{
     validate_manifests, CapacityCeiling, ManifestValidationError, SamplingManifest,
 };
 use nwdp_core::parallel;
-use nwdp_core::resilience::{covered_fraction, FaultPlan, HealthConfig, HealthConfigError};
+use nwdp_core::resilience::{manifest_gap_fraction, FaultPlan, HealthConfig, HealthConfigError};
 use nwdp_core::units::NidsDeployment;
 use nwdp_obs as obs;
 use nwdp_topo::NodeId;
@@ -385,7 +385,7 @@ pub fn run_cluster(
     let sample = |t: f64, nodes: &[Mutex<NodeActor>], tx: &Transport| {
         let blind: Vec<NodeId> = (0..dep.num_nodes).map(NodeId).filter(|&n| tx.cut(n, t)).collect();
         let eff = effective_manifest(nodes, dep.num_nodes);
-        covered_fraction(dep, &eff, &blind)
+        1.0 - manifest_gap_fraction(dep, &eff, &blind)
     };
     coverage.push((0.0, sample(0.0, &nodes, &tx)));
 

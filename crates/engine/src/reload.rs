@@ -37,7 +37,7 @@ use nwdp_core::nids::{
     generate_manifests, solve_nids_lp_warm, validate_manifests, CapacityCeiling, ColumnPool,
     ManifestEntry, ManifestValidationError, NidsError, NidsLpConfig, NodeCaps, SamplingManifest,
 };
-use nwdp_core::resilience::covered_fraction;
+use nwdp_core::resilience::manifest_gap_fraction;
 use nwdp_core::{NidsDeployment, UnitKey};
 use nwdp_hash::KeyedHasher;
 use nwdp_obs as obs;
@@ -343,7 +343,7 @@ impl ReloadController {
         if metrics {
             obs::Scope::new("reload").counter("resolve_us").add(resolve_micros);
         }
-        let coverage_after = covered_fraction(&self.dep, &self.manifest, &[]);
+        let coverage_after = 1.0 - manifest_gap_fraction(&self.dep, &self.manifest, &[]);
         ReloadDecision { epoch, at, outcome, resolve_micros, lp_iterations, coverage_after }
     }
 }
@@ -416,7 +416,9 @@ where
     );
     let mut decisions = Vec::with_capacity(epochs - 1);
     let mut coverage = Vec::with_capacity(epochs);
-    coverage.push((0.0, covered_fraction(controller.deployment(), &controller.manifest(), &[])));
+    let coverage0 =
+        1.0 - manifest_gap_fraction(controller.deployment(), &controller.manifest(), &[]);
+    coverage.push((0.0, coverage0));
 
     let bounds: Vec<u64> =
         (1..epochs).map(|e| cfg.total_sessions * e as u64 / epochs as u64).collect();

@@ -14,10 +14,9 @@
 //! - a resilient run under random failure schedules equals, stat for
 //!   stat, a per-node replay rebuilt from the public `Engine` API.
 
-use nwdp_core::nids::{generate_manifests, solve_nids_lp, NidsLpConfig, NodeCaps};
+use nwdp_core::nids::{generate_manifests, manifest_loads, solve_nids_lp, NidsLpConfig, NodeCaps};
 use nwdp_core::resilience::{
-    manifest_gap_fraction, manifest_loads, FailureKind, FailureScenario, FailureSchedule,
-    HealthConfig,
+    manifest_gap_fraction, FailureKind, FailureScenario, FailureSchedule, HealthConfig,
 };
 use nwdp_core::{build_units, parallel, AnalysisClass, NidsDeployment};
 use nwdp_engine::{

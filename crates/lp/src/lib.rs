@@ -9,8 +9,10 @@
 //! - [`simplex`]: a bounded-variable two-phase revised simplex with two
 //!   basis backends. Every LP runs on the sparse product-form inverse
 //!   (eta file + permutation) by default; the dense explicit inverse runs
-//!   only when a caller opts in via [`SolverOpts::dense_row_limit`], and
-//!   serves as the oracle the sparse backend is cross-checked against;
+//!   when a caller opts in via [`SolverOpts::dense_row_limit`] (the NIDS
+//!   decomposition does so for every overlap-phase master, a 2N + 1-row
+//!   LP where it is the cheaper backend), and serves as the oracle the
+//!   sparse backend is cross-checked against;
 //! - [`rowgen`]: lazy-constraint (row generation) wrapper for formulations
 //!   whose row set is huge but mostly slack at the optimum (the GUB/VUB
 //!   rows of the NIPS relaxation);

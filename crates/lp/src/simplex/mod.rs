@@ -3,11 +3,13 @@
 //! The driver is generic over a [`BasisBackend`] that maintains the basis
 //! factorization. [`sparse::SparseFactors`] keeps a sparse LU with eta
 //! updates and is the backend [`solve`] / [`solve_warm`] build for every
-//! LP: it beats the dense inverse at every size the workspace solves, from
-//! 15-row packing LPs to the 814-row NIDS LP.
-//! [`dense::DenseInverse`] keeps an explicit dense `B⁻¹`; it runs only
-//! when a caller opts in via [`SolverOpts::dense_row_limit`], and it is
-//! the independent oracle the sparse backend is cross-checked against.
+//! LP: it beats the dense inverse on every standalone LP the workspace
+//! solves, from 15-row packing LPs to the 814-row NIDS LP.
+//! [`dense::DenseInverse`] keeps an explicit dense `B⁻¹`; it runs when a
+//! caller opts in via [`SolverOpts::dense_row_limit`], which the NIDS
+//! decomposition does for every overlap-phase master (2N + 1 rows, where
+//! the dense inverse is cheaper), and it is the independent oracle the
+//! sparse backend is cross-checked against.
 //!
 //! Design notes:
 //! - **Standard form.** Every row gets a slack with bounds encoding the

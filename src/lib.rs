@@ -55,7 +55,7 @@ pub use nwdp_traffic as traffic;
 /// The most common imports in one place.
 pub mod prelude {
     pub use nwdp_core::nids::{
-        edge_only_loads, generate_manifests, solve_nids_lp, validate_manifests,
+        edge_only_loads, generate_manifests, manifest_loads, solve_nids_lp, validate_manifests,
         validate_manifests_excluding, CapacityCeiling, ManifestEntry, ManifestValidationError,
         NidsLpConfig, NodeCaps, SamplingManifest,
     };
@@ -63,10 +63,9 @@ pub mod prelude {
         round_best_of, solve_relaxation, NipsInstance, RoundError, RoundingOpts, Strategy,
     };
     pub use nwdp_core::resilience::{
-        covered_fraction, distance_weighted_values, greedy_repair, lp_repair,
-        manifest_gap_fraction, manifest_loads, shed_overload, DegradeOutcome, FailureKind,
-        FailureScenario, FailureSchedule, FaultPlan, HealthConfig, HealthConfigError,
-        HeartbeatMonitor, LinkFault, Partition, RepairOutcome,
+        distance_weighted_values, greedy_repair, lp_repair, manifest_gap_fraction, shed_overload,
+        DegradeOutcome, FailureKind, FailureScenario, FailureSchedule, FaultPlan, HealthConfig,
+        HealthConfigError, HeartbeatMonitor, LinkFault, Partition, RepairOutcome,
     };
     pub use nwdp_core::{
         build_units, AnalysisClass, ClassScope, ClassSetError, NidsDeployment, UnitKey,

@@ -1,5 +1,7 @@
 //! Cross-crate property tests on the system's core invariants.
 
+mod common;
+
 use nwdp::prelude::*;
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
@@ -171,6 +173,23 @@ proptest! {
         // Exact multiplicity r on a mid-point grid.
         let (lo, hi) = manifest.verify_coverage(&dep);
         prop_assert_eq!((lo, hi), (r, r), "grid coverage must be exactly {}", r);
+
+        // The coverage sweep agrees bit for bit with the brute-force probe
+        // on these wrapped manifests, on greedy repairs of one and two
+        // failed nodes, and on the manifest shed under tightened caps.
+        common::check_coverage(&dep, &manifest);
+        let caps = vec![NodeCaps { cpu: 2e8, mem: 4e9 }; dep.num_nodes];
+        common::check_repair(&dep, &manifest, &caps, &[NodeId(0)]);
+        common::check_repair(&dep, &manifest, &caps, &[NodeId(0), NodeId(1)]);
+        let (cpu, mem) = manifest_loads(&dep, &caps, &manifest);
+        let worst = cpu.iter().chain(&mem).fold(0.0f64, |a, &b| a.max(b));
+        let tight: Vec<NodeCaps> = caps
+            .iter()
+            .map(|c| NodeCaps { cpu: c.cpu * worst * 0.5, mem: c.mem * worst * 0.5 })
+            .collect();
+        let shed = shed_overload(&dep, &manifest, &tight, 1.0, &distance_weighted_values(&dep));
+        prop_assert!(shed.shed_fraction > 0.0);
+        common::check_coverage(&dep, &shed.manifest);
 
         for (u, unit) in dep.units.iter().enumerate() {
             // Per-unit measure must sum to r (no lost or doubled mass).

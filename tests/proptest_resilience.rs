@@ -5,6 +5,8 @@
 //! with the surviving maximum load inside the greedy bound, and identical
 //! results under 1-thread and 4-thread execution.
 
+mod common;
+
 use nwdp::core::parallel;
 use nwdp::prelude::*;
 use proptest::prelude::*;
@@ -68,6 +70,10 @@ proptest! {
         failed.sort();
 
         let repair = greedy_repair(&dep, &manifest, &cfg.caps, &failed);
+        // The coverage sweep behind repair, gaps and transitions agrees
+        // bit for bit with the brute-force probe.
+        common::check_coverage(&dep, &manifest);
+        common::check_repair(&dep, &manifest, &cfg.caps, &failed);
 
         // Exact sweep, every unit: zero gap and zero overlap wherever a
         // survivor exists; fully dark where none does (those units are
@@ -142,6 +148,7 @@ proptest! {
         let values = distance_weighted_values(&dep);
         let out = shed_overload(&dep, &manifest, &caps, surge, &values);
         prop_assert!((0.0..=1.0).contains(&out.shed_fraction));
+        common::check_coverage(&dep, &out.manifest);
         let (cpu2, mem2) = manifest_loads(&dep, &caps, &out.manifest);
         for j in 0..dep.num_nodes {
             let post = surge * cpu2[j].max(mem2[j]);

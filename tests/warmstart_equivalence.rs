@@ -11,6 +11,9 @@
 //! - `RoundingOpts::warm_start` shared-baseline inner-LP starts,
 //! - `FplConfig::reuse_oracle` flow-network re-pricing across epochs.
 
+mod common;
+
+use nwdp::core::nids::manifest::SWEEP_EPS;
 use nwdp::core::nids::solve_nids_lp_warm;
 use nwdp::core::nips::solve_relaxation_ctx;
 use nwdp::core::parallel;
@@ -71,14 +74,29 @@ fn nids_lp_warm_chain_matches_cold() {
 
         // Reload epochs: each unit's volume moves a fifth of the way toward
         // its class's uniform share, and the pool of one epoch seeds the next.
+        // Each swap's coverage and moved fractions agree bit for bit with
+        // the brute-force probe. Counting seams (pieces no wider than
+        // SWEEP_EPS, which hold no hash-lattice point) as moved would
+        // change no unit's moved fraction by more than SWEEP_EPS.
         let mut step = dep.clone();
+        let mut live = generate_manifests(&dep, &cold_again.d);
         for e in 0..4 {
+            let prev = step.clone();
             step = blend_toward_uniform(&step, 0.2);
             let (cold, _) = solve_nids_lp_warm(&step, &cfg, None).unwrap();
             let (hot, next) = solve_nids_lp_warm(&step, &cfg, Some(&pool)).unwrap();
             pool = next;
             close(cold.max_load, hot.max_load, &format!("NIDS blend epoch {e}"));
             assert!(hot.dw_rounds <= cold.dw_rounds, "epoch {e}: the pool cost rounds");
+            let candidate = generate_manifests(&step, &hot.d);
+            common::check_coverage(&step, &candidate);
+            common::check_transition(&prev, &live, &step, &candidate);
+            let (swept, _) = common::moved_fractions(&prev, &live, &step, &candidate, SWEEP_EPS);
+            let (seamed, _) = common::moved_fractions(&prev, &live, &step, &candidate, 0.0);
+            for ((u, a), (_, b)) in swept.into_iter().zip(seamed) {
+                assert!((a - b).abs() <= SWEEP_EPS, "epoch {e} unit {u}: seams moved {a} to {b}");
+            }
+            live = candidate;
         }
     });
 }
