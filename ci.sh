@@ -78,13 +78,15 @@ cargo fmt --check
 echo "== clippy =="
 cargo clippy --all-targets -- -D warnings
 
-# Library code must not panic on fallible paths; surface unwrap/expect as
-# warnings there. --lib keeps #[cfg(test)] modules, test targets, benches
-# and binaries exempt (unwrap in tests is idiomatic).
+# Library code must not panic on fallible paths: unwrap/expect fail the
+# build there. A site that cannot fail carries
+# #[expect(clippy::..., reason = "...")] naming its invariant. --lib keeps
+# #[cfg(test)] modules, test targets, benches and binaries exempt (unwrap
+# in tests is idiomatic).
 echo "== clippy (panic-path lint, library crates) =="
 cargo clippy --lib -p nwdp -p nwdp-core -p nwdp-lp -p nwdp-engine \
   -p nwdp-online -p nwdp-obs -p nwdp-topo -p nwdp-traffic -p nwdp-hash -- \
-  -W clippy::unwrap_used -W clippy::expect_used
+  -D clippy::unwrap_used -D clippy::expect_used
 
 # NaN-hostile comparisons must stay purged: no float sort/max may panic on
 # a non-finite value. Doc comments may mention the old patterns (the

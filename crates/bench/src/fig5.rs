@@ -9,9 +9,7 @@
 use crate::output::{f4, pct, Table};
 use crate::scenario::Scale;
 use nwdp_core::{build_units, AnalysisClass};
-use nwdp_engine::{
-    modules::capture_filter, standalone_coordination, CoordContext, Engine, Placement,
-};
+use nwdp_engine::{module_for_class, standalone_coordination, CoordContext, Engine, Placement};
 use nwdp_hash::KeyedHasher;
 use nwdp_topo::{line, NodeId, PathDb};
 use nwdp_traffic::{generate_trace, TraceConfig, TrafficMatrix, VolumeModel};
@@ -50,7 +48,10 @@ fn run_once(module: &str, placement: Placement, sessions: usize, seed: u64) -> (
         }
     }
     .expect("Fig 5 modules are registered");
-    for s in trace.sessions.iter().filter(|s| capture_filter(module, s)) {
+    // Bro's capture filter: the module in isolation sees only its own
+    // traffic specification.
+    let (spec, _) = module_for_class(module).expect("Fig 5 modules are registered");
+    for s in trace.sessions.iter().filter(|s| spec.traffic.admits_tuple(&s.tuple)) {
         engine.process_session(s);
     }
     let st = engine.stats();

@@ -1,7 +1,8 @@
 //! End-to-end checks on the artifacts `repro` writes: the metrics and
-//! trace sidecars, the run report, and the CSV / JSONL outputs of the
+//! trace sidecars, the run report, the CSV / JSONL outputs of the
 //! `warm`, `throughput`, `reload`, `resilience`, `cluster` and `alerts`
-//! experiments.
+//! experiments, and the committed quick-preset Fig 5 and adversary CSVs
+//! under `results/`.
 //!
 //! Every test runs the binary as its own process in its own directory,
 //! so each run records into its own process-default `nwdp-obs` recorder. What an experiment's `run` already asserts in-process (the
@@ -177,6 +178,42 @@ fn fig5_metrics_trace_journal_and_report() {
     for section in ["phase breakdown", "hottest spans", "warm-start hit rates"] {
         assert!(report.contains(section), "report lacks {section:?}:\n{report}");
     }
+}
+
+/// Asserts that `repro` wrote `results/<name>` byte for byte as
+/// committed in the repository.
+fn assert_matches_committed(written: &Path, name: &str) {
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results").join(name);
+    let (want, got) = (read(&committed), read(&written.join(name)));
+    if let Some((n, (w, g))) = want.lines().zip(got.lines()).enumerate().find(|(_, (w, g))| w != g)
+    {
+        panic!("results/{name} line {} is stale: committed {w:?}, this build {g:?}", n + 1);
+    }
+    assert_eq!(want, got, "results/{name} is stale (rerun repro and commit its output)");
+}
+
+/// The committed Fig 5 CSVs (quick preset) are what this build writes, at
+/// 1 and at 4 worker threads.
+#[test]
+fn committed_fig5_results_are_current() {
+    let dir = workdir("committed_fig5");
+    for threads in ["1", "4"] {
+        let out = format!("threads{threads}");
+        repro(&dir, &[("NWDP_THREADS", threads)], &format!("--quick --out {out} fig5"));
+        for name in ["fig5a_cpu_overhead.csv", "fig5b_mem_overhead.csv"] {
+            assert_matches_committed(&dir.join(&out), name);
+        }
+    }
+}
+
+/// The committed adversary-regret CSV (quick preset) is what this build
+/// writes. The other two `ext_*` CSVs come from the full preset, which
+/// takes too long for a test.
+#[test]
+fn committed_adversary_results_are_current() {
+    let dir = workdir("committed_ext");
+    repro(&dir, &[], "--quick --out results ext");
+    assert_matches_committed(&dir.join("results"), "ext_adversaries.csv");
 }
 
 /// The NIDS upgrade sweep used to reject all of its warm bases; the dual

@@ -7,7 +7,6 @@
 //! as the paper does: CPU cost is per packet, memory cost is per aggregation
 //! item (connection, source, destination).
 
-use nwdp_hash::FlowKeyKind;
 use std::fmt;
 
 /// Why a scaled class set could not be constructed.
@@ -59,8 +58,6 @@ pub enum ClassScope {
 pub struct AnalysisClass {
     pub name: String,
     pub scope: ClassScope,
-    /// Header fields hashed for this class's coordination check.
-    pub key: FlowKeyKind,
     /// CPU cost per analyzed packet (abstract CPU-µs; relative magnitudes
     /// follow the module profiles of Fig 5).
     pub cpu_per_pkt: f64,
@@ -75,19 +72,11 @@ impl AnalysisClass {
     fn new(
         name: &str,
         scope: ClassScope,
-        key: FlowKeyKind,
         cpu_per_pkt: f64,
         mem_per_item: f64,
         items_per_flow: f64,
     ) -> Self {
-        AnalysisClass {
-            name: name.to_string(),
-            scope,
-            key,
-            cpu_per_pkt,
-            mem_per_item,
-            items_per_flow,
-        }
+        AnalysisClass { name: name.to_string(), scope, cpu_per_pkt, mem_per_item, items_per_flow }
     }
 
     /// The nine-module set of the paper's Fig 5 microbenchmarks.
@@ -98,17 +87,16 @@ impl AnalysisClass {
     /// track per-host state.
     pub fn standard_set() -> Vec<AnalysisClass> {
         use ClassScope::*;
-        use FlowKeyKind::*;
         vec![
-            AnalysisClass::new("Baseline", PerPath, BiSession, 1.0, 240.0, 1.0),
-            AnalysisClass::new("Scan", PerIngress, Source, 0.6, 520.0, 0.04),
-            AnalysisClass::new("IRC", PerPath, BiSession, 2.2, 340.0, 1.0),
-            AnalysisClass::new("Login", PerPath, BiSession, 2.6, 420.0, 1.0),
-            AnalysisClass::new("TFTP", PerPath, BiSession, 1.4, 260.0, 1.0),
-            AnalysisClass::new("HTTP", PerPath, BiSession, 3.8, 640.0, 1.0),
-            AnalysisClass::new("Blaster", PerPath, BiSession, 1.2, 200.0, 1.0),
-            AnalysisClass::new("Signature", PerPath, BiSession, 6.5, 300.0, 1.0),
-            AnalysisClass::new("SYNFlood", PerEgress, Destination, 0.5, 480.0, 0.04),
+            AnalysisClass::new("Baseline", PerPath, 1.0, 240.0, 1.0),
+            AnalysisClass::new("Scan", PerIngress, 0.6, 520.0, 0.04),
+            AnalysisClass::new("IRC", PerPath, 2.2, 340.0, 1.0),
+            AnalysisClass::new("Login", PerPath, 2.6, 420.0, 1.0),
+            AnalysisClass::new("TFTP", PerPath, 1.4, 260.0, 1.0),
+            AnalysisClass::new("HTTP", PerPath, 3.8, 640.0, 1.0),
+            AnalysisClass::new("Blaster", PerPath, 1.2, 200.0, 1.0),
+            AnalysisClass::new("Signature", PerPath, 6.5, 300.0, 1.0),
+            AnalysisClass::new("SYNFlood", PerEgress, 0.5, 480.0, 0.04),
         ]
     }
 
@@ -117,12 +105,11 @@ impl AnalysisClass {
     /// users who want coverage of the full generated traffic mix.
     pub fn extended_set() -> Vec<AnalysisClass> {
         use ClassScope::*;
-        use FlowKeyKind::*;
         let mut set = Self::standard_set();
-        set.push(AnalysisClass::new("DNS", PerPath, BiSession, 1.2, 180.0, 1.0));
-        set.push(AnalysisClass::new("FTP", PerPath, BiSession, 2.0, 320.0, 1.0));
-        set.push(AnalysisClass::new("SMTP", PerPath, BiSession, 2.4, 380.0, 1.0));
-        set.push(AnalysisClass::new("SSH", PerPath, BiSession, 1.0, 220.0, 1.0));
+        set.push(AnalysisClass::new("DNS", PerPath, 1.2, 180.0, 1.0));
+        set.push(AnalysisClass::new("FTP", PerPath, 2.0, 320.0, 1.0));
+        set.push(AnalysisClass::new("SMTP", PerPath, 2.4, 380.0, 1.0));
+        set.push(AnalysisClass::new("SSH", PerPath, 1.0, 220.0, 1.0));
         set
     }
 

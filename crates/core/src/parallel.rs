@@ -191,6 +191,10 @@ where
             })
             .collect();
         for h in handles {
+            #[expect(
+                clippy::expect_used,
+                reason = "re-raises a worker's panic on the caller, as a serial map would panic"
+            )]
             let (block, ns) = h.join().expect("parallel worker panicked");
             blocks.push(block);
             worker_ns.push(ns);

@@ -17,10 +17,19 @@
 //! basic connection processing step to avoid creating session state for
 //! traffic that falls outside the sampling manifest for this Bro
 //! instance".
+//!
+//! Module `m` runs class `m` of the deployment. The pipeline reads each
+//! module's constants (traffic spec, hash key, stage, granularity) from
+//! its [`ModuleSpec`] as data; only the analysis itself is a call into
+//! the module's [`Analyzer`]. The engine owns each module's detections
+//! and lends them to the analyzer as an [`AlertSink`].
 
 use crate::conn::ConnTable;
 use crate::cost::{CostModel, Meter};
-use crate::modules::{module_for_class, Alert, Analyzer, EngineError, Granularity, Stage};
+use crate::modules::{
+    module_for_class, Alert, AlertSink, Analyzer, Detections, EngineError, Granularity, ModuleSpec,
+    Stage,
+};
 use nwdp_core::nids::{generate_manifests, SamplingManifest};
 use nwdp_core::{ClassScope, NidsDeployment, UnitKey};
 use nwdp_hash::{FlowKeyKind, KeyedHasher};
@@ -207,9 +216,13 @@ pub struct Engine<'a> {
     /// recompiled on every [`Engine::set_manifest`].
     table: CheckTable,
     conns: ConnTable,
+    /// Module `m` runs class `m` of the class list: its constants, its
+    /// analyzer, its meter and its detections.
+    specs: Vec<ModuleSpec>,
     modules: Vec<Box<dyn Analyzer>>,
     base_meter: Meter,
     module_meters: Vec<Meter>,
+    found: Vec<Detections>,
     packets: u64,
     fastpath_skipped: u64,
     range_checks: u64,
@@ -239,7 +252,9 @@ impl<'a> Engine<'a> {
     /// [`Placement::Unmodified`] is stock Bro (edge-only / baseline runs).
     ///
     /// Fails with [`EngineError::UnknownClass`] when a class name has no
-    /// registered analyzer module (instead of aborting the process).
+    /// registered analyzer module (instead of aborting the process), and
+    /// with [`EngineError::ClassListMismatch`] when a coordinated engine's
+    /// `class_names` differ from the deployment's classes.
     pub fn new(
         node: NodeId,
         placement: Placement,
@@ -252,8 +267,20 @@ impl<'a> Engine<'a> {
         } else {
             assert!(coord.is_some(), "coordinated placements need a manifest context");
         }
-        let modules: Vec<Box<dyn Analyzer>> =
-            class_names.iter().map(|n| module_for_class(n)).collect::<Result<_, _>>()?;
+        if let Some(c) = &coord {
+            if !class_names.iter().eq(c.dep.classes.iter().map(|class| &class.name)) {
+                return Err(EngineError::ClassListMismatch {
+                    engine: class_names.to_vec(),
+                    deployment: c.dep.classes.iter().map(|class| class.name.clone()).collect(),
+                });
+            }
+        }
+        let (specs, modules): (Vec<_>, Vec<_>) = class_names
+            .iter()
+            .map(|n| module_for_class(n))
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter()
+            .unzip();
         let with_hashes = placement != Placement::Unmodified;
         let n_modules = modules.len();
         let table = coord
@@ -268,6 +295,8 @@ impl<'a> Engine<'a> {
             table,
             conns: ConnTable::new(with_hashes, n_modules),
             module_meters: vec![Meter::new(); n_modules],
+            found: vec![Detections::new(); n_modules],
+            specs,
             modules,
             base_meter: Meter::new(),
             packets: 0,
@@ -378,15 +407,14 @@ impl<'a> Engine<'a> {
         let mut hash_cache: [Option<f64>; 4] = [None; 4];
         let mut hashed = 0u64;
         let mut checks = 0u64;
-        for m in 0..self.modules.len() {
+        for (m, spec) in self.specs.iter().enumerate() {
             let cell = self.table.cell(m, src_node, dst_node);
             if cell == NO_UNIT {
                 continue;
             }
-            let kind = self.modules[m].key_kind();
-            let h = *hash_cache[kind_slot(kind)].get_or_insert_with(|| {
+            let h = *hash_cache[kind_slot(spec.key)].get_or_insert_with(|| {
                 hashed += 1;
-                self.hasher.unit_hash(&tuple, kind)
+                self.hasher.unit_hash(&tuple, spec.key)
             });
             checks += 1;
             if covers(&coord.manifest, self.node, cell, h) {
@@ -424,16 +452,14 @@ impl<'a> Engine<'a> {
             let mut hash_cache: [Option<f64>; 4] = [None; 4];
             let mut hashed = 0u64;
             let mut any = false;
-            // Modules are built 1:1 from the class list: module m is class m.
-            for m in 0..self.modules.len() {
+            for (m, spec) in self.specs.iter().enumerate() {
                 let cell = self.table.cell(m, src_node, dst_node);
                 if cell == NO_UNIT {
                     continue;
                 }
-                let kind = self.modules[m].key_kind();
-                let h = *hash_cache[kind_slot(kind)].get_or_insert_with(|| {
+                let h = *hash_cache[kind_slot(spec.key)].get_or_insert_with(|| {
                     hashed += 1;
-                    self.hasher.unit_hash(&tuple, kind)
+                    self.hasher.unit_hash(&tuple, spec.key)
                 });
                 self.base_meter.cpu(self.costs.evt_check);
                 self.range_checks += 1;
@@ -470,15 +496,15 @@ impl<'a> Engine<'a> {
             let rec = self.conns.get_mut(idx);
             let (sn, dn) = (node_of_ip(rec.orig.src_ip), node_of_ip(rec.orig.dst_ip));
             let mut checks = 0u64;
-            for (m, module) in self.modules.iter().enumerate() {
-                if !self.placement.decided_in_event_engine(module.stage()) {
+            for (m, spec) in self.specs.iter().enumerate() {
+                if !self.placement.decided_in_event_engine(spec.stage) {
                     rec.enabled[m] = true; // the policy layer decides later
                     continue;
                 }
                 checks += 1;
                 let cell = self.table.cell(m, sn, dn);
                 rec.enabled[m] = cell != NO_UNIT && {
-                    let h = rec.hashes.get(module.key_kind());
+                    let h = rec.hashes.get(spec.key);
                     self.range_checks += 1;
                     let hit = covers(&coord.manifest, self.node, cell, h);
                     self.range_hits += hit as u64;
@@ -493,18 +519,18 @@ impl<'a> Engine<'a> {
                 let rec = self.conns.get(idx);
                 let mut any_interested = false;
                 let mut needs_full = false;
-                for (m, module) in self.modules.iter().enumerate() {
-                    if !module.wants(rec) {
+                for (m, spec) in self.specs.iter().enumerate() {
+                    if !spec.traffic.admits(rec.app, rec.orig.dst_port) {
                         continue;
                     }
-                    let interested = if self.placement.decided_in_event_engine(module.stage()) {
+                    let interested = if self.placement.decided_in_event_engine(spec.stage) {
                         rec.enabled[m]
                     } else {
                         // Policy-side decision is per-connection too;
                         // resolve it now from the record's hashes.
                         let cell = self.table.cell(m, sn, dn);
                         cell != NO_UNIT && {
-                            let h = rec.hashes.get(module.key_kind());
+                            let h = rec.hashes.get(spec.key);
                             self.range_checks += 1;
                             let hit = covers(&coord.manifest, self.node, cell, h);
                             self.range_hits += hit as u64;
@@ -513,7 +539,7 @@ impl<'a> Engine<'a> {
                     };
                     if interested {
                         any_interested = true;
-                        if module.needs_all_packets() {
+                        if spec.needs_all_packets {
                             needs_full = true;
                             break;
                         }
@@ -532,12 +558,12 @@ impl<'a> Engine<'a> {
         }
 
         // --- Per-module analysis (Fig 3 loop). ---
-        for m in 0..self.modules.len() {
+        for (m, spec) in self.specs.iter().enumerate() {
             let rec = self.conns.get(idx);
-            if !self.modules[m].wants(rec) {
+            if !spec.traffic.admits(rec.app, rec.orig.dst_port) {
                 continue;
             }
-            let event_decided = self.placement.decided_in_event_engine(self.modules[m].stage());
+            let event_decided = self.placement.decided_in_event_engine(spec.stage);
             let run = match (&self.coord, event_decided) {
                 (None, _) => true,
                 (Some(_), true) => rec.enabled[m],
@@ -551,7 +577,7 @@ impl<'a> Engine<'a> {
                     let (sn, dn) = (node_of_ip(rec.orig.src_ip), node_of_ip(rec.orig.dst_ip));
                     let cell = self.table.cell(m, sn, dn);
                     cell != NO_UNIT && {
-                        let charge = match self.modules[m].granularity() {
+                        let charge = match spec.granularity {
                             Granularity::PerPacket => self.costs.policy_check_pkt,
                             Granularity::PerConnection if rec.pkts <= 1 || pkt.fin => {
                                 self.costs.policy_check_conn
@@ -559,7 +585,7 @@ impl<'a> Engine<'a> {
                             Granularity::PerConnection => 0,
                         };
                         self.module_meters[m].cpu(charge);
-                        let h = rec.hashes.get(self.modules[m].key_kind());
+                        let h = rec.hashes.get(spec.key);
                         self.range_checks += 1;
                         let hit = covers(&coord.manifest, self.node, cell, h);
                         self.range_hits += hit as u64;
@@ -575,6 +601,7 @@ impl<'a> Engine<'a> {
                     is_new,
                     &self.costs,
                     &mut self.module_meters[m],
+                    &mut AlertSink::new(&spec.class_name, &mut self.found[m]),
                 );
             }
         }
@@ -586,7 +613,9 @@ impl<'a> Engine<'a> {
     ///
     /// Sound because shards split sessions by the keyed `BiSession` hash
     /// (no two shards share a connection record) and all cross-connection
-    /// module state is monotone (see [`Analyzer::absorb`]). Peak memory is
+    /// module state is monotone (see [`Analyzer::absorb`]): each module
+    /// first unites both shards' detections, then its analyzer raises
+    /// those only the merged state crosses. Peak memory is
     /// additive only when meters never free, so the fine-grained extension
     /// must be off on both sides; per-host state both shards allocated is
     /// refunded via [`Meter::refund_alloc`].
@@ -599,7 +628,7 @@ impl<'a> Engine<'a> {
         assert_eq!(self.modules.len(), other.modules.len(), "shards must run the same modules");
         if nwdp_obs::alert_enabled() {
             // Merge re-detections (a threshold only the combined shard
-            // counts cross) emit below via `Analyzer::absorb`. Pin their
+            // counts cross) are raised below via `Analyzer::absorb`. Pin their
             // context to this node and the last session either shard
             // processed — the moment the detection became knowable —
             // instead of whatever the merging thread's thread-local
@@ -619,8 +648,10 @@ impl<'a> Engine<'a> {
             self.module_meters[m].cpu_cycles += other.module_meters[m].cpu_cycles;
             self.module_meters[m].mem_bytes += other.module_meters[m].mem_bytes;
             self.module_meters[m].mem_peak += other.module_meters[m].mem_peak;
+            self.found[m].extend(&other.found[m]);
             let state = other.modules[m].take_state();
-            let refund = self.modules[m].absorb(state, other.modules[m].alerts());
+            let sink = &mut AlertSink::new(&self.specs[m].class_name, &mut self.found[m]);
+            let refund = self.modules[m].absorb(state, sink);
             self.module_meters[m].refund_alloc(refund);
         }
     }
@@ -631,12 +662,15 @@ impl<'a> Engine<'a> {
         let mut mem_peak = self.base_meter.mem_peak;
         let mut per_module_cpu = Vec::with_capacity(self.modules.len());
         let mut alerts = BTreeSet::new();
-        for (m, module) in self.modules.iter().enumerate() {
+        for (m, spec) in self.specs.iter().enumerate() {
             cpu += self.module_meters[m].cpu_cycles;
             mem_peak += self.module_meters[m].mem_peak;
-            per_module_cpu
-                .push((module.class_name().to_string(), self.module_meters[m].cpu_cycles));
-            alerts.extend(module.alerts().iter().cloned());
+            per_module_cpu.push((spec.class_name.clone(), self.module_meters[m].cpu_cycles));
+            alerts.extend(self.found[m].iter().map(|&(kind, subject)| Alert {
+                module: spec.class_name.clone(),
+                kind,
+                subject,
+            }));
         }
         RunStats {
             node: self.node,
@@ -791,6 +825,22 @@ mod tests {
         )
         .unwrap();
         assert_eq!(owner.set_manifest(Arc::new(manifest2)), Ok(()));
+    }
+
+    #[test]
+    fn coordinated_engine_rejects_a_reordered_class_list() {
+        let (_topo, dep) = small_setup();
+        let (solo, manifest) = standalone_coordination(&dep, NodeId(0));
+        let deployment: Vec<String> = solo.classes.iter().map(|c| c.name.clone()).collect();
+        let reversed: Vec<String> = deployment.iter().rev().cloned().collect();
+        let coord = CoordContext::new(&solo, &manifest);
+        let h = KeyedHasher::unkeyed();
+        let err = match Engine::new(NodeId(0), Placement::EventEngine, &reversed, Some(coord), h) {
+            Ok(_) => panic!("module m must run class m"),
+            Err(e) => e,
+        };
+        assert_eq!(err, EngineError::ClassListMismatch { engine: reversed, deployment });
+        assert!(err.to_string().contains("SYNFlood"));
     }
 
     /// The table's answer for `class` on `(src, dst)` at hash `h`: `None`

@@ -12,10 +12,10 @@ use nwdp_traffic::{generate_trace, TraceConfig, TrafficMatrix, VolumeModel};
 #[test]
 fn extended_modules_construct_with_expected_stages() {
     for name in ["DNS", "FTP", "SMTP", "SSH"] {
-        let m = module_for_class(name).unwrap();
-        assert_eq!(m.class_name(), name);
-        assert_eq!(m.stage(), Stage::EventCapable, "{name}");
-        assert!(m.needs_all_packets());
+        let (m, _) = module_for_class(name).unwrap();
+        assert_eq!(m.class_name, name);
+        assert_eq!(m.stage, Stage::EventCapable, "{name}");
+        assert!(m.needs_all_packets);
     }
 }
 

@@ -2,27 +2,12 @@
 //! prototype vs unmodified Bro, per module, for both check placements.
 
 use nwdp_core::{build_units, AnalysisClass};
-use nwdp_engine::{standalone_coordination, CoordContext, Engine, Placement};
+use nwdp_engine::{module_for_class, standalone_coordination, CoordContext, Engine, Placement};
 use nwdp_hash::KeyedHasher;
 use nwdp_topo::{line, NodeId, PathDb};
 use nwdp_traffic::{
     generate_trace, AnomalyConfig, NetTrace, TraceConfig, TrafficMatrix, VolumeModel,
 };
-
-/// Bro derives a libpcap capture filter from the loaded analyzers: a
-/// module-in-isolation run only receives its own traffic. Protocol
-/// modules filter by server port; connection-level modules see everything.
-fn capture_filter(class_name: &str, s: &nwdp_traffic::Session) -> bool {
-    use nwdp_traffic::AppProtocol as A;
-    match class_name {
-        "HTTP" => s.tuple.dst_port == A::Http.server_port(),
-        "IRC" => s.tuple.dst_port == A::Irc.server_port(),
-        "Login" => s.tuple.dst_port == A::Telnet.server_port(),
-        "TFTP" => s.tuple.dst_port == A::Tftp.server_port(),
-        "Blaster" => s.tuple.dst_port == A::Tftp.server_port() || s.tuple.dst_port == 135,
-        _ => true,
-    }
-}
 
 /// Run a single module in isolation over the trace under a placement.
 /// Returns (cpu_cycles, mem_peak).
@@ -46,7 +31,10 @@ fn run_module(class_name: &str, placement: Placement, trace: &NetTrace) -> (u64,
         }
     }
     .unwrap();
-    for s in trace.sessions.iter().filter(|s| capture_filter(class_name, s)) {
+    // Bro derives a capture filter from the loaded analyzers: a module in
+    // isolation only receives its own traffic specification.
+    let (spec, _) = module_for_class(class_name).unwrap();
+    for s in trace.sessions.iter().filter(|s| spec.traffic.admits_tuple(&s.tuple)) {
         engine.process_session(s);
     }
     let stats = engine.stats();

@@ -188,6 +188,11 @@ impl MinCostFlow {
             let mut bottleneck = i64::MAX;
             let mut v = sink;
             while v != source {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "dist[sink] is finite, so every node on the sink's chain has a \
+                              predecessor back to the source"
+                )]
                 let (u, i) = prev[v].expect("path broken");
                 bottleneck = bottleneck.min(self.graph[u][i].cap);
                 v = u;
@@ -196,6 +201,11 @@ impl MinCostFlow {
             // Apply.
             let mut v = sink;
             while v != source {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "dist[sink] is finite, so every node on the sink's chain has a \
+                              predecessor back to the source"
+                )]
                 let (u, i) = prev[v].expect("path broken");
                 let rev = self.graph[u][i].rev;
                 self.graph[u][i].cap -= bottleneck;

@@ -172,6 +172,10 @@ pub fn run_fpl(
     let timed_oracle = |w: &[f64], lane: usize| {
         let t0 = obs::now_if_enabled();
         let weight = |i: usize, k: usize, pos: usize| w[lay.idx(i, k, pos)];
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned lock means an oracle solve on that lane already panicked"
+        )]
         let d = match oracles[lane].lock().expect("oracle lock").as_mut() {
             Some(o) => o.solve_feasible(inst, weight),
             None => InnerFlowOracle::build(inst, &all_enabled).solve_feasible(inst, weight),
@@ -219,6 +223,7 @@ pub fn run_fpl(
         for w in weights.iter_mut() {
             *w += rng.random_range(0.0..(1.0 / epsilon));
         }
+        #[expect(clippy::expect_used, reason = "par_map_n(2, ..) returns exactly two results")]
         let (decision, ftl_decision) = if cfg.track_ftl && t > 0 {
             let mut pair = parallel::par_map_n(2, |j| {
                 if j == 0 {

@@ -75,7 +75,13 @@ impl PathDb {
                     if cur == src {
                         break;
                     }
-                    cur = prev[cur.index()].expect("connected graph has predecessors");
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the topology is asserted connected, so every node on a \
+                                  shortest path but src has a predecessor"
+                    )]
+                    let next = prev[cur.index()].expect("connected graph has predecessors");
+                    cur = next;
                 }
                 nodes.reverse();
                 let wbits = dist[dst.index()].to_bits();
@@ -87,7 +93,12 @@ impl PathDb {
                     Some(Path { src: dst, dst: src, nodes: rev_nodes, weight_bits: wbits });
             }
         }
-        PathDb { n, paths: paths.into_iter().map(|p| p.expect("all pairs filled")).collect() }
+        #[expect(
+            clippy::expect_used,
+            reason = "each src <= dst iteration fills both (src, dst) and (dst, src)"
+        )]
+        let paths = paths.into_iter().map(|p| p.expect("all pairs filled")).collect();
+        PathDb { n, paths }
     }
 
     pub fn path(&self, src: NodeId, dst: NodeId) -> &Path {

@@ -67,6 +67,10 @@ impl TrafficMatrix {
     /// panicking.
     pub fn busiest_pair(&self) -> (NodeId, NodeId) {
         let finite_or_min = |v: f64| if v.is_finite() { v } else { f64::NEG_INFINITY };
+        #[expect(
+            clippy::expect_used,
+            reason = "`frac` holds n² entries, and a matrix is only built over a non-empty topology"
+        )]
         let (idx, _) = self
             .frac
             .iter()
