@@ -116,10 +116,14 @@ echo "eprintln lint OK"
 
 # Streaming data plane: the sharded stream must stay bit-identical to the
 # batch replay at any thread/shard count (the equivalence suite pins the
-# full RunStats, the bench asserts it again internally).
+# full RunStats, the bench asserts it again internally), and the golden
+# data-plane constants, `STREAM_RELOAD` included, must hold whichever
+# threads replay the routed chunks.
 echo "== streaming equivalence (thread counts 1 and 4) =="
 NWDP_THREADS=1 cargo test -q --test parallel_equivalence
 NWDP_THREADS=4 cargo test -q --test parallel_equivalence
+NWDP_THREADS=1 cargo test -q --test golden_dataplane
+NWDP_THREADS=4 cargo test -q --test golden_dataplane
 
 # Distributed control plane: the cluster suites must hold at 1 and 4
 # threads (full-run bit-equality incl. the delivery-schedule fingerprint).

@@ -20,7 +20,7 @@
 
 use crate::output::Table;
 use nwdp_obs::{parse_json, Json};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// One reconstructed span (a joined B/E record pair).
@@ -32,6 +32,9 @@ pub struct SpanRec {
     pub name: String,
     pub start_ns: u64,
     pub end_ns: u64,
+    /// The fields recorded on the open record (`"f"`), e.g. a stream
+    /// shard span's `node` and `shard`.
+    pub fields: BTreeMap<String, Json>,
     /// False when the journal ended before the span's close record (a
     /// crash or an unflushed buffer); `end_ns` is then the last timestamp
     /// seen anywhere in the journal.
@@ -97,6 +100,7 @@ pub fn parse_journal(text: &str) -> Journal {
                     name: name.to_string(),
                     start_ns: ts,
                     end_ns: ts,
+                    fields: doc.get("f").and_then(Json::as_obj).cloned().unwrap_or_default(),
                     closed: false,
                 });
             }
@@ -207,10 +211,12 @@ pub fn hottest_table(j: &Journal, top: usize) -> Table {
 /// Shard utilization of streaming data-plane runs: for every
 /// `engine.stream` span, the `engine.stream_shard` workers that ran inside
 /// its wall-clock window (time containment, not span ancestry — the shard
-/// spans sit under `parallel.worker` parents when the fan-out is
-/// threaded). Busy is the summed shard wall time; idle is the rest of the
-/// `workers × wall` slot area, i.e. time workers spent waiting on the
-/// slowest shard. Returns `None` when the journal has no streaming runs.
+/// spans sit under `engine.stream_worker` parents when the run is
+/// threaded). A worker journals one span per chunk of the stream and
+/// counts once, by its `node` and `shard` fields. Busy is the summed shard
+/// wall time; idle is the rest of the `workers × wall` slot area, i.e.
+/// time workers spent waiting for sessions or for other workers. Returns
+/// `None` when the journal has no streaming runs.
 pub fn stream_shard_table(j: &Journal) -> Option<Table> {
     let streams: Vec<&SpanRec> = j.spans.iter().filter(|s| s.name == "engine.stream").collect();
     if streams.is_empty() {
@@ -221,7 +227,7 @@ pub fn stream_shard_table(j: &Journal) -> Option<Table> {
         &["run", "workers", "wall_s", "busy_s", "idle_s", "busy_pct"],
     );
     for (i, run) in streams.iter().enumerate() {
-        let shard_durs: Vec<u64> = j
+        let shards: Vec<&SpanRec> = j
             .spans
             .iter()
             .filter(|s| {
@@ -229,10 +235,17 @@ pub fn stream_shard_table(j: &Journal) -> Option<Table> {
                     && s.start_ns >= run.start_ns
                     && s.start_ns <= run.end_ns
             })
-            .map(SpanRec::dur_ns)
             .collect();
-        let workers = shard_durs.len() as u64;
-        let busy: u64 = shard_durs.iter().sum();
+        // A span without the worker fields counts as a worker of its own.
+        let workers = shards
+            .iter()
+            .map(|s| match (s.fields.get("node"), s.fields.get("shard")) {
+                (Some(node), Some(shard)) => (node.render(), shard.render()),
+                _ => (format!("span {}", s.id), String::new()),
+            })
+            .collect::<BTreeSet<_>>()
+            .len() as u64;
+        let busy: u64 = shards.iter().map(|s| s.dur_ns()).sum();
         let slots = workers * run.dur_ns();
         let idle = slots.saturating_sub(busy);
         t.row(vec![
@@ -648,6 +661,31 @@ mod tests {
         assert_eq!(t.rows[0][5], "60.0%");
         // A journal without streaming runs yields no table.
         assert!(stream_shard_table(&parse_journal(synthetic())).is_none());
+    }
+
+    #[test]
+    fn stream_shard_utilization_counts_each_worker_once() {
+        // One streaming run 0–10ms; worker (0, 0) replays two chunks of
+        // 3ms each, worker (0, 1) one chunk of 4ms. Two workers, busy
+        // 10ms of a 20ms slot area.
+        let text = concat!(
+            "{\"ev\":\"B\",\"name\":\"engine.stream\",\"id\":1,\"tid\":0,\"ts\":0}\n",
+            "{\"ev\":\"B\",\"name\":\"engine.stream_shard\",\"id\":2,\"parent\":1,\"tid\":1,",
+            "\"ts\":1000000,\"f\":{\"node\":0,\"shard\":0}}\n",
+            "{\"ev\":\"E\",\"id\":2,\"tid\":1,\"ts\":4000000}\n",
+            "{\"ev\":\"B\",\"name\":\"engine.stream_shard\",\"id\":3,\"parent\":1,\"tid\":1,",
+            "\"ts\":5000000,\"f\":{\"node\":0,\"shard\":0}}\n",
+            "{\"ev\":\"E\",\"id\":3,\"tid\":1,\"ts\":8000000}\n",
+            "{\"ev\":\"B\",\"name\":\"engine.stream_shard\",\"id\":4,\"parent\":1,\"tid\":2,",
+            "\"ts\":2000000,\"f\":{\"node\":0,\"shard\":1}}\n",
+            "{\"ev\":\"E\",\"id\":4,\"tid\":2,\"ts\":6000000}\n",
+            "{\"ev\":\"E\",\"id\":1,\"tid\":0,\"ts\":10000000}\n",
+        );
+        let t = stream_shard_table(&parse_journal(text)).expect("journal has a streaming run");
+        assert_eq!(t.rows[0][1], "2");
+        assert_eq!(t.rows[0][3], "0.010");
+        assert_eq!(t.rows[0][4], "0.010");
+        assert_eq!(t.rows[0][5], "50.0%");
     }
 
     #[test]

@@ -11,7 +11,11 @@
 //! tests check what reaches the files.
 
 use nwdp_bench::cluster::CRASH_AT;
+use nwdp_bench::scenario::NidsContext;
+use nwdp_bench::{throughput, Scale};
 use nwdp_obs::{parse_json, Json};
+use nwdp_topo::NodeId;
+use nwdp_traffic::generate_trace;
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -249,6 +253,22 @@ fn throughput_csv_honours_pinned_shards() {
     assert_eq!(num(r, "shards"), 3.0, "{r:?}");
     assert!(num(r, "sessions/s") > 0.0, "{r:?}");
     assert!(num(r, "p99 pkt ns") >= num(r, "p50 pkt ns") && num(r, "p50 pkt ns") > 0.0, "{r:?}");
+}
+
+#[test]
+fn throughput_stream_reads_each_session_once() {
+    let dir = workdir("throughput_metrics");
+    repro(&dir, &[], "--quick throughput --out results --metrics-out metrics.json");
+    let m = json(&dir.join("metrics.json"));
+    // Only the latency pass streams with metrics on: the source is read
+    // once, and every session reaches each node on its path once.
+    let ctx = NidsContext::internet2();
+    let trace = generate_trace(&ctx.topo, &ctx.tm, &throughput::trace_config(Scale::Quick));
+    let onpath: usize = (0..ctx.topo.num_nodes())
+        .map(|j| trace.onpath_sessions(&ctx.paths, NodeId(j)).count())
+        .sum();
+    assert_eq!(counter(&m, "engine.stream.sessions"), trace.sessions.len() as f64);
+    assert_eq!(counter(&m, "engine.stream.visits"), onpath as f64);
 }
 
 #[test]

@@ -13,6 +13,9 @@ pub struct AhoCorasick {
     goto_: Vec<u32>,
     /// Patterns ending at each state (indices into the original set).
     output: Vec<Vec<u32>>,
+    /// `accept[s]`: some pattern ends at state `s` (`output[s]` is not
+    /// empty), read by the scans that only ask whether anything matched.
+    accept: Vec<bool>,
     n_patterns: usize,
 }
 
@@ -72,7 +75,8 @@ impl AhoCorasick {
             }
         }
 
-        AhoCorasick { goto_, output, n_patterns: patterns.len() }
+        let accept = output.iter().map(|o| !o.is_empty()).collect();
+        AhoCorasick { goto_, output, accept, n_patterns: patterns.len() }
     }
 
     pub fn num_states(&self) -> usize {
@@ -103,7 +107,7 @@ impl AhoCorasick {
         let mut s = 0u32;
         for &b in haystack {
             s = self.goto_[s as usize * 256 + b as usize];
-            if !self.output[s as usize].is_empty() {
+            if self.accept[s as usize] {
                 return true;
             }
         }
@@ -120,9 +124,7 @@ impl AhoCorasick {
         let mut matched = false;
         for &b in chunk {
             s = self.goto_[s as usize * 256 + b as usize];
-            if !self.output[s as usize].is_empty() {
-                matched = true;
-            }
+            matched |= self.accept[s as usize];
         }
         (s, matched)
     }

@@ -107,8 +107,9 @@ impl ConnTable {
     }
 
     /// Look up the record for a tuple without creating one (no cost
-    /// charged). The engine probes once per packet: the §2.3 fast path
-    /// reads the result, and [`ConnTable::upsert`] reuses it.
+    /// charged). The engine probes once per session (once per packet in
+    /// `Engine::process_packet`): the §2.3 fast path reads the result,
+    /// and [`ConnTable::upsert`] reuses it.
     pub fn find(&self, tuple: &FiveTuple) -> Option<usize> {
         self.map.get(&Self::canonical(tuple)).copied()
     }

@@ -342,6 +342,16 @@ impl<'a> Engine<'a> {
     /// Feed one session's packets through the engine. Packets are
     /// synthesized into a reusable buffer — no per-session allocation.
     pub fn process_session(&mut self, session: &Session) {
+        let record = self.conns.find(&session.tuple);
+        self.replay_session(session, record);
+    }
+
+    /// [`Engine::process_session`] given `record`, the connection table's
+    /// entry for the session's tuple. Every packet of a session
+    /// canonicalizes to that tuple, and only the session's own packets
+    /// touch the table meanwhile, so the entry is carried from packet to
+    /// packet: one table probe per session.
+    fn replay_session(&mut self, session: &Session, mut record: Option<usize>) {
         if nwdp_obs::alert_enabled() {
             nwdp_obs::set_alert_context(self.node.0 as u64, session.id);
             self.last_sid = self.last_sid.max(session.id);
@@ -349,7 +359,7 @@ impl<'a> Engine<'a> {
         let mut buf = std::mem::take(&mut self.pkt_buf);
         session.packets_into(&mut buf);
         for pkt in &buf {
-            self.process_packet(pkt);
+            record = self.process_packet_at(pkt, record);
         }
         self.pkt_buf = buf;
     }
@@ -386,21 +396,23 @@ impl<'a> Engine<'a> {
     /// canonicalizes to the session's tuple, so the per-packet fast-path
     /// outcome is the same for all of them.
     pub fn process_session_fast(&mut self, session: &Session) {
-        if self.try_skip_session(session) {
+        let record = self.conns.find(&session.tuple);
+        if record.is_none() && self.try_skip_session(session) {
             return;
         }
-        self.process_session(session);
+        self.replay_session(session, record);
     }
 
     /// The batched membership check behind
-    /// [`Engine::process_session_fast`]. Returns `true` when the whole
-    /// session was skipped (bulk charges committed); `false` leaves the
-    /// engine untouched — the trial scan uses only locals, so a session
-    /// that turns out to be covered is processed normally with no
-    /// double-charging (its first packet re-runs the fast path itself).
+    /// [`Engine::process_session_fast`], for a session with no connection
+    /// record. Returns `true` when the whole session was skipped (bulk
+    /// charges committed); `false` leaves the engine untouched — the
+    /// trial scan uses only locals, so a session that turns out to be
+    /// covered is processed normally with no double-charging (its first
+    /// packet re-runs the fast path itself).
     fn try_skip_session(&mut self, session: &Session) -> bool {
         let tuple = session.tuple;
-        let Some(coord) = self.coord.as_ref().filter(|_| self.conns.find(&tuple).is_none()) else {
+        let Some(coord) = self.coord.as_ref() else {
             return false;
         };
         let (src_node, dst_node) = (node_of_ip(tuple.src_ip), node_of_ip(tuple.dst_ip));
@@ -437,6 +449,14 @@ impl<'a> Engine<'a> {
 
     /// The per-packet pipeline (paper Fig 3 embedded in the Bro stages).
     pub fn process_packet(&mut self, pkt: &Packet<'_>) {
+        let record = self.conns.find(&canonical_tuple(pkt));
+        self.process_packet_at(pkt, record);
+    }
+
+    /// [`Engine::process_packet`] given `record`, the connection table's
+    /// entry for the packet's canonical tuple. Returns the entry after the
+    /// packet: `None` when it took the §2.3 fast path and created none.
+    fn process_packet_at(&mut self, pkt: &Packet<'_>, record: Option<usize>) -> Option<usize> {
         self.packets += 1;
         self.base_meter.cpu(self.costs.pkt_base);
 
@@ -445,9 +465,8 @@ impl<'a> Engine<'a> {
 
         // --- §2.3 fast path: for traffic with no existing state, skip
         // connection creation when no module's manifest range covers it.
-        // The one table probe serves the upsert below as well.
-        let found = self.conns.find(&tuple);
-        if let Some(coord) = self.coord.as_ref().filter(|_| found.is_none()) {
+        // The caller's table probe serves the upsert below as well.
+        if let Some(coord) = self.coord.as_ref().filter(|_| record.is_none()) {
             // Each needed hash kind is computed once per packet.
             let mut hash_cache: [Option<f64>; 4] = [None; 4];
             let mut hashed = 0u64;
@@ -472,13 +491,13 @@ impl<'a> Engine<'a> {
             self.base_meter.cpu(self.costs.hash_compute * hashed);
             if !any {
                 self.fastpath_skipped += 1;
-                return; // transit fast path: no state, no analysis
+                return None; // transit fast path: no state, no analysis
             }
         }
 
         // --- Basic connection processing. ---
         let (idx, is_new) =
-            self.conns.upsert(&tuple, found, &self.hasher, &self.costs, &mut self.base_meter);
+            self.conns.upsert(&tuple, record, &self.hasher, &self.costs, &mut self.base_meter);
         {
             let rec = self.conns.get_mut(idx);
             rec.pkts += 1;
@@ -554,7 +573,7 @@ impl<'a> Engine<'a> {
         // Lightweight connections skip mid-stream per-packet analysis
         // entirely (their modules only consume connection-level events).
         if self.conns.get(idx).light && !is_new && !pkt.fin && (!pkt.syn || pkt.ack) {
-            return;
+            return Some(idx);
         }
 
         // --- Per-module analysis (Fig 3 loop). ---
@@ -605,6 +624,7 @@ impl<'a> Engine<'a> {
                 );
             }
         }
+        Some(idx)
     }
 
     /// Fold another shard's engine — same node, same module list, disjoint
@@ -777,6 +797,44 @@ mod tests {
             owner.process_session(s);
         }
         assert!(owner.stats().connections > 0);
+    }
+
+    #[test]
+    fn session_replay_matches_packet_by_packet_replay() {
+        // `process_session` probes the connection table once per session;
+        // feeding the same packets one by one probes for every packet.
+        // Both must charge and detect the same.
+        let (topo, dep) = small_setup();
+        let lp = NidsLpConfig::homogeneous(dep.num_nodes, NodeCaps { cpu: 2e7, mem: 4e8 });
+        let manifest = generate_manifests(&dep, &solve_nids_lp(&dep, &lp).unwrap().d);
+        let names: Vec<String> = dep.classes.iter().map(|c| c.name.clone()).collect();
+        let trace =
+            generate_trace(&topo, &TrafficMatrix::uniform(&topo), &TraceConfig::new(600, 9));
+        let hasher = KeyedHasher::with_key(3);
+        for placement in [Placement::EventEngine, Placement::PolicyEngine] {
+            for fine_grained in [false, true] {
+                for node in 0..dep.num_nodes {
+                    let engine = || {
+                        let coord = CoordContext::new(&dep, &manifest);
+                        let mut e =
+                            Engine::new(NodeId(node), placement, &names, Some(coord), hasher)
+                                .unwrap();
+                        e.set_fine_grained(fine_grained);
+                        e
+                    };
+                    let (mut by_session, mut by_packet) = (engine(), engine());
+                    for s in &trace.sessions {
+                        by_session.process_session(s);
+                        for pkt in s.packets() {
+                            by_packet.process_packet(&pkt);
+                        }
+                    }
+                    let (a, b) = (by_session.stats(), by_packet.stats());
+                    assert!(a.range_hits > 0 && a.fastpath_skipped > 0, "{a:?}");
+                    assert_eq!(format!("{a:?}"), format!("{b:?}"), "{placement:?} node {node}");
+                }
+            }
+        }
     }
 
     #[test]

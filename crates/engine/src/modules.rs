@@ -448,12 +448,27 @@ impl Analyzer for AppAnalyzer {
             // Policy-script processing of the raw event (interpreted).
             meter.cpu(22 * costs.interp_factor);
         }
-        if pkt.payload.windows(row.trigger.len()).any(|w| w == row.trigger) {
+        if contains(pkt.payload, row.trigger) {
             // Deliver a protocol event to the policy layer.
             meter.cpu(costs.event_dispatch + 8 * costs.interp_factor);
             alerts.raise(row.alert_kind, conn_subject(conn), Some(conn));
         }
     }
+}
+
+/// Does `needle` occur in `haystack`? Scans for its first byte and
+/// compares the rest only there.
+fn contains(haystack: &[u8], needle: &[u8]) -> bool {
+    let Some((&first, rest)) = needle.split_first() else {
+        return true;
+    };
+    let Some(last) = haystack.len().checked_sub(needle.len()) else {
+        return false;
+    };
+    haystack[..=last]
+        .iter()
+        .enumerate()
+        .any(|(i, &b)| b == first && haystack[i + 1..=i + rest.len()] == *rest)
 }
 
 // ----------------------------------------------------------------- Blaster
@@ -713,6 +728,19 @@ mod tests {
     use super::*;
     use nwdp_topo::NodeId;
     use nwdp_traffic::{Session, SessionKind};
+
+    #[test]
+    fn contains_matches_a_window_search() {
+        let hay = b"xxGETGET /a\x00\x01 JOIN #c MAIL FROM:<a> login:";
+        for needle in [&b"GET "[..], b"JOIN ", b"login:", b"\x00\x01", b"x", b"GEX", b"Q"] {
+            for cut in 0..=hay.len() {
+                let h = &hay[..cut];
+                let want = h.windows(needle.len()).any(|w| w == needle);
+                assert_eq!(contains(h, needle), want, "{needle:?} in {h:?}");
+            }
+        }
+        assert!(contains(b"abc", b""));
+    }
 
     fn record(tuple: FiveTuple) -> ConnRecord {
         ConnRecord {

@@ -148,8 +148,9 @@ impl ReloadRun {
 }
 
 /// Per-`(src, dst)` packet and session counts observed by the data plane
-/// over one epoch. Counted once per session (at its ingress node, on the
-/// owning shard), merged across workers in deterministic worker order.
+/// over one epoch. Counted once per session, at its ingress node, when
+/// the replay loop routes it (a session its ingress node cannot see is
+/// not counted).
 #[derive(Debug, Clone, Default)]
 pub struct ObservedMix {
     /// `(src, dst) → (packets, sessions)`.
@@ -381,9 +382,10 @@ fn sabotage_manifest(m: &SamplingManifest) -> SamplingManifest {
 /// a closed reconfiguration loop.
 ///
 /// The trace is split into `cfg.epochs` equal segments by session id. At
-/// each interior boundary the workers park, the epoch's [`ObservedMix`]
-/// goes to a [`ReloadController`], and — if the re-solved candidate passes
-/// [`validate_manifests`] — every engine swaps to the new manifest. A
+/// each interior boundary the epoch's [`ObservedMix`] goes to a
+/// [`ReloadController`], and — if the re-solved candidate passes
+/// [`validate_manifests`] — every engine swaps to the new manifest before
+/// it replays the next epoch's first session. A
 /// rejected candidate leaves the old manifest serving. The live
 /// manifest's covered fraction goes into the `resilience.coverage`
 /// series (when metrics are enabled) and into [`ReloadRun`].
@@ -399,8 +401,8 @@ pub fn run_coordinated_stream_reload<I, S>(
     cfg: &ReloadConfig<'_>,
 ) -> Result<ReloadRun, EngineError>
 where
-    I: Iterator<Item = Session> + Send,
-    S: Fn() -> I,
+    I: Iterator<Item = Session>,
+    S: FnOnce() -> I,
 {
     assert_ne!(placement, Placement::Unmodified, "reload run needs a coordinated placement");
     let epochs = cfg.epochs.max(1);
