@@ -38,6 +38,16 @@ NWDP_THREADS=4 cargo test -q --test warmstart_equivalence
 NWDP_THREADS=1 cargo test -q --test nids_dw_oracle
 NWDP_THREADS=4 cargo test -q --test nids_dw_oracle
 
+# The decomposition's masters grow in place (`nwdp_lp::RestrictedMaster`):
+# every re-optimization must match a cold solve of the same LP. At paper
+# scale (the `repro opt-time` Waxman 50 instance), three pool-chained
+# re-solves must keep their overlap phase (no fallback) and move at most
+# a tenth of the hash space per swap; the test is ignored in tier-1
+# because it takes about ten seconds in release.
+echo "== in-place master and paper-scale sticky re-solves =="
+cargo test -q --release -p nwdp-lp --test master
+cargo test -q --release -p nwdp-bench --test paper_scale -- --ignored
+
 echo "== resilience suites (thread counts 1 and 4) =="
 # Manifest repair and the resilient replay must be bit-identical under any
 # fan-out width: the property suite checks repaired manifests (zero gap,

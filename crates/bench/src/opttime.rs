@@ -10,7 +10,7 @@
 use crate::output::{f2, Table};
 use nwdp_core::nids::{solve_nids_lp, NidsLpConfig, NodeCaps};
 use nwdp_core::nips::{round_best_of, solve_relaxation, NipsInstance, RoundingOpts, Strategy};
-use nwdp_core::{build_units, AnalysisClass};
+use nwdp_core::{build_units, AnalysisClass, NidsDeployment};
 use nwdp_lp::rowgen::RowGenOpts;
 use nwdp_topo::{waxman, PathDb};
 use nwdp_traffic::{MatchRates, TrafficMatrix, VolumeModel};
@@ -24,8 +24,8 @@ pub struct OptTime {
     pub detail: String,
 }
 
-/// Time the NIDS LP on an n-node topology with 21 classes.
-pub fn nids_lp_time(n: usize, seed: u64) -> OptTime {
+/// The NIDS LP instance of an n-node Waxman topology with 21 classes.
+pub fn nids_instance(n: usize, seed: u64) -> (NidsDeployment, NidsLpConfig) {
     let topo = waxman(format!("synth{n}"), n, 0.25, 0.2, seed);
     let paths = PathDb::shortest_paths(&topo);
     let tm = TrafficMatrix::gravity(&topo);
@@ -33,6 +33,12 @@ pub fn nids_lp_time(n: usize, seed: u64) -> OptTime {
     let classes = AnalysisClass::scaled_set(21).expect("21 is within the paper's range");
     let dep = build_units(&topo, &paths, &tm, &vol, &classes);
     let cfg = NidsLpConfig::homogeneous(dep.num_nodes, NodeCaps { cpu: 2e8, mem: 4e9 });
+    (dep, cfg)
+}
+
+/// Time the NIDS LP on an n-node topology with 21 classes.
+pub fn nids_lp_time(n: usize, seed: u64) -> OptTime {
+    let (dep, cfg) = nids_instance(n, seed);
     let start = Instant::now();
     let a = solve_nids_lp(&dep, &cfg).expect("solves");
     let secs = start.elapsed().as_secs_f64();

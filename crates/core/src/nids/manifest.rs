@@ -17,7 +17,6 @@ use crate::nids::lp::NodeCaps;
 use crate::units::{NidsDeployment, UnitKey};
 use nwdp_hash::RangeSet;
 use nwdp_topo::NodeId;
-use std::collections::HashMap;
 
 /// One node's responsibility for one coordination unit.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,12 +30,22 @@ pub struct ManifestEntry {
 }
 
 /// The network-wide set of sampling manifests.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SamplingManifest {
     /// Entries grouped per node.
     per_node: Vec<Vec<ManifestEntry>>,
-    /// `(unit index, node)` → position in `per_node[node]`.
-    index: HashMap<(usize, usize), usize>,
+    /// Unit `u`'s entries, as `(node, position in per_node[node])`, are
+    /// `by_unit[unit_start[u]..unit_start[u + 1]]`, ascending by node.
+    unit_start: Vec<u32>,
+    by_unit: Vec<(u32, u32)>,
+}
+
+/// Manifests are equal when their per-node entries are; the per-unit
+/// index is derived from them.
+impl PartialEq for SamplingManifest {
+    fn eq(&self, other: &Self) -> bool {
+        self.per_node == other.per_node
+    }
 }
 
 /// Fig 2: translate the optimal solution into sampling manifests.
@@ -47,7 +56,6 @@ pub struct SamplingManifest {
 pub fn generate_manifests(dep: &NidsDeployment, d: &[Vec<(NodeId, f64)>]) -> SamplingManifest {
     assert_eq!(d.len(), dep.units.len(), "assignment/unit count mismatch");
     let mut per_node: Vec<Vec<ManifestEntry>> = vec![Vec::new(); dep.num_nodes];
-    let mut index = HashMap::new();
     for (u, unit) in dep.units.iter().enumerate() {
         let mut range = 0.0f64;
         for &(j, frac) in &d[u] {
@@ -58,11 +66,10 @@ pub fn generate_manifests(dep: &NidsDeployment, d: &[Vec<(NodeId, f64)>]) -> Sam
             let ranges = RangeSet::wrapped(range, range + frac);
             range += frac;
             let entry = ManifestEntry { class: unit.class, unit: u, key: unit.key, ranges };
-            index.insert((u, j.index()), per_node[j.index()].len());
             per_node[j.index()].push(entry);
         }
     }
-    SamplingManifest { per_node, index }
+    SamplingManifest::indexed(per_node)
 }
 
 /// Seam tolerance for the exact coverage sweep: ~4 ulps of the 2⁻³² hash
@@ -81,16 +88,46 @@ impl SamplingManifest {
         entries: impl IntoIterator<Item = (NodeId, ManifestEntry)>,
     ) -> SamplingManifest {
         let mut per_node: Vec<Vec<ManifestEntry>> = vec![Vec::new(); num_nodes];
-        let mut index = HashMap::new();
         for (node, entry) in entries {
             if entry.ranges.is_empty() {
                 continue;
             }
-            let prev = index.insert((entry.unit, node.index()), per_node[node.index()].len());
-            assert!(prev.is_none(), "duplicate manifest entry for unit {} at {node:?}", entry.unit);
             per_node[node.index()].push(entry);
         }
-        SamplingManifest { per_node, index }
+        SamplingManifest::indexed(per_node)
+    }
+
+    /// The manifest of `per_node`, with its per-unit index. Panics on two
+    /// entries for one unit at one node.
+    fn indexed(per_node: Vec<Vec<ManifestEntry>>) -> SamplingManifest {
+        let units = per_node.iter().flatten().map(|e| e.unit + 1).max().unwrap_or(0);
+        let mut unit_start = vec![0u32; units + 1];
+        for e in per_node.iter().flatten() {
+            unit_start[e.unit + 1] += 1;
+        }
+        for u in 0..units {
+            unit_start[u + 1] += unit_start[u];
+        }
+        // Filling node by node leaves each unit's entries ascending by node.
+        let mut by_unit = vec![(0, 0); unit_start[units] as usize];
+        let mut next = unit_start.clone();
+        for (j, entries) in per_node.iter().enumerate() {
+            for (pos, e) in entries.iter().enumerate() {
+                let slot = &mut next[e.unit];
+                if *slot > unit_start[e.unit] {
+                    let (prev, _) = by_unit[*slot as usize - 1];
+                    assert!(
+                        prev as usize != j,
+                        "duplicate manifest entry for unit {} at {:?}",
+                        e.unit,
+                        NodeId(j)
+                    );
+                }
+                by_unit[*slot as usize] = (j as u32, pos as u32);
+                *slot += 1;
+            }
+        }
+        SamplingManifest { per_node, unit_start, by_unit }
     }
 
     /// All of `node`'s responsibilities.
@@ -105,7 +142,13 @@ impl SamplingManifest {
 
     /// The hash range `HashRange(i, k, j)` for unit `u` at `node`, if any.
     pub fn range(&self, unit: usize, node: NodeId) -> Option<&RangeSet> {
-        self.index.get(&(unit, node.index())).map(|&pos| &self.per_node[node.index()][pos].ranges)
+        let (Some(&a), Some(&b)) = (self.unit_start.get(unit), self.unit_start.get(unit + 1))
+        else {
+            return None;
+        };
+        let entries = &self.by_unit[a as usize..b as usize];
+        let (j, pos) = *entries.iter().find(|&&(j, _)| j as usize == node.index())?;
+        Some(&self.per_node[j as usize][pos as usize].ranges)
     }
 
     /// Fig 3 line 5: should `node` run the unit's class on a packet whose

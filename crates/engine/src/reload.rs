@@ -290,6 +290,9 @@ impl ReloadController {
         sabotage: bool,
     ) -> ReloadDecision {
         let t0 = std::time::Instant::now();
+        // The re-solve and each step after it are spans of their own, so a
+        // trace splits the re-solve's time by step.
+        let _span = obs::span!("reload.resolve", epoch = epoch);
         let metrics = obs::enabled();
         if metrics {
             obs::Scope::new("reload").counter("resolves").inc();
@@ -300,7 +303,11 @@ impl ReloadController {
         lp.redundancy = self.redundancy;
 
         let mut lp_iterations = 0usize;
-        let outcome = match solve_nids_lp_warm(&next_dep, &lp, Some(&self.pool)) {
+        let solved = {
+            let _span = obs::span!("reload.solve");
+            solve_nids_lp_warm(&next_dep, &lp, Some(&self.pool))
+        };
+        let outcome = match solved {
             Err(e) => {
                 if metrics {
                     obs::Scope::new("reload").counter("solve_failed").inc();
@@ -313,12 +320,19 @@ impl ReloadController {
                 // discarded.
                 self.pool = pool;
                 lp_iterations = assignment.lp_iterations;
-                let mut candidate = generate_manifests(&next_dep, &assignment.d);
+                let mut candidate = {
+                    let _span = obs::span!("reload.generate_manifests");
+                    generate_manifests(&next_dep, &assignment.d)
+                };
                 if sabotage {
                     candidate = sabotage_manifest(&candidate);
                 }
                 let ceiling = CapacityCeiling { caps: &self.caps, max_load: self.max_load };
-                match validate_manifests(&next_dep, &candidate, self.redundancy, Some(&ceiling)) {
+                let verdict = {
+                    let _span = obs::span!("reload.validate");
+                    validate_manifests(&next_dep, &candidate, self.redundancy, Some(&ceiling))
+                };
+                match verdict {
                     Err(e) => {
                         if metrics {
                             obs::Scope::new("reload").counter("rejected").inc();
@@ -326,8 +340,10 @@ impl ReloadController {
                         ReloadOutcome::Rejected(e)
                     }
                     Ok(()) => {
-                        let plan =
-                            plan_transition(&self.dep, &self.manifest, &next_dep, &candidate);
+                        let plan = {
+                            let _span = obs::span!("reload.plan_transition");
+                            plan_transition(&self.dep, &self.manifest, &next_dep, &candidate)
+                        };
                         self.dep = next_dep;
                         self.manifest = Arc::new(candidate);
                         if metrics {
@@ -344,7 +360,10 @@ impl ReloadController {
         if metrics {
             obs::Scope::new("reload").counter("resolve_us").add(resolve_micros);
         }
-        let coverage_after = 1.0 - manifest_gap_fraction(&self.dep, &self.manifest, &[]);
+        let coverage_after = {
+            let _span = obs::span!("reload.coverage");
+            1.0 - manifest_gap_fraction(&self.dep, &self.manifest, &[])
+        };
         ReloadDecision { epoch, at, outcome, resolve_micros, lp_iterations, coverage_after }
     }
 }

@@ -9,10 +9,11 @@
 //! - [`simplex`]: a bounded-variable two-phase revised simplex with two
 //!   basis backends. Every LP runs on the sparse product-form inverse
 //!   (eta file + permutation) by default; the dense explicit inverse runs
-//!   when a caller opts in via [`SolverOpts::dense_row_limit`] (the NIDS
-//!   decomposition does so for every overlap-phase master, a 2N + 1-row
-//!   LP where it is the cheaper backend), and serves as the oracle the
-//!   sparse backend is cross-checked against;
+//!   only when a caller opts in via [`SolverOpts::dense_row_limit`], which
+//!   no production code does, and serves as the oracle the sparse backend
+//!   is cross-checked against. [`RestrictedMaster`] is the column
+//!   generation master: fixed rows, columns appended in place, each solve
+//!   resuming from the last optimal basis and factorization;
 //! - [`rowgen`]: lazy-constraint (row generation) wrapper for formulations
 //!   whose row set is huge but mostly slack at the optimum (the GUB/VUB
 //!   rows of the NIPS relaxation);
@@ -36,5 +37,5 @@ pub mod solution;
 pub use check::{verify_kkt, KktTol};
 pub use model::{Cmp, ConId, Problem, Sense, VarId};
 pub use rowgen::SolveContext;
-pub use simplex::{solve, solve_warm, SolverOpts, WarmStart};
+pub use simplex::{solve, solve_warm, RestrictedMaster, SolverOpts, WarmStart};
 pub use solution::{Solution, Status};

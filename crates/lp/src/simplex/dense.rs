@@ -4,10 +4,9 @@
 //! operations at each pivot (product-form update applied eagerly). Simple
 //! and numerically transparent, but every pivot costs O(m²), so the sparse
 //! backend is faster on every standalone LP the workspace solves. It runs
-//! when a caller opts in ([`super::SolverOpts::dense_row_limit`]): the
-//! NIDS decomposition's overlap-phase masters, 2N + 1-row LPs re-solved
-//! dozens of times per reload, and the tests that use it as the
-//! independent oracle the sparse backend is cross-checked against.
+//! only when a caller opts in ([`super::SolverOpts::dense_row_limit`]):
+//! no production code does; the tests use it as the independent oracle
+//! the sparse backend is cross-checked against.
 
 use super::{BasisBackend, SingularBasis};
 

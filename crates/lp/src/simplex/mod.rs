@@ -5,11 +5,12 @@
 //! updates and is the backend [`solve`] / [`solve_warm`] build for every
 //! LP: it beats the dense inverse on every standalone LP the workspace
 //! solves, from 15-row packing LPs to the 814-row NIDS LP.
-//! [`dense::DenseInverse`] keeps an explicit dense `B⁻¹`; it runs when a
-//! caller opts in via [`SolverOpts::dense_row_limit`], which the NIDS
-//! decomposition does for every overlap-phase master (2N + 1 rows, where
-//! the dense inverse is cheaper), and it is the independent oracle the
-//! sparse backend is cross-checked against.
+//! [`dense::DenseInverse`] keeps an explicit dense `B⁻¹`; it runs only
+//! when a caller opts in via [`SolverOpts::dense_row_limit`], which no
+//! production code does, and it is the independent oracle the sparse
+//! backend is cross-checked against. [`RestrictedMaster`] keeps a
+//! `Core` on its own sparse backend between solves, for column
+//! generation masters that grow in place.
 //!
 //! Design notes:
 //! - **Standard form.** Every row gets a slack with bounds encoding the
@@ -28,10 +29,10 @@
 //! Every optimal solve emits a [`WarmStart`] snapshot — the final basis
 //! (variable states plus values). A later solve can restart from it via
 //! [`solve_warm`] when the variable count is unchanged
-//! and rows were only appended (`w.n == n`, `w.m <= m`); a snapshot
-//! extended by [`WarmStart::with_new_columns`] serves a problem with
-//! appended columns, as column generation's master LPs grow. Within that
-//! shape, *anything else may change*: objective costs (the FPL oracle's
+//! and rows were only appended (`w.n == n`, `w.m <= m`); a problem that
+//! grows by columns, as column generation's master LPs do, is a
+//! [`RestrictedMaster`] instead. Within that shape, *anything else may
+//! change*: objective costs (the FPL oracle's
 //! perturbed weights), variable bounds (rules rounded on/off), right-hand
 //! sides (capacity what-ifs) and even matrix coefficients (hardware
 //! upgrades) — the snapshot is only a starting-basis guess, re-validated
@@ -79,7 +80,10 @@
 //! the dual phase walks there without ever discarding the basis.
 
 pub mod dense;
+mod master;
 pub mod sparse;
+
+pub use master::RestrictedMaster;
 
 use crate::model::{Cmp, Problem, Sense};
 use crate::solution::{Solution, Status};
@@ -138,6 +142,38 @@ pub trait BasisBackend {
     /// eta file grew past its budget).
     fn hint_refactor(&self) -> bool {
         false
+    }
+}
+
+/// A borrowed backend: a one-shot solve runs on the caller's backend, a
+/// [`RestrictedMaster`] owns its own.
+impl<B: BasisBackend + ?Sized> BasisBackend for &mut B {
+    fn reset_identity(&mut self, m: usize) {
+        (**self).reset_identity(m)
+    }
+    fn refactor(&mut self, m: usize, basis_cols: &[&[(usize, f64)]]) -> Result<(), SingularBasis> {
+        (**self).refactor(m, basis_cols)
+    }
+    fn ftran(&self, col: &[(usize, f64)], out: &mut [f64]) {
+        (**self).ftran(col, out)
+    }
+    fn btran(&self, c: &[f64], out: &mut [f64]) {
+        (**self).btran(c, out)
+    }
+    fn update(&mut self, pivot_row: usize, y: &[f64]) {
+        (**self).update(pivot_row, y)
+    }
+    fn ftran_sparse(&self, col: &[(usize, f64)], out: &mut [f64], touched: &mut Vec<usize>) {
+        (**self).ftran_sparse(col, out, touched)
+    }
+    fn update_sparse(&mut self, pivot_row: usize, y: &[f64], touched: &[usize]) {
+        (**self).update_sparse(pivot_row, y, touched)
+    }
+    fn btran_unit_sparse(&self, r: usize, out: &mut [f64], support: &mut Vec<usize>) {
+        (**self).btran_unit_sparse(r, out, support)
+    }
+    fn hint_refactor(&self) -> bool {
+        (**self).hint_refactor()
     }
 }
 
@@ -259,7 +295,7 @@ thread_local! {
     static DJ_DRIFT: std::cell::Cell<Option<DriftProbe>> = const { std::cell::Cell::new(None) };
 }
 
-struct Core<'a, B: BasisBackend> {
+struct Core<B: BasisBackend> {
     m: usize,
     ncols: usize,
     n_struct: usize,
@@ -267,7 +303,15 @@ struct Core<'a, B: BasisBackend> {
     rows: RowMatrix,
     lb: Vec<f64>,
     ub: Vec<f64>,
+    /// Costs of the running phase: the phase-1 infeasibility costs, then
+    /// the phase-2 ones.
     cost: Vec<f64>,
+    /// Phase-2 costs, negated for a maximization, until phase 2 moves
+    /// them into `cost`.
+    obj: Vec<f64>,
+    /// Row `i` of the matrix and right-hand side is scaled by
+    /// `row_scale[i]` (see [`Standard::of`]).
+    row_scale: Vec<f64>,
     /// Reduced costs `d_j = c_j − πᵀa_j`, kept current across pivots from
     /// the pivot row (entries at basic and fixed columns are meaningless).
     d: Vec<f64>,
@@ -282,11 +326,14 @@ struct Core<'a, B: BasisBackend> {
     /// pivot row was too dense to walk); pricing rebuilds the section from
     /// `π` before reading it.
     stale: Vec<bool>,
+    /// Columns per pricing section: [`SECTION`], or fewer for a master
+    /// that re-prices all of its dense columns after every pivot.
+    section: usize,
     state: Vec<VState>,
     basis: Vec<usize>,
     xb: Vec<f64>,
     rhs: Vec<f64>,
-    backend: &'a mut B,
+    backend: B,
     iterations: usize,
     // scratch
     y: Vec<f64>,
@@ -349,7 +396,7 @@ enum DualEnd {
     Singular,
 }
 
-impl<'a, B: BasisBackend> Core<'a, B> {
+impl<B: BasisBackend> Core<B> {
     fn var_value(&self, j: usize) -> f64 {
         match self.state[j] {
             VState::Basic(r) => self.xb[r],
@@ -444,7 +491,7 @@ impl<'a, B: BasisBackend> Core<'a, B> {
     /// Recompute `d_j = c_j − πᵀa_j` and the pricing flags of pricing
     /// section `s` from the current `π`.
     fn rebuild_section(&mut self, s: usize) {
-        for j in s * SECTION..((s + 1) * SECTION).min(self.ncols) {
+        for j in s * self.section..((s + 1) * self.section).min(self.ncols) {
             self.d[j] = if matches!(self.state[j], VState::Basic(_)) {
                 0.0
             } else {
@@ -501,7 +548,7 @@ impl<'a, B: BasisBackend> Core<'a, B> {
     /// more than the partial pricing it serves. DESIGN.md ("Pricing")
     /// gives the measurement behind the factor of 3.
     fn row_wise(&self) -> bool {
-        let section = self.ncols.min(SECTION);
+        let section = self.ncols.min(self.section);
         let walk = self.rows.entries(&self.rho_support) * self.ncols;
         3 * walk < (self.rows.col.len() + self.ncols) * section
     }
@@ -623,7 +670,7 @@ impl<'a, B: BasisBackend> Core<'a, B> {
         self.backend.btran(&cb, &mut pi);
         let mut worst = (0..self.m).map(|i| (self.pi[i] - pi[i]).abs()).fold(0.0, f64::max);
         for j in 0..self.ncols {
-            if self.stale[j / SECTION] {
+            if self.stale[j / self.section] {
                 continue;
             }
             if !matches!(self.state[j], VState::Basic(_)) && self.lb[j] != self.ub[j] {
@@ -655,8 +702,8 @@ impl<'a, B: BasisBackend> Core<'a, B> {
             if self.stale[s] {
                 self.rebuild_section(s);
             }
-            let lo = s * SECTION;
-            let hi = ((s + 1) * SECTION).min(self.ncols);
+            let lo = s * self.section;
+            let hi = ((s + 1) * self.section).min(self.ncols);
             let mut best: Option<(usize, f64, f64)> = None; // (var, dj, score)
             for j in lo..hi {
                 if !self.prices_in[j] {
@@ -1178,6 +1225,179 @@ impl<'a, B: BasisBackend> Core<'a, B> {
         s.timer("solve_ns").observe_since(t0);
         self.flush_dual_metrics();
     }
+
+    /// Phase 1 when the crash basis holds artificials (the columns past
+    /// the slacks), then phase 2 under `obj`. `None` when the basis went
+    /// singular; else the final status, with the metrics flushed.
+    fn run_phases(&mut self, max_iters: usize, t0: Option<Instant>) -> Option<Status> {
+        let artificials = self.n_struct + self.m..self.ncols;
+        if !artificials.is_empty() {
+            match self.iterate(max_iters, false) {
+                PhaseEnd::Optimal => {}
+                PhaseEnd::Singular => return None,
+                PhaseEnd::Unbounded | PhaseEnd::IterLimit => {
+                    self.flush_metrics(self.iterations, t0);
+                    return Some(Status::IterLimit);
+                }
+            }
+            let infeas: f64 = artificials.clone().map(|j| self.var_value(j).abs()).sum();
+            if infeas > TOL_FEAS * 10.0 {
+                self.flush_metrics(self.iterations, t0);
+                return Some(Status::Infeasible);
+            }
+            // Freeze artificials at zero.
+            for j in artificials {
+                self.lb[j] = 0.0;
+                self.ub[j] = 0.0;
+                if !matches!(self.state[j], VState::Basic(_)) {
+                    self.state[j] = VState::AtLower;
+                }
+            }
+        }
+        let phase1_iters = self.iterations;
+        self.cost = std::mem::take(&mut self.obj);
+        self.d_fresh = false;
+        self.refresh();
+        if self.singular {
+            return None;
+        }
+        self.phase2(max_iters, phase1_iters, t0)
+    }
+
+    /// Phase 2 from the current, primal feasible basis, then a refresh of
+    /// the basic values. `None` when the basis went singular.
+    fn phase2(
+        &mut self,
+        max_iters: usize,
+        phase1_iters: usize,
+        t0: Option<Instant>,
+    ) -> Option<Status> {
+        let status = match self.iterate(max_iters, true) {
+            PhaseEnd::Optimal => Status::Optimal,
+            PhaseEnd::Unbounded => Status::Unbounded,
+            PhaseEnd::IterLimit => Status::IterLimit,
+            PhaseEnd::Singular => return None,
+        };
+        self.refresh();
+        if self.singular {
+            return None;
+        }
+        self.flush_metrics(phase1_iters, t0);
+        Some(status)
+    }
+
+    /// The solution of `p` at the end of a solve, whose structural values
+    /// are `x`. An optimal one gets the duals of the final basis; an
+    /// optimal point that violates `p` is reported as `IterLimit`, never as
+    /// a silently wrong answer.
+    fn solution(&mut self, p: &Problem, status: Status, x: Vec<f64>) -> Solution {
+        if status != Status::Optimal {
+            return self.failed(status, x);
+        }
+        if p.max_violation(&x) > TOL_FEAS.max(1e-6) * 100.0 {
+            return self.failed(Status::IterLimit, x);
+        }
+        for (pos, &bj) in self.basis.iter().enumerate() {
+            self.cb[pos] = self.cost[bj];
+        }
+        let mut pi = vec![0.0; self.m];
+        self.backend.btran(&self.cb, &mut pi);
+        for (i, d) in pi.iter_mut().enumerate() {
+            // Dual of the original row = dual of the scaled row x scale.
+            *d *= self.row_scale[i];
+            if p.sense == Sense::Max {
+                *d = -*d;
+            }
+        }
+        Solution {
+            status,
+            objective: p.objective_value(&x),
+            x,
+            duals: pi,
+            iterations: self.iterations,
+        }
+    }
+
+    /// A solve that ended without an optimum: the point it stopped at, no
+    /// duals.
+    fn failed(&self, status: Status, x: Vec<f64>) -> Solution {
+        Solution {
+            status,
+            objective: f64::NAN,
+            x,
+            duals: vec![0.0; self.m],
+            iterations: self.iterations,
+        }
+    }
+
+    /// Start another solve on the kept basis: zero the per-solve tallies
+    /// and leave any anti-cycling mode of the last one.
+    fn begin_solve(&mut self) {
+        self.iterations = 0;
+        self.n_pivots = 0;
+        self.n_bound_flips = 0;
+        self.n_degen = 0;
+        self.n_refactor = 0;
+        self.n_dual_pivots = 0;
+        self.n_dual_flips = 0;
+        self.n_pivot_row_nnz = 0;
+        self.n_dense_pivot_rows = 0;
+        self.n_dj_resets = 0;
+        self.degen_run = 0;
+        self.bland = false;
+        self.force_bland = false;
+    }
+
+    /// Append a structural column (entries unscaled) nonbasic at the bound
+    /// nearest zero, keeping the basis. The caller rebuilds the row-wise
+    /// copy with [`Self::columns_added`] once the batch is in.
+    fn push_column(&mut self, entries: &[(usize, f64)], lb: f64, ub: f64, cost: f64) -> usize {
+        let j = self.ncols;
+        self.cols.push(entries.iter().map(|&(i, a)| (i, a * self.row_scale[i])).collect());
+        self.lb.push(lb);
+        self.ub.push(ub);
+        self.cost.push(cost);
+        self.d.push(0.0);
+        self.prices_in.push(false);
+        self.state.push(bound_state(lb, ub));
+        self.ncols += 1;
+        j
+    }
+
+    /// Catch the row-wise copy and the pricing sections up with columns
+    /// appended by [`Self::push_column`].
+    fn columns_added(&mut self) {
+        let slacks = self.n_struct..self.n_struct + self.m;
+        self.rows = RowMatrix::new(self.m, &self.cols, slacks);
+        self.stale = vec![true; self.ncols.div_ceil(self.section).max(1)];
+        self.d_fresh = false;
+    }
+
+    /// Price in sections of `columns` columns.
+    fn set_section(&mut self, columns: usize) {
+        self.section = columns.max(1);
+        self.stale = vec![true; self.ncols.div_ceil(self.section).max(1)];
+        self.d_fresh = false;
+    }
+
+    /// Whether every basic value lies within its bounds.
+    fn primal_feasible(&self) -> bool {
+        self.basis.iter().zip(&self.xb).all(|(&j, &x)| {
+            x.is_finite() && x >= self.lb[j] - TOL_FEAS && x <= self.ub[j] + TOL_FEAS
+        })
+    }
+}
+
+/// The nonbasic state a column starts in: at its lower bound when that is
+/// finite, else at its upper bound, else free at zero.
+fn bound_state(lb: f64, ub: f64) -> VState {
+    if lb.is_finite() {
+        VState::AtLower
+    } else if ub.is_finite() {
+        VState::AtUpper
+    } else {
+        VState::FreeZero
+    }
 }
 
 /// A reusable starting basis, produced by an optimal solve and consumed by
@@ -1207,25 +1427,6 @@ impl WarmStart {
         assert_eq!(states.len(), n + m, "states must cover n + m variables");
         assert_eq!(values.len(), n + m, "values must cover n + m variables");
         WarmStart { n, m, states, values }
-    }
-}
-
-impl WarmStart {
-    /// This snapshot for the same problem with `k` structural columns
-    /// appended after the existing ones, each nonbasic at its lower bound.
-    /// Column generation re-solves its master this way: the old optimal
-    /// basis stays primal feasible, so the primal simplex resumes from it
-    /// and only has to price the new columns in.
-    pub fn with_new_columns(&self, k: usize) -> WarmStart {
-        let mut states = Vec::with_capacity(self.states.len() + k);
-        states.extend_from_slice(&self.states[..self.n]);
-        states.resize(self.n + k, 0);
-        states.extend_from_slice(&self.states[self.n..]);
-        let mut values = Vec::with_capacity(self.values.len() + k);
-        values.extend_from_slice(&self.values[..self.n]);
-        values.resize(self.n + k, 0.0);
-        values.extend_from_slice(&self.values[self.n..]);
-        WarmStart { n: self.n + k, m: self.m, states, values }
     }
 }
 
@@ -1306,30 +1507,333 @@ pub fn solve_warm_with_backend<B: BasisBackend>(
             }
             match try_solve(p, opts, backend, None, true) {
                 SolveAttempt::Done(sol, snap) => (sol, snap),
-                // Even the Bland restart hit a singular basis: report the
-                // numerical failure explicitly. The payload is the origin
-                // point with its true (finite) objective so callers that
-                // compare objectives never ingest a NaN.
-                _ => {
-                    if obs::enabled() {
-                        obs::counter("simplex.numerical_failures").inc();
-                    }
-                    let x = vec![0.0; p.num_vars()];
-                    let objective = p.objective_value(&x);
-                    (
-                        Solution {
-                            status: Status::NumericalFailure,
-                            objective,
-                            x,
-                            duals: vec![0.0; p.num_cons()],
-                            iterations: 0,
-                        },
-                        None,
-                    )
-                }
+                _ => (numerical_failure(p), None),
             }
         }
     }
+}
+
+/// The result of a solve whose Bland restart also hit a singular basis:
+/// the origin point with its true (finite) objective, so callers that
+/// compare objectives never ingest a NaN.
+fn numerical_failure(p: &Problem) -> Solution {
+    if obs::enabled() {
+        obs::counter("simplex.numerical_failures").inc();
+    }
+    let x = vec![0.0; p.num_vars()];
+    let objective = p.objective_value(&x);
+    Solution {
+        status: Status::NumericalFailure,
+        objective,
+        x,
+        duals: vec![0.0; p.num_cons()],
+        iterations: 0,
+    }
+}
+
+/// Default pivot cap per phase of an LP with `m` rows and `n` structural
+/// columns.
+fn default_max_iters(opts: &SolverOpts, m: usize, n: usize) -> usize {
+    opts.max_iters.unwrap_or(200 * (m + n) + 20_000)
+}
+
+/// An LP in the simplex's standard form: structural columns `0..n` with
+/// every row equilibrated, then one slack per row, then the phase-1
+/// artificials a starting basis adds.
+struct Standard {
+    n: usize,
+    m: usize,
+    cols: Vec<Vec<(usize, f64)>>,
+    lb: Vec<f64>,
+    ub: Vec<f64>,
+    /// Phase-2 costs, negated for a maximization.
+    obj: Vec<f64>,
+    rhs: Vec<f64>,
+    row_scale: Vec<f64>,
+}
+
+/// A starting basis: the state of every column, the basic column and
+/// value of every row, the phase-1 costs and the artificial count.
+struct Start {
+    state: Vec<VState>,
+    basis: Vec<usize>,
+    xb: Vec<f64>,
+    phase1: Vec<f64>,
+    n_art: usize,
+}
+
+impl Standard {
+    fn of(p: &Problem) -> Standard {
+        let m = p.num_cons();
+        let n = p.num_vars();
+        let mut cols: Vec<Vec<(usize, f64)>> = p.cols.clone();
+        let mut lb: Vec<f64> = p.vars.iter().map(|v| v.lb).collect();
+        let mut ub: Vec<f64> = p.vars.iter().map(|v| v.ub).collect();
+        let sign = match p.sense {
+            Sense::Min => 1.0,
+            Sense::Max => -1.0,
+        };
+        let mut obj: Vec<f64> = p.vars.iter().map(|v| sign * v.obj).collect();
+
+        // Row equilibration: scale every row so its largest structural
+        // coefficient has magnitude ~1. Deployment LPs mix O(1) rule-count
+        // rows with O(1e6) volume rows; without scaling the factorization
+        // conditioning degrades enough to silently lose primal feasibility.
+        // Scales are a deterministic function of the row's contents, so warm
+        // starts across row-generation rounds stay consistent. Duals are
+        // un-scaled on the way out.
+        let mut row_scale = vec![1.0f64; m];
+        for col in cols.iter() {
+            for &(row, a) in col {
+                let aa = a.abs();
+                if aa > row_scale[row] {
+                    row_scale[row] = aa;
+                }
+            }
+        }
+        for s in row_scale.iter_mut() {
+            // row_scale currently holds max |a| (>= 1.0 floor): divide by it.
+            *s = 1.0 / *s;
+        }
+        for col in cols.iter_mut() {
+            for e in col.iter_mut() {
+                e.1 *= row_scale[e.0];
+            }
+        }
+        let rhs: Vec<f64> = p.cons.iter().enumerate().map(|(i, c)| c.rhs * row_scale[i]).collect();
+
+        for (i, con) in p.cons.iter().enumerate() {
+            cols.push(vec![(i, 1.0)]);
+            let (slo, shi) = match con.cmp {
+                Cmp::Le => (0.0, f64::INFINITY),
+                Cmp::Ge => (f64::NEG_INFINITY, 0.0),
+                Cmp::Eq => (0.0, 0.0),
+            };
+            lb.push(slo);
+            ub.push(shi);
+            obj.push(0.0);
+        }
+        Standard { n, m, cols, lb, ub, obj, rhs, row_scale }
+    }
+
+    /// Crash `rows` of a starting basis whose rows have residuals `resid`:
+    /// the slack is basic where the residual fits its bounds; else the
+    /// slack stays nonbasic at 0 (both slack kinds have 0 as a bound) and
+    /// an artificial column takes the row.
+    fn crash(&mut self, rows: std::ops::Range<usize>, resid: &[f64], start: &mut Start) {
+        for i in rows {
+            let sj = self.n + i;
+            let v = resid[i];
+            let fits = v >= self.lb[sj] - TOL_FEAS && v <= self.ub[sj] + TOL_FEAS;
+            if fits {
+                start.basis[i] = sj;
+                start.xb[i] = v;
+                start.state[sj] = VState::Basic(i);
+            } else {
+                start.state[sj] =
+                    if self.lb[sj] == 0.0 { VState::AtLower } else { VState::AtUpper };
+                let aj = self.cols.len();
+                self.cols.push(vec![(i, 1.0)]);
+                if v > 0.0 {
+                    self.lb.push(0.0);
+                    self.ub.push(f64::INFINITY);
+                    start.phase1.push(1.0);
+                } else {
+                    self.lb.push(f64::NEG_INFINITY);
+                    self.ub.push(0.0);
+                    start.phase1.push(-1.0);
+                }
+                self.obj.push(0.0);
+                start.basis[i] = aj;
+                start.xb[i] = v;
+                start.state.push(VState::Basic(i));
+                start.n_art += 1;
+            }
+        }
+    }
+}
+
+impl<B: BasisBackend> Core<B> {
+    /// The solver state over `s` from `start`, whose basis `backend` has
+    /// factorized.
+    fn new(s: Standard, mut start: Start, backend: B, start_bland: bool) -> Self {
+        let Standard { n, m, cols, lb, ub, obj, rhs, row_scale } = s;
+        let ncols = cols.len();
+        start.phase1.resize(ncols, 0.0);
+        let rows = RowMatrix::new(m, &cols, n..n + m);
+        Core {
+            m,
+            ncols,
+            n_struct: n,
+            cols,
+            rows,
+            lb,
+            ub,
+            cost: start.phase1,
+            obj,
+            row_scale,
+            d: vec![0.0; ncols],
+            d_fresh: false,
+            prices_in: vec![false; ncols],
+            stale: vec![true; ncols.div_ceil(SECTION).max(1)],
+            section: SECTION,
+            state: start.state,
+            basis: start.basis,
+            xb: start.xb,
+            rhs,
+            backend,
+            iterations: 0,
+            y: vec![0.0; m],
+            y_touched: Vec::new(),
+            pi: vec![0.0; m],
+            cb: vec![0.0; m],
+            rho: vec![0.0; m],
+            rho_support: Vec::new(),
+            alpha: Vec::new(),
+            alpha_cols: Vec::new(),
+            degen_run: 0,
+            bland: start_bland,
+            force_bland: start_bland,
+            price_section: 0,
+            trace: obs::trace_enabled(),
+            singular: false,
+            n_pivots: 0,
+            n_bound_flips: 0,
+            n_degen: 0,
+            n_refactor: 0,
+            n_dual_pivots: 0,
+            n_dual_flips: 0,
+            n_pivot_row_nnz: 0,
+            n_dense_pivot_rows: 0,
+            n_dj_resets: 0,
+            dual_attempted: false,
+            dual_repaired: false,
+        }
+    }
+}
+
+/// `p` on the cold crash basis: every column nonbasic at the bound
+/// nearest zero, each row's slack basic where the residual fits and an
+/// artificial where it does not.
+fn cold_core<B: BasisBackend>(p: &Problem, mut backend: B, start_bland: bool) -> Core<B> {
+    let mut s = Standard::of(p);
+    let (n, m) = (s.n, s.m);
+    let state: Vec<VState> = (0..n + m).map(|j| bound_state(s.lb[j], s.ub[j])).collect();
+    let mut resid = s.rhs.clone();
+    for (j, st) in state.iter().enumerate().take(n) {
+        let xj = match st {
+            VState::AtLower => s.lb[j],
+            VState::AtUpper => s.ub[j],
+            VState::FreeZero | VState::Basic(_) => 0.0,
+        };
+        if xj != 0.0 {
+            for &(row, a) in &s.cols[j] {
+                resid[row] -= a * xj;
+            }
+        }
+    }
+    let mut start = Start {
+        state,
+        basis: vec![usize::MAX; m],
+        xb: vec![0.0; m],
+        phase1: vec![0.0; n + m],
+        n_art: 0,
+    };
+    s.crash(0..m, &resid, &mut start);
+    backend.reset_identity(m);
+    Core::new(s, start, backend, start_bland)
+}
+
+/// `p` on the basis of `w`, an optimal basis of `p` minus its rows past
+/// `w.m`: structural columns and old-row slacks keep their states, new
+/// rows get their slack or an artificial. The extended basis is
+/// block-triangular, so factorizing it fails only when the snapshot is
+/// inconsistent or the coefficients changed enough to make it singular;
+/// then `None`.
+fn warm_core<B: BasisBackend>(
+    p: &Problem,
+    mut backend: B,
+    w: &WarmStart,
+    start_bland: bool,
+) -> Option<Core<B>> {
+    let mut s = Standard::of(p);
+    let (n, m) = (s.n, s.m);
+    // Structural vars and old-row slacks restore their state; Basic is
+    // resolved to a position below.
+    let mut state: Vec<VState> = (0..n + m)
+        .map(|j| {
+            if j < n + w.m {
+                match w.states[j] {
+                    0 => VState::AtLower,
+                    1 => VState::AtUpper,
+                    2 => VState::FreeZero,
+                    _ => VState::Basic(usize::MAX), // placeholder
+                }
+            } else {
+                bound_state(s.lb[j], s.ub[j])
+            }
+        })
+        .collect();
+
+    // Residuals at the starting point: nonbasic at bounds, basic vars at
+    // their saved values.
+    let mut resid = s.rhs.clone();
+    for (j, st) in state.iter().enumerate().take(n) {
+        let xj = match st {
+            VState::AtLower => s.lb[j],
+            VState::AtUpper => s.ub[j],
+            VState::FreeZero => 0.0,
+            VState::Basic(_) => w.values[j],
+        };
+        if xj != 0.0 {
+            for &(row, a) in &s.cols[j] {
+                resid[row] -= a * xj;
+            }
+        }
+    }
+    // Old-row slacks contribute too (each touches only its own row).
+    for (i, r) in resid.iter_mut().enumerate().take(w.m) {
+        let sj = n + i;
+        let xj = match state[sj] {
+            VState::AtLower => s.lb[sj],
+            VState::AtUpper => s.ub[sj],
+            VState::FreeZero => 0.0,
+            VState::Basic(_) => w.values[sj],
+        };
+        *r -= xj;
+    }
+
+    // Positions: old-row slacks that were basic sit on their own row;
+    // structural basics fill the remaining old positions; new rows get
+    // their slack or an artificial.
+    let mut basis = vec![usize::MAX; m];
+    let mut free_pos: Vec<usize> = Vec::new();
+    for (i, b) in basis.iter_mut().enumerate().take(w.m) {
+        let sj = n + i;
+        if matches!(state[sj], VState::Basic(_)) {
+            *b = sj;
+            state[sj] = VState::Basic(i);
+        } else {
+            free_pos.push(i);
+        }
+    }
+    let struct_basics: Vec<usize> =
+        (0..n).filter(|&j| matches!(state[j], VState::Basic(_))).collect();
+    if struct_basics.len() != free_pos.len() {
+        return None; // inconsistent snapshot; fall back
+    }
+    for (&j, &pos) in struct_basics.iter().zip(&free_pos) {
+        basis[pos] = j;
+        state[j] = VState::Basic(pos);
+    }
+    let mut start = Start { state, basis, xb: vec![0.0; m], phase1: vec![0.0; n + m], n_art: 0 };
+    s.crash(w.m..m, &resid, &mut start);
+    let basis_cols: Vec<&[(usize, f64)]> =
+        start.basis.iter().map(|&j| s.cols[j].as_slice()).collect();
+    if backend.refactor(m, &basis_cols).is_err() {
+        return None;
+    }
+    Some(Core::new(s, start, backend, start_bland))
 }
 
 fn try_solve<B: BasisBackend>(
@@ -1342,293 +1846,22 @@ fn try_solve<B: BasisBackend>(
     let t0 = obs::now_if_enabled();
     let m = p.num_cons();
     let n = p.num_vars();
-
-    // ---- Standardize: structural | slack | artificial columns. ----
-    let mut cols: Vec<Vec<(usize, f64)>> = p.cols.clone();
-    let mut lb: Vec<f64> = p.vars.iter().map(|v| v.lb).collect();
-    let mut ub: Vec<f64> = p.vars.iter().map(|v| v.ub).collect();
-    let sign = match p.sense {
-        Sense::Min => 1.0,
-        Sense::Max => -1.0,
-    };
-    let mut obj2: Vec<f64> = p.vars.iter().map(|v| sign * v.obj).collect();
-
-    // Row equilibration: scale every row so its largest structural
-    // coefficient has magnitude ~1. Deployment LPs mix O(1) rule-count
-    // rows with O(1e6) volume rows; without scaling the factorization
-    // conditioning degrades enough to silently lose primal feasibility.
-    // Scales are a deterministic function of the row's contents, so warm
-    // starts across row-generation rounds stay consistent. Duals are
-    // un-scaled on the way out.
-    let mut row_scale = vec![1.0f64; m];
-    for col in cols.iter() {
-        for &(row, a) in col {
-            let aa = a.abs();
-            if aa > row_scale[row] {
-                row_scale[row] = aa;
-            }
-        }
-    }
-    for s in row_scale.iter_mut() {
-        // row_scale currently holds max |a| (>= 1.0 floor): divide by it.
-        *s = 1.0 / *s;
-    }
-    for col in cols.iter_mut() {
-        for e in col.iter_mut() {
-            e.1 *= row_scale[e.0];
-        }
-    }
-    let rhs: Vec<f64> = p.cons.iter().enumerate().map(|(i, c)| c.rhs * row_scale[i]).collect();
-
-    for (i, con) in p.cons.iter().enumerate() {
-        cols.push(vec![(i, 1.0)]);
-        let (slo, shi) = match con.cmp {
-            Cmp::Le => (0.0, f64::INFINITY),
-            Cmp::Ge => (f64::NEG_INFINITY, 0.0),
-            Cmp::Eq => (0.0, 0.0),
-        };
-        lb.push(slo);
-        ub.push(shi);
-        obj2.push(0.0);
-    }
-
     // A usable warm start must describe this problem minus some new rows.
     let warm = warm.filter(|w| w.n == n && w.m <= m);
     let m_old = warm.map_or(0, |w| w.m);
-
-    // Initial nonbasic states for structural + slack vars.
-    let mut state: Vec<VState> = (0..n + m)
-        .map(|j| {
-            if let Some(w) = warm {
-                // Structural vars and old-row slacks restore their state;
-                // Basic is resolved to a position later.
-                let widx = if j < n {
-                    Some(j)
-                } else if j - n < w.m {
-                    Some(n + (j - n))
-                } else {
-                    None
-                };
-                if let Some(wi) = widx {
-                    return match w.states[wi] {
-                        0 => VState::AtLower,
-                        1 => VState::AtUpper,
-                        2 => VState::FreeZero,
-                        _ => VState::Basic(usize::MAX), // placeholder
-                    };
-                }
-            }
-            if lb[j].is_finite() {
-                VState::AtLower
-            } else if ub[j].is_finite() {
-                VState::AtUpper
-            } else {
-                VState::FreeZero
-            }
-        })
-        .collect();
-
-    // Residuals at the starting point (nonbasic at bounds; with a warm
-    // start, basic vars at their saved values).
-    let mut resid = rhs.clone();
-    for j in 0..n {
-        let xj = match state[j] {
-            VState::AtLower => lb[j],
-            VState::AtUpper => ub[j],
-            VState::FreeZero => 0.0,
-            VState::Basic(_) => warm.map_or(0.0, |w| w.values[j]),
-        };
-        if xj != 0.0 {
-            for &(row, a) in &cols[j] {
-                resid[row] -= a * xj;
-            }
-        }
-    }
-    // Old-row slacks contribute too (each touches only its own row).
-    if let Some(w) = warm {
-        for (i, r) in resid.iter_mut().enumerate().take(w.m) {
-            let sj = n + i;
-            let xj = match state[sj] {
-                VState::AtLower => lb[sj],
-                VState::AtUpper => ub[sj],
-                VState::FreeZero => 0.0,
-                VState::Basic(_) => w.values[sj],
-            };
-            *r -= xj;
-        }
-    }
-
-    // ---- Build the starting basis. ----
-    let mut basis = vec![usize::MAX; m];
-    let mut xb = vec![0.0; m];
-    let mut phase1_cost = vec![0.0; n + m];
-    let mut n_art = 0usize;
-    let mut warm_ok = true;
+    let max_iters = default_max_iters(opts, m, n);
+    let mut core = match warm {
+        // Inconsistent snapshot or singular warm basis: the caller
+        // retries cold (and records the fallback).
+        Some(w) => match warm_core(p, backend, w, start_bland) {
+            Some(core) => core,
+            None => return SolveAttempt::WarmRejected,
+        },
+        None => cold_core(p, backend, start_bland),
+    };
+    let n_art = core.ncols - (n + m);
 
     if let Some(w) = warm {
-        // Positions: old-row slacks that were basic sit on their own row;
-        // structural basics fill the remaining old positions; new rows get
-        // their slack or an artificial.
-        let mut free_pos: Vec<usize> = Vec::new();
-        for (i, b) in basis.iter_mut().enumerate().take(w.m) {
-            let sj = n + i;
-            if matches!(state[sj], VState::Basic(_)) {
-                *b = sj;
-                state[sj] = VState::Basic(i);
-            } else {
-                free_pos.push(i);
-            }
-        }
-        let struct_basics: Vec<usize> =
-            (0..n).filter(|&j| matches!(state[j], VState::Basic(_))).collect();
-        if struct_basics.len() != free_pos.len() {
-            warm_ok = false; // inconsistent snapshot; fall back
-        } else {
-            for (&j, &pos) in struct_basics.iter().zip(&free_pos) {
-                basis[pos] = j;
-                state[j] = VState::Basic(pos);
-            }
-            // New rows: slack basic when the residual fits, else artificial.
-            for i in w.m..m {
-                let sj = n + i;
-                let v = resid[i];
-                let fits = v >= lb[sj] - TOL_FEAS && v <= ub[sj] + TOL_FEAS;
-                if fits {
-                    basis[i] = sj;
-                    xb[i] = v;
-                    state[sj] = VState::Basic(i);
-                } else {
-                    state[sj] = if lb[sj] == 0.0 { VState::AtLower } else { VState::AtUpper };
-                    let aj = cols.len();
-                    cols.push(vec![(i, 1.0)]);
-                    if v > 0.0 {
-                        lb.push(0.0);
-                        ub.push(f64::INFINITY);
-                        phase1_cost.push(1.0);
-                    } else {
-                        lb.push(f64::NEG_INFINITY);
-                        ub.push(0.0);
-                        phase1_cost.push(-1.0);
-                    }
-                    obj2.push(0.0);
-                    basis[i] = aj;
-                    xb[i] = v;
-                    state.push(VState::Basic(i));
-                    n_art += 1;
-                }
-            }
-            // Factorize the warm basis; block-triangular, so this succeeds
-            // unless the snapshot was corrupt (or the matrix coefficients
-            // changed enough to make the old basis singular).
-            let basis_cols: Vec<&[(usize, f64)]> =
-                basis.iter().map(|&j| cols[j].as_slice()).collect();
-            if backend.refactor(m, &basis_cols).is_err() {
-                warm_ok = false;
-            }
-        }
-        if !warm_ok {
-            // Inconsistent snapshot or singular warm basis: the caller
-            // retries cold (and records the fallback).
-            return SolveAttempt::WarmRejected;
-        }
-    }
-
-    let use_warm = warm.is_some();
-    if !use_warm {
-        // Cold crash: slack basic where its bounds admit the residual;
-        // else artificial.
-        for i in 0..m {
-            let sj = n + i;
-            let v = resid[i];
-            let fits = v >= lb[sj] - TOL_FEAS && v <= ub[sj] + TOL_FEAS;
-            if fits {
-                basis[i] = sj;
-                xb[i] = v;
-                state[sj] = VState::Basic(i);
-            } else {
-                // slack stays nonbasic at 0 (both slack kinds have 0 as a bound)
-                state[sj] = if lb[sj] == 0.0 { VState::AtLower } else { VState::AtUpper };
-                let aj = cols.len();
-                cols.push(vec![(i, 1.0)]);
-                if v > 0.0 {
-                    lb.push(0.0);
-                    ub.push(f64::INFINITY);
-                    phase1_cost.push(1.0);
-                } else {
-                    lb.push(f64::NEG_INFINITY);
-                    ub.push(0.0);
-                    phase1_cost.push(-1.0);
-                }
-                obj2.push(0.0);
-                basis[i] = aj;
-                xb[i] = v;
-                state.push(VState::Basic(i));
-                n_art += 1;
-            }
-        }
-        backend.reset_identity(m);
-    }
-    let ncols = cols.len();
-    phase1_cost.resize(ncols, 0.0);
-    let max_iters = opts.max_iters.unwrap_or(200 * (m + n) + 20_000);
-    let _ = m_old;
-
-    let rows = RowMatrix::new(m, &cols, n..n + m);
-    let mut core = Core {
-        m,
-        ncols,
-        n_struct: n,
-        cols,
-        rows,
-        lb,
-        ub,
-        cost: phase1_cost,
-        d: vec![0.0; ncols],
-        d_fresh: false,
-        prices_in: vec![false; ncols],
-        stale: vec![true; ncols.div_ceil(SECTION).max(1)],
-        state,
-        basis,
-        xb,
-        rhs,
-        backend,
-        iterations: 0,
-        y: vec![0.0; m],
-        y_touched: Vec::new(),
-        pi: vec![0.0; m],
-        cb: vec![0.0; m],
-        rho: vec![0.0; m],
-        rho_support: Vec::new(),
-        alpha: Vec::new(),
-        alpha_cols: Vec::new(),
-        degen_run: 0,
-        bland: start_bland,
-        force_bland: start_bland,
-        price_section: 0,
-        trace: obs::trace_enabled(),
-        singular: false,
-        n_pivots: 0,
-        n_bound_flips: 0,
-        n_degen: 0,
-        n_refactor: 0,
-        n_dual_pivots: 0,
-        n_dual_flips: 0,
-        n_pivot_row_nnz: 0,
-        n_dense_pivot_rows: 0,
-        n_dj_resets: 0,
-        dual_attempted: false,
-        dual_repaired: false,
-    };
-
-    let fail = |core: &Core<B>, status: Status| Solution {
-        status,
-        objective: f64::NAN,
-        x: (0..core.n_struct).map(|j| core.var_value(j)).collect(),
-        duals: vec![0.0; core.m],
-        iterations: core.iterations,
-    };
-
-    if use_warm {
         // Compute exact basic values under the warm factorization.
         core.refresh();
         if core.singular {
@@ -1664,15 +1897,13 @@ fn try_solve<B: BasisBackend>(
             // How many old basics drifted from their snapshot values?
             let mut drifted = 0;
             let mut maxdrift = 0.0f64;
-            if let Some(w) = warm {
-                for pos in 0..core.m {
-                    let j = core.basis[pos];
-                    if j < n + w.m {
-                        let dv = (core.xb[pos] - w.values[j]).abs();
-                        if dv > 1e-7 {
-                            drifted += 1;
-                            maxdrift = maxdrift.max(dv);
-                        }
+            for pos in 0..core.m {
+                let j = core.basis[pos];
+                if j < n + w.m {
+                    let dv = (core.xb[pos] - w.values[j]).abs();
+                    if dv > 1e-7 {
+                        drifted += 1;
+                        maxdrift = maxdrift.max(dv);
                     }
                 }
             }
@@ -1691,7 +1922,7 @@ fn try_solve<B: BasisBackend>(
         // poison the classification).
         if broken && worst.is_finite() && n_art == 0 {
             core.dual_attempted = true;
-            core.cost = obj2.clone();
+            core.cost.clone_from(&core.obj);
             core.d_fresh = false;
             if core.dual_classify_and_flip() {
                 if core.n_dual_flips > 0 {
@@ -1763,77 +1994,13 @@ fn try_solve<B: BasisBackend>(
         }
     }
 
-    // ---- Phase 1 ----
-    if n_art > 0 {
-        match core.iterate(max_iters, false) {
-            PhaseEnd::Optimal => {}
-            PhaseEnd::Singular => return SolveAttempt::Singular,
-            PhaseEnd::Unbounded | PhaseEnd::IterLimit => {
-                core.flush_metrics(core.iterations, t0);
-                return SolveAttempt::Done(fail(&core, Status::IterLimit), None);
-            }
-        }
-        let infeas: f64 = (n + m..ncols).map(|j| core.var_value(j).abs()).sum();
-        if infeas > TOL_FEAS * 10.0 {
-            core.flush_metrics(core.iterations, t0);
-            return SolveAttempt::Done(fail(&core, Status::Infeasible), None);
-        }
-        // Freeze artificials at zero.
-        for j in n + m..ncols {
-            core.lb[j] = 0.0;
-            core.ub[j] = 0.0;
-            if !matches!(core.state[j], VState::Basic(_)) {
-                core.state[j] = VState::AtLower;
-            }
-        }
-    }
-
-    // ---- Phase 2 ----
-    let phase1_iters = core.iterations;
-    core.cost = obj2;
-    core.d_fresh = false;
-    core.refresh();
-    if core.singular {
+    let Some(status) = core.run_phases(max_iters, t0) else {
         return SolveAttempt::Singular;
-    }
-    let status = match core.iterate(max_iters, true) {
-        PhaseEnd::Optimal => Status::Optimal,
-        PhaseEnd::Unbounded => Status::Unbounded,
-        PhaseEnd::IterLimit => Status::IterLimit,
-        PhaseEnd::Singular => return SolveAttempt::Singular,
     };
-    core.refresh();
-    if core.singular {
-        return SolveAttempt::Singular;
-    }
-    core.flush_metrics(phase1_iters, t0);
-
     let x: Vec<f64> = (0..n).map(|j| core.var_value(j)).collect();
-    if status != Status::Optimal {
-        let mut s = fail(&core, status);
-        s.x = x;
-        return SolveAttempt::Done(s, None);
-    }
-    // Never report an infeasible point as Optimal: numerical trouble is
-    // surfaced as IterLimit instead of a silently wrong answer.
-    if p.max_violation(&x) > TOL_FEAS.max(1e-6) * 100.0 {
-        let mut s = fail(&core, Status::IterLimit);
-        s.x = x;
-        return SolveAttempt::Done(s, None);
-    }
-
-    // Duals from the final basis.
-    for (pos, &bj) in core.basis.iter().enumerate() {
-        core.cb[pos] = core.cost[bj];
-    }
-    let mut pi = vec![0.0; m];
-    core.backend.btran(&core.cb, &mut pi);
-    for (i, d) in pi.iter_mut().enumerate() {
-        // Dual of the original row = dual of the scaled row x scale.
-        *d *= row_scale[i];
-        if p.sense == Sense::Max {
-            *d = -*d;
-        }
+    let sol = core.solution(p, status, x);
+    if sol.status != Status::Optimal {
+        return SolveAttempt::Done(sol, None);
     }
 
     // ---- Snapshot for future warm starts. ----
@@ -1859,17 +2026,7 @@ fn try_solve<B: BasisBackend>(
         }
     }
     let snapshot = WarmStart { n, m, states: wstates, values: wvalues };
-
-    SolveAttempt::Done(
-        Solution {
-            status,
-            objective: p.objective_value(&x),
-            x,
-            duals: pi,
-            iterations: core.iterations,
-        },
-        Some(snapshot),
-    )
+    SolveAttempt::Done(sol, Some(snapshot))
 }
 
 /// Solve `p` as a pure LP on the backend [`SolverOpts::dense_row_limit`]

@@ -1,9 +1,9 @@
 //! Warm-start correctness: resuming from an optimal snapshot after adding
-//! rows, or columns through `WarmStart::with_new_columns`, must reach the
-//! same optimum as a cold solve, on both backends, certified by KKT.
+//! rows, or a `RestrictedMaster` after adding columns, must reach the same
+//! optimum as a cold solve, on both backends, certified by KKT.
 
 use nwdp_lp::simplex::{solve_warm, SolverOpts};
-use nwdp_lp::{verify_kkt, Cmp, KktTol, Problem, Sense, Status};
+use nwdp_lp::{verify_kkt, Cmp, KktTol, Problem, RestrictedMaster, Sense, Status};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -123,6 +123,9 @@ fn column_lp(cols: &[(f64, Vec<f64>)], k: usize, rhs: &[f64]) -> Problem {
 
 #[test]
 fn warm_matches_cold_across_column_additions() {
+    // The same LPs grown as a `RestrictedMaster` (which minimizes, so the
+    // costs flip sign); the cold oracle runs on the dense backend half the
+    // time.
     for trial in 0..60u64 {
         let mut rng = StdRng::seed_from_u64(trial * 11 + 3);
         let rows = rng.random_range(2..6);
@@ -137,23 +140,26 @@ fn warm_matches_cold_across_column_additions() {
         if trial % 2 == 0 {
             opts.dense_row_limit = usize::MAX;
         }
-        let (s0, mut warm) = solve_warm(&column_lp(&cols, 4, &rhs), &opts, None);
-        assert_eq!(s0.status, Status::Optimal, "trial {trial} base");
-        for (from, to) in [(4, 7), (7, 12)] {
-            let p = column_lp(&cols, to, &rhs);
-            let extended = warm.as_ref().map(|w| w.with_new_columns(to - from));
-            let (sw, next) = solve_warm(&p, &opts, extended.as_ref());
-            let (sc, _) = solve_warm(&p, &opts, None);
+        let row_kinds: Vec<(Cmp, f64)> = rhs.iter().map(|&b| (Cmp::Le, b)).collect();
+        let mut master = RestrictedMaster::new(&row_kinds, &SolverOpts::default());
+        let mut added = 0;
+        for to in [4, 7, 12] {
+            for (c, a) in &cols[added..to] {
+                let entries: Vec<_> = a.iter().copied().enumerate().collect();
+                master.add_column(-c, 0.0, 1.0, &entries);
+            }
+            added = to;
+            let sw = master.solve();
+            let (sc, _) = solve_warm(&column_lp(&cols, to, &rhs), &opts, None);
             assert_eq!(sw.status, Status::Optimal, "trial {trial} to {to} warm");
             assert!(
-                (sw.objective - sc.objective).abs() < 1e-9 * (1.0 + sc.objective.abs()),
+                (-sw.objective - sc.objective).abs() < 1e-9 * (1.0 + sc.objective.abs()),
                 "trial {trial} to {to}: warm {} vs cold {}",
-                sw.objective,
+                -sw.objective,
                 sc.objective
             );
-            verify_kkt(&p, &sw, KktTol::default())
+            verify_kkt(master.problem(), &sw, KktTol::default())
                 .unwrap_or_else(|e| panic!("trial {trial} to {to}: {e}"));
-            warm = next;
         }
     }
 }

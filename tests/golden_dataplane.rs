@@ -194,15 +194,15 @@ const FINE_GRAINED: &str = "\
 ";
 
 const STREAM_RELOAD: &str = "\
-0 2767017 138018 1894 354 0 7784 4842 101 | 181865 145800 71256 63006 39584 413478 20996 376452 121920
-1 3630828 156834 3151 442 981 18099 4136 84 | 206510 137700 93834 59194 41926 384807 22050 359532 133980
-2 6967312 327213 5893 969 94 26580 8783 154 | 330815 460050 177982 201101 54088 1034978 34342 226926 342090
-3 4988807 183215 4920 515 2249 31930 4574 102 | 214295 165000 65282 107341 22380 515641 12450 365418 163500
-4 5292722 202833 5363 597 2662 35464 4665 74 | 263160 168750 70772 92916 30674 417542 17696 371637 170190
-5 6473257 249509 5897 729 1680 34056 7049 111 | 327540 297300 162062 137866 33044 729703 24296 478656 245280
-6 7179775 289317 6523 833 1734 37071 7764 140 | 291670 380400 171276 160985 24816 944199 17119 416250 288600
+0 2776362 138370 1894 354 0 7784 4862 103 | 181865 145800 71256 63006 39584 422823 20996 376452 121920
+1 3599712 155342 3151 438 1004 18164 4108 82 | 205010 136200 82984 59194 42076 370356 22200 359532 132480
+2 6991563 328093 5893 969 94 26580 8838 160 | 330815 460050 177982 201101 54088 1059299 34342 226926 342090
+3 4984492 183827 4920 519 2227 31826 4553 99 | 215495 166200 65282 107341 22380 506256 12450 365418 164700
+4 5291763 202913 5363 597 2662 35464 4673 74 | 263160 168750 70772 95755 30674 411935 17696 373446 170190
+5 6447966 248302 5897 726 1702 34143 7022 109 | 326490 296250 162062 137866 33044 708252 24296 478656 244230
+6 7185955 292251 6523 847 1651 36750 7719 135 | 296170 384900 171276 165614 24816 927929 17119 414441 293100
 7 5613870 158140 6280 444 4251 46703 4302 83 | 216345 146550 53680 54037 46296 353733 23669 376695 127770
-8 7705767 278778 7463 818 2680 45943 5946 127 | 292080 317100 150746 147196 22672 936444 16323 465606 274860
-9 6320105 237838 6334 726 2194 37822 6277 71 | 315935 282300 112950 150701 41572 554316 24223 277083 241980
-10 9103731 423486 7910 1310 450 37524 11947 101 | 507810 636000 215814 255193 45952 1117239 29273 322875 436380
+8 7673192 271041 7463 789 2832 46547 5962 130 | 283680 308700 147246 137046 22072 955259 15723 465606 266460
+9 6318100 238341 6334 729 2172 37730 6260 69 | 317135 283500 115400 150701 41872 544971 24523 277083 243180
+10 9114581 424286 7910 1310 450 37422 11971 104 | 507810 636000 215814 249475 45952 1136017 29273 322875 436380
 ";
