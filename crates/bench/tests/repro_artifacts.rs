@@ -1,8 +1,8 @@
 //! End-to-end checks on the artifacts `repro` writes: the metrics and
 //! trace sidecars, the run report, the CSV / JSONL outputs of the
 //! `warm`, `throughput`, `reload`, `resilience`, `cluster` and `alerts`
-//! experiments, and the committed quick-preset Fig 5 and adversary CSVs
-//! under `results/`.
+//! experiments, and the committed quick-preset Fig 5–8 and adversary CSVs
+//! and full-preset resilience CSVs under `results/`.
 //!
 //! Every test runs the binary as its own process in its own directory,
 //! so each run records into its own process-default `nwdp-obs` recorder. What an experiment's `run` already asserts in-process (the
@@ -218,6 +218,31 @@ fn committed_adversary_results_are_current() {
     let dir = workdir("committed_ext");
     repro(&dir, &[], "--quick --out results ext");
     assert_matches_committed(&dir.join("results"), "ext_adversaries.csv");
+}
+
+/// The committed Fig 6–8 CSVs (quick preset) are what this build writes,
+/// at 1 and at 4 worker threads.
+#[test]
+fn committed_fig678_results_are_current() {
+    let dir = workdir("committed_fig678");
+    for threads in ["1", "4"] {
+        let out = format!("threads{threads}");
+        repro(&dir, &[("NWDP_THREADS", threads)], &format!("--quick --out {out} fig6 fig7 fig8"));
+        for name in ["fig6_modules_sweep.csv", "fig7_volume_sweep.csv", "fig8_per_node.csv"] {
+            assert_matches_committed(&dir.join(&out), name);
+        }
+    }
+}
+
+/// The committed resilience CSVs (full preset, well under a second) are
+/// what this build writes.
+#[test]
+fn committed_resilience_results_are_current() {
+    let dir = workdir("committed_resilience");
+    repro(&dir, &[], "--out results resilience");
+    for name in ["resilience_crash_sweep.csv", "resilience_detection_tradeoff.csv"] {
+        assert_matches_committed(&dir.join("results"), name);
+    }
 }
 
 /// The NIDS upgrade sweep used to reject all of its warm bases; the dual
