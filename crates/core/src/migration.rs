@@ -16,6 +16,7 @@
 
 use crate::nids::{coverage_sweep, SamplingManifest};
 use crate::units::{NidsDeployment, UnitKey};
+use nwdp_hash::HASH_SPACE;
 use nwdp_topo::NodeId;
 use std::collections::HashMap;
 
@@ -75,7 +76,7 @@ pub fn plan_transition(
         };
         matched += 1;
         let old_unit = &old_dep.units[ou];
-        // The moved fraction: the measure of `[0, 1)` where the owner
+        // The moved fraction: the share of the hash lattice where the owner
         // differs, swept over the old unit's slots followed by the new
         // unit's. A point's owner on each side is its first covering node
         // in that unit's node order (the unique owner at redundancy 1; the
@@ -89,11 +90,12 @@ pub fn plan_transition(
                 let new_owner = (k..slots.len()).find(|&i| covering(i)).map(|i| unit.nodes[i - k]);
                 old_owner != new_owner
             })
-            .fold(0.0, |moved, (a, b, _)| moved + (b - a));
-        moved_total += moved;
-        if moved == 0.0 {
+            .fold(0, |moved, (a, b, _)| moved + (b - a));
+        if moved == 0 {
             continue;
         }
+        let moved = moved as f64 / HASH_SPACE as f64;
+        moved_total += moved;
         // Old owners with any responsibility: drain in place if still on
         // the new path, otherwise transfer state.
         let mut drain_at = Vec::new();
@@ -145,6 +147,11 @@ mod tests {
         (dep, m)
     }
 
+    /// The lattice point at fraction `x` of the hash space.
+    fn lattice(x: f64) -> u64 {
+        (x * HASH_SPACE as f64) as u64
+    }
+
     /// A one-unit deployment over a 3-node line with an explicit split.
     fn line_unit_manifest(
         nodes: &[usize],
@@ -169,7 +176,7 @@ mod tests {
                         class: dep.units[0].class,
                         unit: 0,
                         key: dep.units[0].key,
-                        ranges: RangeSet::interval(lo, hi),
+                        ranges: RangeSet::interval(lattice(lo), lattice(hi)),
                     },
                 )
             })
@@ -189,8 +196,8 @@ mod tests {
         assert_eq!(plan.units.len(), 1);
         let t = &plan.units[0];
         // Owner changes exactly on [0, 0.25) (0 → 1) and [0.75, 1) (1 → 2).
-        assert!((t.moved_fraction - 0.5).abs() < 1e-12, "moved {}", t.moved_fraction);
-        assert!((plan.mean_moved_fraction - 0.5).abs() < 1e-12);
+        assert_eq!(t.moved_fraction, 0.5);
+        assert_eq!(plan.mean_moved_fraction, 0.5);
         // Node 1 is still on the new path: it drains in place. Node 0 is
         // not: its live state must be transferred.
         assert_eq!(t.drain_at, vec![NodeId(1)]);
@@ -222,7 +229,7 @@ mod tests {
         let plan = plan_transition(&old_dep, &old_man, &new_dep, &new_man);
         for t in &plan.units {
             assert!(
-                (0.0..=1.0 + 1e-9).contains(&t.moved_fraction),
+                (0.0..=1.0).contains(&t.moved_fraction),
                 "unit {}: moved {}",
                 t.new_unit,
                 t.moved_fraction

@@ -4,18 +4,19 @@
 //! `GENERATE-NIDS-MANIFEST` converts the optimal fractional assignment
 //! `d*` into **non-overlapping hash ranges** per coordination unit: walking
 //! the unit's nodes in a fixed order, node `j` receives
-//! `[Range, Range + d*_ikj)`. Because every node hashes packets with the
-//! same keyed function, the ranges partition the hash space and each item
-//! is analyzed exactly once network-wide — with zero runtime coordination.
+//! `[Range, Range + d*_ikj)` of the 2³² hash lattice. Because every node
+//! hashes packets with the same keyed function, the ranges partition the
+//! hash space and each item is analyzed exactly once network-wide — with
+//! zero runtime coordination.
 //!
-//! With the redundancy extension (§2.5) the covered space is `[0, r)`; the
-//! running range wraps around the unit interval, so a node's share can be
+//! With the redundancy extension (§2.5) the covered space is `[0, r·2³²)`;
+//! the running range wraps around the lattice, so a node's share can be
 //! a two-segment [`RangeSet`]. Since each `d ≤ 1`, a node never wraps onto
 //! itself, guaranteeing `r` *distinct* nodes per point.
 
 use crate::nids::lp::NodeCaps;
 use crate::units::{NidsDeployment, UnitKey};
-use nwdp_hash::RangeSet;
+use nwdp_hash::{RangeSet, HASH_SPACE};
 use nwdp_topo::NodeId;
 
 /// One node's responsibility for one coordination unit.
@@ -52,30 +53,35 @@ impl PartialEq for SamplingManifest {
 ///
 /// `d[u]` lists `(node, fraction)` in a fixed node order (the order of
 /// `dep.units[u].nodes`; the paper notes the order does not matter as long
-/// as it is consistent).
+/// as it is consistent). A unit's fractions sum to its whole number `r` of
+/// owners. Each cut falls on the lattice point `ceil(S·2³²)` of the `f64`
+/// running sum `S`, and the last one on exactly `r·2³²`, so drift in `S`
+/// can open neither a gap nor an overlap.
 pub fn generate_manifests(dep: &NidsDeployment, d: &[Vec<(NodeId, f64)>]) -> SamplingManifest {
     assert_eq!(d.len(), dep.units.len(), "assignment/unit count mismatch");
     let mut per_node: Vec<Vec<ManifestEntry>> = vec![Vec::new(); dep.num_nodes];
     for (u, unit) in dep.units.iter().enumerate() {
-        let mut range = 0.0f64;
+        let total: f64 = d[u].iter().map(|&(_, frac)| frac).sum();
+        debug_assert!((total - total.round()).abs() <= 1e-6, "unit {u}: owners sum to {total}");
+        let end = total.round() as u64 * HASH_SPACE;
+        let (mut sum, mut lo) = (0.0f64, 0u64);
         for &(j, frac) in &d[u] {
             debug_assert!((0.0..=1.0 + 1e-9).contains(&frac), "fraction {frac} out of range");
-            if frac <= 1e-12 {
-                continue;
+            sum += frac;
+            // The running sum ends on `total` (same additions, same order):
+            // that cut is pinned. A node never holds more than the lattice.
+            let cut = if sum == total { end } else { (sum * HASH_SPACE as f64).ceil() as u64 };
+            let hi = cut.min(end).min(lo + HASH_SPACE);
+            if hi > lo {
+                let ranges = RangeSet::wrapped(lo, hi);
+                let entry = ManifestEntry { class: unit.class, unit: u, key: unit.key, ranges };
+                per_node[j.index()].push(entry);
             }
-            let ranges = RangeSet::wrapped(range, range + frac);
-            range += frac;
-            let entry = ManifestEntry { class: unit.class, unit: u, key: unit.key, ranges };
-            per_node[j.index()].push(entry);
+            lo = hi;
         }
     }
     SamplingManifest::indexed(per_node)
 }
-
-/// Seam tolerance for the exact coverage sweep: ~4 ulps of the 2⁻³² hash
-/// lattice the engine quantizes to. Endpoints closer than this are one
-/// seam; intervals narrower than this carry no representable hash value.
-pub const SWEEP_EPS: f64 = 1e-9;
 
 impl SamplingManifest {
     /// Rebuild a manifest from explicit per-node entries (one entry per
@@ -152,8 +158,8 @@ impl SamplingManifest {
     }
 
     /// Fig 3 line 5: should `node` run the unit's class on a packet whose
-    /// coordination hash is `h ∈ [0, 1)`?
-    pub fn should_analyze(&self, unit: usize, node: NodeId, h: f64) -> bool {
+    /// 32-bit coordination hash is `h`?
+    pub fn should_analyze(&self, unit: usize, node: NodeId, h: u32) -> bool {
         self.range(unit, node).is_some_and(|r| r.contains(h))
     }
 
@@ -174,9 +180,9 @@ impl SamplingManifest {
     /// 2. every point of the hash space is covered exactly `r` times by
     ///    `r` distinct nodes.
     ///
-    /// The check is exact: it probes one point per elementary interval of
-    /// the [`coverage_sweep`], so no gap or overlap can hide between probe
-    /// points.
+    /// The check is exact: it probes one lattice point per piece of the
+    /// [`coverage_sweep`], on which coverage is constant, so no gap or
+    /// overlap can hide between probe points.
     ///
     /// Returns the coverage multiplicity (min, max) over all units.
     pub fn verify_coverage(&self, dep: &NidsDeployment) -> (usize, usize) {
@@ -203,32 +209,32 @@ impl SamplingManifest {
     }
 }
 
-/// The coverage sweep of one unit's hash space, given the unit's range at
-/// each owner slot: `[0, 1]` cut at the clamped segment endpoints, yielded
-/// as `(a, b, covering)` in ascending order. `covering(i)` says whether
-/// slot `i`'s range contains the piece's midpoint, which is
-/// [`SamplingManifest::should_analyze`]'s verdict there; coverage is
-/// constant on each piece. Pieces of width at most [`SWEEP_EPS`] are
-/// skipped: they are seams (FP drift from the running-range walk in
-/// [`generate_manifests`] lives below the hash lattice and is not a real
-/// gap). Validation, `verify_coverage`, blind-node gaps, greedy repair and
-/// transition planning are all folds over this sweep.
+/// The coverage sweep of one unit's hash lattice, given the unit's range
+/// at each owner slot: the lattice `[0, 2³²)` cut at every segment
+/// endpoint, yielded as non-empty pieces `(a, b, covering)` in ascending
+/// order. Coverage is constant on each piece; `covering(i)` says whether
+/// slot `i`'s range contains the piece's points, which is
+/// [`SamplingManifest::should_analyze`]'s verdict on each of them. Every
+/// lattice point lies in exactly one piece, so a gap or overlap of a
+/// single hash value shows. Validation, `verify_coverage`, blind-node
+/// gaps, greedy repair and transition planning are all folds over this
+/// sweep.
 pub fn coverage_sweep<'a>(
     slots: &'a [Option<&'a RangeSet>],
-) -> impl Iterator<Item = (f64, f64, impl Fn(usize) -> bool + 'a)> + 'a {
-    let mut cuts: Vec<f64> = vec![0.0, 1.0];
+) -> impl Iterator<Item = (u64, u64, impl Fn(usize) -> bool + 'a)> + 'a {
+    let mut cuts: Vec<u64> = vec![0, HASH_SPACE];
     for ranges in slots.iter().flatten() {
         for seg in ranges.segments() {
-            cuts.push(seg.lo.clamp(0.0, 1.0));
-            cuts.push(seg.hi.clamp(0.0, 1.0));
+            cuts.extend([seg.lo.min(HASH_SPACE), seg.hi.min(HASH_SPACE)]);
         }
     }
-    cuts.sort_by(f64::total_cmp);
-    (1..cuts.len()).filter_map(move |w| {
+    cuts.sort_unstable();
+    cuts.dedup();
+    (1..cuts.len()).map(move |w| {
         let (a, b) = (cuts[w - 1], cuts[w]);
-        let h = 0.5 * (a + b);
-        (b - a > SWEEP_EPS)
-            .then_some((a, b, move |i: usize| slots[i].is_some_and(|r| r.contains(h))))
+        // `a < b <= 2³²`, so `a` is a hash value.
+        let h = a as u32;
+        (a, b, move |i: usize| slots[i].is_some_and(|r| r.contains(h)))
     })
 }
 
@@ -275,14 +281,14 @@ pub enum ManifestValidationError {
     /// set — traffic for the unit never transits that node, so the range
     /// would silently go unanalyzed.
     ForeignNode { unit: usize, node: usize },
-    /// A range segment is non-finite or escapes the unit hash interval.
-    MalformedRange { unit: usize, node: usize, lo: f64, hi: f64 },
-    /// Some hash interval of the unit is covered by fewer than
+    /// A range segment is out of order or escapes the hash lattice.
+    MalformedRange { unit: usize, node: usize, lo: u64, hi: u64 },
+    /// The unit's lattice points `[lo, hi)` are covered by fewer than
     /// `redundancy` distinct nodes.
-    CoverageGap { unit: usize, lo: f64, hi: f64, covers: usize, want: usize },
-    /// Some hash interval of the unit is covered by more than
+    CoverageGap { unit: usize, lo: u64, hi: u64, covers: usize, want: usize },
+    /// The unit's lattice points `[lo, hi)` are covered by more than
     /// `redundancy` distinct nodes (duplicate analysis).
-    CoverageOverlap { unit: usize, lo: f64, hi: f64, covers: usize, want: usize },
+    CoverageOverlap { unit: usize, lo: u64, hi: u64, covers: usize, want: usize },
     /// A node's manifest-implied load exceeds the capacity ceiling.
     CapacityExceeded { node: usize, resource: &'static str, load: f64, limit: f64 },
 }
@@ -315,13 +321,13 @@ impl std::fmt::Display for ManifestValidationError {
             CoverageGap { unit, lo, hi, covers, want } => {
                 write!(
                     f,
-                    "unit {unit}: [{lo:.6}, {hi:.6}) covered by {covers} distinct nodes, need {want}"
+                    "unit {unit}: hashes [{lo}, {hi}) covered by {covers} distinct nodes, need {want}"
                 )
             }
             CoverageOverlap { unit, lo, hi, covers, want } => {
                 write!(
                     f,
-                    "unit {unit}: [{lo:.6}, {hi:.6}) covered by {covers} distinct nodes, want {want}"
+                    "unit {unit}: hashes [{lo}, {hi}) covered by {covers} distinct nodes, want {want}"
                 )
             }
             CapacityExceeded { node, resource, load, limit } => {
@@ -347,11 +353,12 @@ pub struct CapacityCeiling<'a> {
 ///
 /// Checks, in deterministic order:
 /// 1. structural integrity — node count, unit/class/key indices resolve in
-///    `dep`, ranges only on eligible nodes, segments finite inside `[0, 1]`;
-/// 2. exact coverage — every unit's hash space covered by exactly
-///    `round(redundancy)` *distinct* nodes (the [`coverage_sweep`], as in
-///    [`SamplingManifest::unit_coverage_exact`], so no gap or overlap
-///    wider than [`SWEEP_EPS`] can hide);
+///    `dep`, ranges only on eligible nodes, segments ordered and on the
+///    hash lattice;
+/// 2. exact coverage — every lattice point of every unit covered by
+///    exactly `round(redundancy)` *distinct* nodes (the [`coverage_sweep`],
+///    as in [`SamplingManifest::unit_coverage_exact`], so not even a
+///    one-point gap or overlap can hide);
 /// 3. capacity — when `ceiling` is given, the [`manifest_loads`] of every
 ///    node stay at or under `ceiling.max_load`.
 ///
@@ -414,12 +421,7 @@ pub fn validate_manifests_excluding(
                 return Err(E::ForeignNode { unit: entry.unit, node: j });
             }
             for seg in entry.ranges.segments() {
-                let bad = !seg.lo.is_finite()
-                    || !seg.hi.is_finite()
-                    || seg.lo < -SWEEP_EPS
-                    || seg.hi > 1.0 + SWEEP_EPS
-                    || seg.hi < seg.lo;
-                if bad {
+                if seg.hi < seg.lo || seg.hi > HASH_SPACE {
                     return Err(E::MalformedRange {
                         unit: entry.unit,
                         node: j,
@@ -480,6 +482,13 @@ mod tests {
     use crate::units::{build_units, NidsDeployment};
     use nwdp_topo::{internet2, PathDb};
     use nwdp_traffic::{TrafficMatrix, VolumeModel};
+
+    const S: u64 = HASH_SPACE;
+
+    /// The lattice point at fraction `x` of the hash space.
+    fn at(x: f64) -> u64 {
+        (x * S as f64) as u64
+    }
 
     fn dep() -> NidsDeployment {
         let t = internet2();
@@ -553,11 +562,13 @@ mod tests {
     fn exact_sweep_catches_sub_grid_gap() {
         // A gap of width 2e-4 straddling no midpoint of a 101-point grid:
         // the old grid check reported (1, 1); the exact sweep must not.
-        let (d, m) =
-            manifest_of(vec![RangeSet::interval(0.0, 0.49505), RangeSet::interval(0.49525, 1.0)]);
+        let (d, m) = manifest_of(vec![
+            RangeSet::interval(0, at(0.49505)),
+            RangeSet::interval(at(0.49525), S),
+        ]);
         let mut grid_lo = usize::MAX;
         for g in 0..101 {
-            let h = (g as f64 + 0.5) / 101.0;
+            let h = at((g as f64 + 0.5) / 101.0) as u32;
             let covers = (0..2).filter(|&j| m.should_analyze(0, NodeId(j), h)).count();
             grid_lo = grid_lo.min(covers);
         }
@@ -567,18 +578,46 @@ mod tests {
 
     #[test]
     fn exact_sweep_catches_sub_grid_overlap() {
-        let (d, m) =
-            manifest_of(vec![RangeSet::interval(0.0, 0.49535), RangeSet::interval(0.49515, 1.0)]);
+        let (d, m) = manifest_of(vec![
+            RangeSet::interval(0, at(0.49535)),
+            RangeSet::interval(at(0.49515), S),
+        ]);
         assert_eq!(m.verify_coverage(&d), (1, 2));
     }
 
     #[test]
     fn exact_sweep_tolerates_sub_lattice_drift() {
-        // Endpoints 3e-10 apart (under the 2^-32 hash lattice) are one
-        // seam, not a gap.
-        let (d, m) =
-            manifest_of(vec![RangeSet::interval(0.0, 0.5), RangeSet::interval(0.5 + 3e-10, 1.0)]);
-        assert_eq!(m.verify_coverage(&d), (1, 1));
+        // The f64 running sums drift off 1 (above it for the first split,
+        // below it for the second), yet the cuts tile the lattice exactly
+        // once.
+        let mut d = dep();
+        d.units.truncate(1);
+        d.units[0].nodes = (0..3).map(NodeId).collect();
+        for (split, drift) in [
+            (vec![0.9783924928600511, 0.021607507139949036], 1.0000000000000002),
+            (vec![0.7, 0.2, 0.1], 0.9999999999999999),
+        ] {
+            let fracs = vec![split.iter().enumerate().map(|(j, &f)| (NodeId(j), f)).collect()];
+            assert_eq!(split.iter().sum::<f64>(), drift);
+            let m = generate_manifests(&d, &fracs);
+            assert_eq!(m.verify_coverage(&d), (1, 1));
+            let owned = |j| m.range(0, NodeId(j)).map_or(0, RangeSet::points);
+            assert_eq!((0..3).map(owned).sum::<u64>(), S);
+            assert!(m.should_analyze(0, NodeId(0), 0));
+            assert!(m.should_analyze(0, NodeId(split.len() - 1), u32::MAX));
+        }
+    }
+
+    #[test]
+    fn validation_rejects_a_one_point_hole_at_zero() {
+        // Hash 0 owned by nobody: the hole an f64 walk left when its
+        // running sum rounded to just above a whole number.
+        let (d, m) = manifest_of(vec![RangeSet::interval(1, S / 2), RangeSet::interval(S / 2, S)]);
+        assert_eq!(
+            validate_manifests(&d, &m, 1.0, None),
+            Err(ManifestValidationError::CoverageGap { unit: 0, lo: 0, hi: 1, covers: 0, want: 1 })
+        );
+        assert_eq!(m.verify_coverage(&d), (0, 1));
     }
 
     #[test]
@@ -620,16 +659,17 @@ mod tests {
         d[0][0].1 = 0.25;
         let m = generate_manifests(&d0, &d);
         let u0 = &d0.units[0];
-        assert!((m.share(0, u0.nodes[0]) - 0.25).abs() < 1e-12);
-        assert!((m.share(0, u0.nodes[1]) - 0.75).abs() < 1e-12);
+        assert_eq!(m.share(0, u0.nodes[0]), 0.25);
+        assert_eq!(m.share(0, u0.nodes[1]), 0.75);
         if u0.nodes.len() > 2 {
             assert_eq!(m.share(0, u0.nodes[2]), 0.0);
             assert!(m.range(0, u0.nodes[2]).is_none());
         }
-        // Boundary semantics: 0.25 belongs to the second node.
-        assert!(m.should_analyze(0, u0.nodes[0], 0.2499));
-        assert!(!m.should_analyze(0, u0.nodes[0], 0.25));
-        assert!(m.should_analyze(0, u0.nodes[1], 0.25));
+        // Boundary semantics: the cut at 0.25 belongs to the second node.
+        let cut = (S / 4) as u32;
+        assert!(m.should_analyze(0, u0.nodes[0], cut - 1));
+        assert!(!m.should_analyze(0, u0.nodes[0], cut));
+        assert!(m.should_analyze(0, u0.nodes[1], cut));
     }
 
     fn lp_manifest() -> (NidsDeployment, SamplingManifest) {
@@ -651,12 +691,14 @@ mod tests {
 
     #[test]
     fn validation_rejects_gap_and_overlap() {
-        let (d, m) = manifest_of(vec![RangeSet::interval(0.0, 0.4), RangeSet::interval(0.5, 1.0)]);
+        let (d, m) =
+            manifest_of(vec![RangeSet::interval(0, at(0.4)), RangeSet::interval(S / 2, S)]);
         match validate_manifests(&d, &m, 1.0, None) {
             Err(ManifestValidationError::CoverageGap { unit: 0, covers: 0, want: 1, .. }) => {}
             other => panic!("expected a coverage gap, got {other:?}"),
         }
-        let (d, m) = manifest_of(vec![RangeSet::interval(0.0, 0.6), RangeSet::interval(0.5, 1.0)]);
+        let (d, m) =
+            manifest_of(vec![RangeSet::interval(0, at(0.6)), RangeSet::interval(S / 2, S)]);
         match validate_manifests(&d, &m, 1.0, None) {
             Err(ManifestValidationError::CoverageOverlap {
                 unit: 0, covers: 2, want: 1, ..
@@ -750,7 +792,8 @@ mod tests {
     fn excluding_allows_only_the_listed_gap_units() {
         // Unit 0 has a real gap: rejected plainly, accepted when unit 0 is
         // declared unrecoverable — but only that unit is exempt.
-        let (d, m) = manifest_of(vec![RangeSet::interval(0.0, 0.4), RangeSet::interval(0.5, 1.0)]);
+        let (d, m) =
+            manifest_of(vec![RangeSet::interval(0, at(0.4)), RangeSet::interval(S / 2, S)]);
         assert!(matches!(
             validate_manifests(&d, &m, 1.0, None),
             Err(ManifestValidationError::CoverageGap { unit: 0, .. })
@@ -782,7 +825,7 @@ mod tests {
     #[test]
     fn validation_checks_redundancy_multiplicity() {
         // Two nodes each covering everything: valid at r=2, overlap at r=1.
-        let (d, m) = manifest_of(vec![RangeSet::interval(0.0, 1.0), RangeSet::interval(0.0, 1.0)]);
+        let (d, m) = manifest_of(vec![RangeSet::interval(0, S), RangeSet::interval(0, S)]);
         assert_eq!(validate_manifests(&d, &m, 2.0, None), Ok(()));
         assert!(matches!(
             validate_manifests(&d, &m, 1.0, None),

@@ -4,17 +4,18 @@
 //! \[that\] periodically configures the NIDS responsibilities of the
 //! different nodes". This module provides the wire artifact for that push:
 //! a line-oriented text encoding of one node's manifest, parseable without
-//! any dependencies. One line per (unit, segment):
+//! any dependencies. One line per (unit, segment), the segment's endpoints
+//! as points `lo hi` of the 2³² hash lattice (`[lo, hi)`, `lo ≤ hi ≤ 2³²`):
 //!
 //! ```text
 //! manifest node 3
-//! range unit 17 class 2 key path 0 10 0.25 0.75
-//! range unit 580 class 1 key ingress 3 0 1
+//! range unit 17 class 2 key path 0 10 1073741824 3221225472
+//! range unit 580 class 1 key ingress 3 0 4294967296
 //! ```
 
 use super::manifest::{ManifestEntry, SamplingManifest};
 use crate::units::UnitKey;
-use nwdp_hash::RangeSet;
+use nwdp_hash::{RangeSet, HASH_SPACE};
 use nwdp_topo::NodeId;
 
 /// Serialize one node's manifest.
@@ -106,10 +107,10 @@ pub fn node_manifest_from_text(text: &str) -> Result<NodeManifest, ManifestParse
                     ),
                     _ => return Err(err(lineno, "bad key clause")),
                 };
-                let lo: f64 = lo_s.parse().map_err(|_| err(lineno, "bad range lo"))?;
-                let hi: f64 = hi_s.parse().map_err(|_| err(lineno, "bad range hi"))?;
-                if !(0.0..=1.0).contains(&lo) || !(0.0..=1.0).contains(&hi) || hi < lo {
-                    return Err(err(lineno, "range outside the unit interval"));
+                let lo: u64 = lo_s.parse().map_err(|_| err(lineno, "bad range lo"))?;
+                let hi: u64 = hi_s.parse().map_err(|_| err(lineno, "bad range hi"))?;
+                if hi > HASH_SPACE || lo > hi {
+                    return Err(err(lineno, "range off the hash lattice"));
                 }
                 // Merge into an existing entry for the same unit if present.
                 if let Some(e) = entries.iter_mut().find(|e| e.unit == unit) {
@@ -161,11 +162,7 @@ mod tests {
                 assert_eq!(p.unit, o.unit);
                 assert_eq!(p.class, o.class);
                 assert_eq!(p.key, o.key);
-                assert!((p.ranges.measure() - o.ranges.measure()).abs() < 1e-12);
-                for g in 0..33 {
-                    let h = (g as f64 + 0.5) / 33.0;
-                    assert_eq!(p.ranges.contains(h), o.ranges.contains(h));
-                }
+                assert_eq!(p.ranges, o.ranges);
             }
         }
     }
@@ -174,21 +171,21 @@ mod tests {
     fn parse_rejects_garbage() {
         assert!(node_manifest_from_text("nonsense\n").is_err());
         assert!(node_manifest_from_text("manifest node x\n").is_err());
-        assert!(node_manifest_from_text(
-            "manifest node 0\nrange unit 1 class 0 key path 0 1 0.5 0.2\n"
-        )
-        .is_err());
+        for bad in ["5 2", "0 4294967297", "0.5 1", "-1 2"] {
+            let text = format!("manifest node 0\nrange unit 1 class 0 key path 0 1 {bad}\n");
+            assert!(node_manifest_from_text(&text).is_err(), "{bad}");
+        }
         assert!(node_manifest_from_text("range unit 1 class 0 key ingress 0 0 1\n").is_err());
     }
 
     #[test]
     fn comments_allowed() {
         let m = node_manifest_from_text(
-            "# pushed 2026-07-06\nmanifest node 2\n# unit below\nrange unit 4 class 1 key egress 2 0 1\n",
+            "# pushed 2026-07-06\nmanifest node 2\n# unit below\nrange unit 4 class 1 key egress 2 0 4294967296\n",
         )
         .unwrap();
         assert_eq!(m.node, NodeId(2));
         assert_eq!(m.entries.len(), 1);
-        assert!(m.entries[0].ranges.contains(0.99));
+        assert!(m.entries[0].ranges.contains(u32::MAX));
     }
 }

@@ -10,14 +10,15 @@
 //! footprint it would consume): analysis responsibilities that watch a
 //! lot of traffic across a long path are the last to go.
 //!
-//! Shedding is *exact*: the boundary entry is trimmed with
-//! [`RangeSet::take_measure`], so the post-shed load lands on the capacity
-//! ceiling instead of overshooting below it, and the accounted coverage
-//! loss matches the manifest to within FP epsilon.
+//! Shedding is *exact*: the boundary entry is trimmed to whole lattice
+//! points ([`nwdp_hash::RangeSet::take_points`]), so the post-shed load
+//! lands on the capacity ceiling (within one hash value) instead of far
+//! below it, and the accounted coverage loss is the manifest's.
 
 use crate::nids::lp::NodeCaps;
 use crate::nids::manifest::{ManifestEntry, SamplingManifest};
 use crate::units::NidsDeployment;
+use nwdp_hash::HASH_SPACE;
 use nwdp_topo::NodeId;
 use std::collections::HashMap;
 
@@ -79,8 +80,8 @@ pub fn shed_overload(
 
     let mut actions: Vec<ShedAction> = Vec::new();
     let mut overloaded_nodes: Vec<NodeId> = Vec::new();
-    // (unit, node) → measure kept (only for trimmed/shed entries).
-    let mut kept: HashMap<(usize, usize), f64> = HashMap::new();
+    // (unit, node) → lattice points kept (only for trimmed/shed entries).
+    let mut kept: HashMap<(usize, usize), u64> = HashMap::new();
     let mut total_measure = 0.0;
     let mut lost_traffic = 0.0;
     let total_traffic: f64 = dep.units.iter().map(|u| u.pkts).sum();
@@ -90,7 +91,7 @@ pub fn shed_overload(
     for (jn, cap) in caps.iter().enumerate().take(dep.num_nodes) {
         let node = NodeId(jn);
         // Per-entry surged load contributions.
-        let mut load: Vec<(usize, f64, f64, f64)> = Vec::new(); // (unit, cpu, mem, measure)
+        let mut load: Vec<(usize, f64, f64, u64)> = Vec::new(); // (unit, cpu, mem, points)
         let (mut cpu, mut mem) = (0.0f64, 0.0f64);
         for e in manifest.node_entries(node) {
             let (dc, dm) = dep.unit_demand(e.unit);
@@ -100,7 +101,7 @@ pub fn shed_overload(
             cpu += c;
             mem += m;
             total_measure += measure;
-            load.push((e.unit, c, m, measure));
+            load.push((e.unit, c, m, e.ranges.points()));
         }
         if cpu.max(mem) <= 1.0 + 1e-12 {
             continue;
@@ -108,7 +109,7 @@ pub fn shed_overload(
         overloaded_nodes.push(node);
         // Cheapest responsibilities first; unit index breaks value ties.
         load.sort_by(|a, b| values[a.0].total_cmp(&values[b.0]).then(a.0.cmp(&b.0)));
-        for &(u, c, m, measure) in &load {
+        for &(u, c, m, points) in &load {
             if cpu.max(mem) <= 1.0 + 1e-12 {
                 break;
             }
@@ -124,10 +125,13 @@ pub fn shed_overload(
                 }
             };
             let f = need(cpu - 1.0, c).max(need(mem - 1.0, m)).min(1.0);
+            // Whole lattice points, rounded up so the excess clears.
+            let shed_points = (f * points as f64).ceil() as u64;
+            let f = shed_points as f64 / points.max(1) as f64;
             cpu -= f * c;
             mem -= f * m;
-            let shed = f * measure;
-            kept.insert((u, jn), measure - shed);
+            let shed = shed_points as f64 / HASH_SPACE as f64;
+            kept.insert((u, jn), points - shed_points);
             shed_measure_total += shed;
             lost_traffic += shed * dep.units[u].pkts;
             value_lost += shed * values[u];
@@ -142,7 +146,7 @@ pub fn shed_overload(
         for &j in &unit.nodes {
             let Some(old) = manifest.range(u, j) else { continue };
             let ranges = match kept.get(&(u, j.index())) {
-                Some(&keep) => old.take_measure(keep),
+                Some(&keep) => old.take_points(keep),
                 None => old.clone(),
             };
             if ranges.is_empty() {

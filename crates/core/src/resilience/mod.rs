@@ -37,13 +37,14 @@ pub use scenario::{FailureKind, FailureScenario, FailureSchedule};
 
 use crate::nids::manifest::{coverage_sweep, SamplingManifest};
 use crate::units::NidsDeployment;
+use nwdp_hash::HASH_SPACE;
 use nwdp_topo::NodeId;
 
 /// Traffic-weighted fraction of coverage lost when `blind` nodes observe
 /// nothing: for every unit, the exact measure of hash space covered by
 /// **no** sighted node, weighted by the unit's packet rate. Computed by
-/// the same [`coverage_sweep`] as `verify_coverage`, so a gap narrower
-/// than a grid cell cannot hide. `1 - manifest_gap_fraction(.., &[])` is
+/// the same [`coverage_sweep`] as `verify_coverage`, so a gap of a single
+/// hash value cannot hide. `1 - manifest_gap_fraction(.., &[])` is
 /// the covered fraction of a live manifest.
 pub fn manifest_gap_fraction(
     dep: &NidsDeployment,
@@ -59,8 +60,8 @@ pub fn manifest_gap_fraction(
             .filter(|(_, _, covering)| {
                 !unit.nodes.iter().enumerate().any(|(i, j)| !blind.contains(j) && covering(i))
             })
-            .fold(0.0, |gap, (a, b, _)| gap + (b - a));
-        lost += gap.min(1.0) * unit.pkts;
+            .fold(0, |gap, (a, b, _)| gap + (b - a));
+        lost += gap as f64 / HASH_SPACE as f64 * unit.pkts;
     }
     if total > 0.0 {
         lost / total

@@ -41,7 +41,7 @@ use crate::nids::manifest::{
     coverage_sweep, generate_manifests, manifest_loads, ManifestEntry, SamplingManifest,
 };
 use crate::units::NidsDeployment;
-use nwdp_hash::{RangeSet, Segment};
+use nwdp_hash::{RangeSet, Segment, HASH_SPACE};
 use nwdp_topo::NodeId;
 use std::collections::HashMap;
 
@@ -88,11 +88,10 @@ struct Piece {
 /// Fast-path repair: redistribute the failed nodes' hash ranges to
 /// surviving on-path nodes, least-loaded first.
 ///
-/// The result is exact `RangeSet` arithmetic: every orphaned elementary
-/// interval wider than [`SWEEP_EPS`](crate::nids::manifest::SWEEP_EPS) is
-/// reassigned (or counted as unrecoverable when no eligible survivor
-/// exists), so the repaired manifest passes `verify_coverage` on every
-/// recoverable unit.
+/// The result is exact lattice arithmetic: every orphaned piece of the
+/// [`coverage_sweep`], down to a single hash value, is reassigned (or
+/// counted as unrecoverable when no eligible survivor exists), so the
+/// repaired manifest passes `verify_coverage` on every recoverable unit.
 pub fn greedy_repair(
     dep: &NidsDeployment,
     manifest: &SamplingManifest,
@@ -131,9 +130,9 @@ pub fn greedy_repair(
         let slots = manifest.unit_slots(u, &unit.nodes);
         let survivors: Vec<NodeId> =
             unit.nodes.iter().copied().filter(|&j| !is_failed(j)).collect();
-        let mut lost_measure = 0.0;
+        let mut lost_points = 0u64;
         let mut min_eff_elig = usize::MAX;
-        let mut assignable_measure = 0.0;
+        let mut assignable_points = 0u64;
         for (a, b, covering) in coverage_sweep(&slots) {
             let orphaned = unit
                 .nodes
@@ -153,22 +152,22 @@ pub fn greedy_repair(
                 .collect();
             let replicas = orphaned.min(eligible.len());
             if orphaned > eligible.len() {
-                lost_measure += (b - a) * (orphaned - eligible.len()) as f64;
+                lost_points += (b - a) * (orphaned - eligible.len()) as u64;
             }
             if replicas > 0 {
                 // When the i-th replica of a piece is placed, at least
                 // `|eligible| - (replicas - 1)` targets remain.
                 min_eff_elig = min_eff_elig.min(eligible.len() - (replicas - 1));
-                assignable_measure += (b - a) * replicas as f64;
+                assignable_points += (b - a) * replicas as u64;
                 pieces.push(Piece { unit: u, seg: Segment::new(a, b), replicas, eligible });
             }
         }
-        if lost_measure > 0.0 {
+        if lost_points > 0 {
             unrecoverable.push(u);
-            lost_traffic += lost_measure * unit.pkts;
+            lost_traffic += lost_points as f64 / HASH_SPACE as f64 * unit.pkts;
         }
-        if assignable_measure > 0.0 {
-            let c_max = assignable_measure
+        if assignable_points > 0 {
+            let c_max = assignable_points as f64 / HASH_SPACE as f64
                 * survivors.iter().map(|&j| piece_cost(u, j)).fold(0.0, f64::max);
             bound_units.insert(u, (survivors, min_eff_elig, c_max));
         }
@@ -202,9 +201,9 @@ pub fn greedy_repair(
     }
 
     // ---- Pass 2: greedy least-loaded assignment, deterministic order. ----
-    pieces.sort_by(|a, b| a.unit.cmp(&b.unit).then(a.seg.lo.total_cmp(&b.seg.lo)));
+    pieces.sort_by_key(|p| (p.unit, p.seg.lo));
     let mut added: HashMap<(usize, usize), Vec<Segment>> = HashMap::new();
-    let mut moved_measure = 0.0;
+    let mut moved_points = 0u64;
     let mut repaired: Vec<usize> = Vec::new();
     for p in &pieces {
         let mut taken: Vec<NodeId> = Vec::with_capacity(p.replicas);
@@ -219,9 +218,9 @@ pub fn greedy_repair(
             else {
                 break;
             };
-            phi[j.index()] += p.seg.len() * piece_cost(p.unit, j);
+            phi[j.index()] += p.seg.measure() * piece_cost(p.unit, j);
             added.entry((p.unit, j.index())).or_default().push(p.seg);
-            moved_measure += p.seg.len();
+            moved_points += p.seg.len();
             taken.push(j);
         }
         repaired.push(p.unit);
@@ -270,7 +269,7 @@ pub fn greedy_repair(
     RepairOutcome {
         manifest: manifest2,
         repaired_units: repaired.len(),
-        moved_measure,
+        moved_measure: moved_points as f64 / HASH_SPACE as f64,
         unrecoverable,
         unrecoverable_traffic_fraction: if total_traffic > 0.0 {
             lost_traffic / total_traffic

@@ -15,14 +15,14 @@ use std::collections::HashMap;
 /// Precomputed coordination hashes carried in the connection record.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ConnHashes {
-    pub uniflow: f64,
-    pub bisession: f64,
-    pub source: f64,
-    pub destination: f64,
+    pub uniflow: u32,
+    pub bisession: u32,
+    pub source: u32,
+    pub destination: u32,
 }
 
 impl ConnHashes {
-    pub fn get(&self, kind: FlowKeyKind) -> f64 {
+    pub fn get(&self, kind: FlowKeyKind) -> u32 {
         match kind {
             FlowKeyKind::UniFlow => self.uniflow,
             FlowKeyKind::BiSession => self.bisession,
@@ -138,10 +138,10 @@ impl ConnTable {
             // record; avoids recomputation in every policy script.
             meter.cpu(costs.hash_compute * 4);
             ConnHashes {
-                uniflow: hasher.unit_hash(tuple, FlowKeyKind::UniFlow),
-                bisession: hasher.unit_hash(tuple, FlowKeyKind::BiSession),
-                source: hasher.unit_hash(tuple, FlowKeyKind::Source),
-                destination: hasher.unit_hash(tuple, FlowKeyKind::Destination),
+                uniflow: hasher.hash32(tuple, FlowKeyKind::UniFlow),
+                bisession: hasher.hash32(tuple, FlowKeyKind::BiSession),
+                source: hasher.hash32(tuple, FlowKeyKind::Source),
+                destination: hasher.hash32(tuple, FlowKeyKind::Destination),
             }
         } else {
             ConnHashes::default()
@@ -237,7 +237,7 @@ mod tests {
         let mut m = Meter::new();
         let (i, _) = t.upsert(&tuple(), t.find(&tuple()), &h, &c, &mut m);
         let r = t.get(i);
-        assert_eq!(r.hashes.bisession, h.unit_hash(&tuple(), FlowKeyKind::BiSession));
-        assert_eq!(r.hashes.bisession, h.unit_hash(&tuple().reversed(), FlowKeyKind::BiSession));
+        assert_eq!(r.hashes.bisession, h.hash32(&tuple(), FlowKeyKind::BiSession));
+        assert_eq!(r.hashes.bisession, h.hash32(&tuple().reversed(), FlowKeyKind::BiSession));
     }
 }

@@ -153,7 +153,7 @@ impl CheckTable {
 }
 
 /// Fig 3 line 5 for a resolved unit: does `h` fall in `node`'s range?
-fn covers(manifest: &SamplingManifest, node: NodeId, cell: u32, h: f64) -> bool {
+fn covers(manifest: &SamplingManifest, node: NodeId, cell: u32, h: u32) -> bool {
     cell != NO_RANGE && manifest.node_entries(node)[cell as usize].ranges.contains(h)
 }
 
@@ -416,7 +416,7 @@ impl<'a> Engine<'a> {
             return false;
         };
         let (src_node, dst_node) = (node_of_ip(tuple.src_ip), node_of_ip(tuple.dst_ip));
-        let mut hash_cache: [Option<f64>; 4] = [None; 4];
+        let mut hash_cache: [Option<u32>; 4] = [None; 4];
         let mut hashed = 0u64;
         let mut checks = 0u64;
         for (m, spec) in self.specs.iter().enumerate() {
@@ -426,7 +426,7 @@ impl<'a> Engine<'a> {
             }
             let h = *hash_cache[kind_slot(spec.key)].get_or_insert_with(|| {
                 hashed += 1;
-                self.hasher.unit_hash(&tuple, spec.key)
+                self.hasher.hash32(&tuple, spec.key)
             });
             checks += 1;
             if covers(&coord.manifest, self.node, cell, h) {
@@ -468,7 +468,7 @@ impl<'a> Engine<'a> {
         // The caller's table probe serves the upsert below as well.
         if let Some(coord) = self.coord.as_ref().filter(|_| record.is_none()) {
             // Each needed hash kind is computed once per packet.
-            let mut hash_cache: [Option<f64>; 4] = [None; 4];
+            let mut hash_cache: [Option<u32>; 4] = [None; 4];
             let mut hashed = 0u64;
             let mut any = false;
             for (m, spec) in self.specs.iter().enumerate() {
@@ -478,7 +478,7 @@ impl<'a> Engine<'a> {
                 }
                 let h = *hash_cache[kind_slot(spec.key)].get_or_insert_with(|| {
                     hashed += 1;
-                    self.hasher.unit_hash(&tuple, spec.key)
+                    self.hasher.hash32(&tuple, spec.key)
                 });
                 self.base_meter.cpu(self.costs.evt_check);
                 self.range_checks += 1;
@@ -732,7 +732,7 @@ mod tests {
     use super::*;
     use nwdp_core::nids::{solve_nids_lp, ManifestEntry, NidsLpConfig, NodeCaps};
     use nwdp_core::{build_units, AnalysisClass};
-    use nwdp_hash::RangeSet;
+    use nwdp_hash::{RangeSet, HASH_SPACE};
     use nwdp_topo::{line, PathDb};
     use nwdp_traffic::{generate_trace, TraceConfig, TrafficMatrix, VolumeModel};
 
@@ -751,8 +751,7 @@ mod tests {
         let (solo, manifest) = standalone_coordination(&dep, NodeId(1));
         for (u, unit) in solo.units.iter().enumerate() {
             assert_eq!(unit.nodes, vec![NodeId(1)]);
-            for g in 0..11 {
-                let h = (g as f64 + 0.5) / 11.0;
+            for h in [0, 1 << 31, u32::MAX] {
                 assert!(manifest.should_analyze(u, NodeId(1), h));
             }
         }
@@ -908,7 +907,7 @@ mod tests {
         class: usize,
         src: NodeId,
         dst: NodeId,
-        h: f64,
+        h: u32,
     ) -> Option<bool> {
         let cell = engine.table.cell(class, src, dst);
         let manifest = &engine.coord.as_ref().unwrap().manifest;
@@ -924,7 +923,7 @@ mod tests {
         class: usize,
         src: NodeId,
         dst: NodeId,
-        h: f64,
+        h: u32,
     ) -> Option<bool> {
         let key = match dep.classes[class].scope {
             ClassScope::PerPath => UnitKey::Path(src, dst),
@@ -944,7 +943,8 @@ mod tests {
         manifest: &Arc<SamplingManifest>,
         engines: &[Engine<'_>],
     ) -> usize {
-        let hashes: Vec<f64> = (0..=64).map(|g| g as f64 / 64.0 * 0.999_999).collect();
+        let hashes: Vec<u32> =
+            (0..=64).map(|g| (g << 26).min(u64::from(u32::MAX)) as u32).collect();
         let outside = [NodeId(dep.num_nodes), NodeId(255)];
         let ends: Vec<NodeId> = (0..dep.num_nodes).map(NodeId).chain(outside).collect();
         let mut no_range = 0;
@@ -988,7 +988,7 @@ mod tests {
                     class: unit.class,
                     unit: u,
                     key: unit.key,
-                    ranges: RangeSet::wrapped(0.0, 1.0),
+                    ranges: RangeSet::interval(0, HASH_SPACE),
                 };
                 (unit.nodes[u % unit.nodes.len()], entry)
             }),

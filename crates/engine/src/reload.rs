@@ -369,19 +369,19 @@ impl ReloadController {
 }
 
 /// Corrupt a manifest the way a buggy reconfiguration would: truncate the
-/// widest entry's hash range to half its measure, opening a coverage gap
-/// the validation gate must catch.
+/// widest entry's hash range to half its lattice points, opening a
+/// coverage gap the validation gate must catch.
 fn sabotage_manifest(m: &SamplingManifest) -> SamplingManifest {
-    let mut victim: Option<(usize, usize, f64)> = None; // (node, pos, measure)
+    let mut victim: Option<(usize, usize, u64)> = None; // (node, pos, points)
     for j in 0..m.num_nodes() {
         for (pos, e) in m.node_entries(NodeId(j)).iter().enumerate() {
-            let measure = e.ranges.measure();
-            if victim.is_none_or(|(_, _, best)| measure > best) {
-                victim = Some((j, pos, measure));
+            let points = e.ranges.points();
+            if victim.is_none_or(|(_, _, best)| points > best) {
+                victim = Some((j, pos, points));
             }
         }
     }
-    let Some((vj, vpos, measure)) = victim else {
+    let Some((vj, vpos, points)) = victim else {
         return m.clone(); // empty manifest: nothing to corrupt
     };
     let mut entries: Vec<(NodeId, ManifestEntry)> = Vec::new();
@@ -389,7 +389,7 @@ fn sabotage_manifest(m: &SamplingManifest) -> SamplingManifest {
         for (pos, e) in m.node_entries(NodeId(j)).iter().enumerate() {
             let mut entry = e.clone();
             if j == vj && pos == vpos {
-                entry.ranges = entry.ranges.take_measure(measure * 0.5);
+                entry.ranges = entry.ranges.take_points(points / 2);
             }
             entries.push((NodeId(j), entry));
         }

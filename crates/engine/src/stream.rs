@@ -57,9 +57,8 @@ pub fn stream_shards() -> usize {
 /// tuple scaled to `0..shards`. `BiSession` is orientation-invariant, so
 /// every session sharing a connection-table record lands on one shard.
 pub fn shard_of(hasher: &KeyedHasher, session: &Session, shards: usize) -> usize {
-    let h = hasher.unit_hash(&session.tuple, FlowKeyKind::BiSession);
-    // unit_hash < 1.0 strictly (u32 / 2^32); min guards the cast anyway.
-    ((h * shards as f64) as usize).min(shards.saturating_sub(1))
+    let h = hasher.hash32(&session.tuple, FlowKeyKind::BiSession);
+    ((u64::from(h) * shards as u64) >> 32) as usize
 }
 
 /// Bucket bounds of the `engine.stream.pkt_ns` per-packet latency

@@ -8,9 +8,8 @@
 
 use crate::key::{flow_key_words, FiveTuple, FlowKeyKind};
 use crate::lookup3::hashword2;
-use crate::range::unit;
 
-/// A seeded/keyed hash function from flow keys to the unit interval.
+/// A seeded/keyed hash function from flow keys to the 2³² hash lattice.
 ///
 /// Two hashers with different keys behave as independent hash functions;
 /// with the same key they are identical (nodes across the network must share
@@ -35,18 +34,13 @@ impl KeyedHasher {
         self.key
     }
 
-    /// 32-bit keyed hash of the selected header fields.
+    /// 32-bit keyed hash of the selected header fields: the `HASH(pkt, i)`
+    /// of the paper's Fig. 3, compared directly with a node's
+    /// [`RangeSet`](crate::RangeSet).
     pub fn hash32(&self, t: &FiveTuple, kind: FlowKeyKind) -> u32 {
         let (words, n) = flow_key_words(t, kind);
         let (c, _b) = hashword2(&words[..n], self.key as u32, (self.key >> 32) as u32);
         c
-    }
-
-    /// Keyed hash of the selected header fields mapped to `[0, 1)`.
-    ///
-    /// This is the `HASH(pkt, i)` of the paper's Fig. 3.
-    pub fn unit_hash(&self, t: &FiveTuple, kind: FlowKeyKind) -> f64 {
-        unit(self.hash32(t, kind))
     }
 }
 
@@ -77,25 +71,25 @@ mod tests {
     }
 
     #[test]
-    fn bidirectional_unit_hash_consistent() {
+    fn bidirectional_hash_consistent() {
         let h = KeyedHasher::with_key(99);
         let f = t(7);
         assert_eq!(
-            h.unit_hash(&f, FlowKeyKind::BiSession),
-            h.unit_hash(&f.reversed(), FlowKeyKind::BiSession)
+            h.hash32(&f, FlowKeyKind::BiSession),
+            h.hash32(&f.reversed(), FlowKeyKind::BiSession)
         );
     }
 
     #[test]
-    fn unit_hash_roughly_uniform() {
+    fn hash_roughly_uniform() {
         // Chi-square over 16 buckets, 8192 distinct flows; threshold is the
         // 99.9% quantile of chi2(15) ≈ 37.7.
         let h = KeyedHasher::with_key(0x1234_5678);
         let mut buckets = [0usize; 16];
         let n = 8192;
         for i in 0..n {
-            let u = h.unit_hash(&t(i), FlowKeyKind::UniFlow);
-            buckets[(u * 16.0) as usize] += 1;
+            let x = h.hash32(&t(i), FlowKeyKind::UniFlow);
+            buckets[(x >> 28) as usize] += 1;
         }
         let expect = n as f64 / 16.0;
         let chi2: f64 = buckets

@@ -2,11 +2,12 @@
 //!
 //! Hash-based packet selection is the mechanism that turns a fractional
 //! optimization solution into a concrete, coordination-free division of
-//! labor: every node hashes the same packet header fields onto the unit
-//! interval with the same function, and analyzes the packet only if the
-//! hash lands in the node's assigned range. Because the ranges partition
-//! `[0, 1)`, exactly one node (or exactly `r` nodes, with redundancy)
-//! handles each item, with **no inter-node communication**.
+//! labor: every node hashes the same packet header fields onto the
+//! lattice of 32-bit values with the same function, and analyzes the
+//! packet only if the hash lands in the node's assigned range. Because the
+//! ranges partition the 2³² lattice points, exactly one node (or exactly
+//! `r` nodes, with redundancy) handles each item, with **no inter-node
+//! communication**.
 //!
 //! This crate provides:
 //! - [`lookup3`]: a verified port of Bob Jenkins' lookup3 ("Bob hash"), the
@@ -17,8 +18,8 @@
 //!   per-source, per-destination, host pair);
 //! - [`keyed`]: a keyed hasher (§3.2: private keys defeat adversarial
 //!   evasion of the sampling checks);
-//! - [`range`]: unit-interval range sets, including the wraparound ranges
-//!   produced by the redundancy-`r` extension (§2.5).
+//! - [`range`]: range sets on the 2³² hash lattice, including the
+//!   wraparound ranges produced by the redundancy-`r` extension (§2.5).
 
 pub mod key;
 pub mod keyed;
@@ -27,4 +28,4 @@ pub mod range;
 
 pub use key::{FiveTuple, FlowKeyKind};
 pub use keyed::KeyedHasher;
-pub use range::{unit, RangeSet, Segment};
+pub use range::{RangeSet, Segment, HASH_SPACE};

@@ -1,40 +1,54 @@
-//! Hash-range arithmetic over the unit interval.
+//! Hash-range arithmetic on the 2³² hash lattice.
 //!
-//! The optimization output assigns each node a sub-range of `[0, 1)` per
-//! coordination unit (Fig. 2 of the paper); a node analyzes a packet iff the
-//! packet's unit-interval hash falls inside its range. With the
-//! redundancy-`r` extension (§2.5) the covered space is `[0, r)` and a
-//! node's range *wraps around* the unit interval, so a node's assignment is
-//! in general a set of disjoint half-open segments — a [`RangeSet`].
+//! The optimization output assigns each node a share of every coordination
+//! unit's hash space (Fig. 2 of the paper); a node analyzes a packet iff
+//! the packet's 32-bit keyed hash falls inside its range (Fig. 3 line 5).
+//! The hash space is therefore the lattice of the 2³² hash values, and a
+//! range is a set of lattice points: segment endpoints are integers in
+//! `0..=2³²` ([`HASH_SPACE`]), membership compares the raw `u32` hash, and
+//! a range's measure (the fraction of traffic it selects) is its point
+//! count ÷ 2³². With the redundancy-`r` extension (§2.5) the covered space
+//! is `[0, r·2³²)` and a node's range *wraps around* the lattice, so a
+//! node's assignment is in general a set of disjoint half-open segments —
+//! a [`RangeSet`].
 
-/// A half-open interval `[lo, hi)` within the unit interval.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Number of points on the hash lattice: one per 32-bit hash value.
+pub const HASH_SPACE: u64 = 1 << 32;
+
+/// The half-open lattice interval `[lo, hi)`, with `lo <= hi <= 2³²`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
-    pub lo: f64,
-    pub hi: f64,
+    pub lo: u64,
+    pub hi: u64,
 }
 
 impl Segment {
-    pub fn new(lo: f64, hi: f64) -> Self {
-        debug_assert!(lo <= hi, "segment bounds out of order: [{lo}, {hi})");
+    pub fn new(lo: u64, hi: u64) -> Self {
+        debug_assert!(lo <= hi && hi <= HASH_SPACE, "segment [{lo}, {hi}) off the hash lattice");
         Segment { lo, hi }
     }
 
-    pub fn len(&self) -> f64 {
-        self.hi - self.lo
+    /// Number of lattice points in the segment.
+    pub fn len(&self) -> u64 {
+        self.hi.saturating_sub(self.lo)
+    }
+
+    /// The segment's share of the hash space: its point count ÷ 2³².
+    pub fn measure(&self) -> f64 {
+        self.len() as f64 / HASH_SPACE as f64
     }
 
     pub fn is_empty(&self) -> bool {
         self.hi <= self.lo
     }
 
-    pub fn contains(&self, u: f64) -> bool {
-        self.lo <= u && u < self.hi
+    pub fn contains(&self, h: u32) -> bool {
+        self.lo <= u64::from(h) && u64::from(h) < self.hi
     }
 }
 
-/// A set of disjoint, sorted half-open segments within `[0, 1)`.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// A set of disjoint, sorted half-open segments of the hash lattice.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RangeSet {
     segments: Vec<Segment>,
 }
@@ -45,37 +59,31 @@ impl RangeSet {
         RangeSet { segments: Vec::new() }
     }
 
-    /// A single contiguous range `[lo, hi)` with `0 <= lo <= hi <= 1`.
-    pub fn interval(lo: f64, hi: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&lo) && lo <= hi && hi <= 1.0 + 1e-12,
-            "interval [{lo}, {hi}) outside the unit interval"
-        );
-        if hi <= lo {
+    /// A single contiguous range `[lo, hi)` with `lo <= hi <= 2³²`.
+    pub fn interval(lo: u64, hi: u64) -> Self {
+        assert!(lo <= hi && hi <= HASH_SPACE, "interval [{lo}, {hi}) off the hash lattice");
+        if hi == lo {
             return Self::empty();
         }
-        RangeSet { segments: vec![Segment::new(lo, hi.min(1.0))] }
+        RangeSet { segments: vec![Segment::new(lo, hi)] }
     }
 
-    /// A range on the *extended* space `[0, r)` used by the redundancy
-    /// extension: the extended range `[lo, hi)` (with `hi - lo <= 1`) is
-    /// wrapped modulo 1 into up to two unit-interval segments.
+    /// A range on the *extended* space `[0, r·2³²)` used by the redundancy
+    /// extension: the extended range `[lo, hi)` (at most 2³² points) is
+    /// wrapped modulo 2³² into up to two lattice segments.
     ///
-    /// Example: `wrapped(0.8, 1.3)` covers `[0.8, 1) ∪ [0, 0.3)`.
-    pub fn wrapped(lo: f64, hi: f64) -> Self {
-        assert!(hi >= lo, "wrapped range bounds out of order");
-        assert!(hi - lo <= 1.0 + 1e-12, "wrapped range longer than the unit interval");
-        if hi <= lo {
-            return Self::empty();
-        }
-        let lo_m = lo - lo.floor();
-        let len = hi - lo;
-        if lo_m + len <= 1.0 + 1e-12 {
-            Self::interval(lo_m, (lo_m + len).min(1.0))
+    /// Example: with `S = 2³²`, `wrapped(S - 5, S + 3)` covers
+    /// `[S - 5, S) ∪ [0, 3)`.
+    pub fn wrapped(lo: u64, hi: u64) -> Self {
+        assert!(lo <= hi, "wrapped range bounds out of order");
+        assert!(hi - lo <= HASH_SPACE, "wrapped range longer than the hash lattice");
+        let start = lo % HASH_SPACE;
+        let end = start + (hi - lo);
+        if end <= HASH_SPACE {
+            Self::interval(start, end)
         } else {
-            let first = Segment::new(lo_m, 1.0);
-            let second = Segment::new(0.0, lo_m + len - 1.0);
-            RangeSet { segments: vec![second, first] }
+            let second = Segment::new(0, end - HASH_SPACE);
+            RangeSet { segments: vec![second, Segment::new(start, HASH_SPACE)] }
         }
     }
 
@@ -83,38 +91,29 @@ impl RangeSet {
     /// overlap, since manifests must assign disjoint responsibilities.
     pub fn union(mut self, other: &RangeSet) -> Self {
         self.segments.extend(other.segments.iter().copied());
-        // total_cmp: a NaN endpoint (degenerate manifest arithmetic) sorts
-        // deterministically instead of panicking; the overlap debug_assert
-        // below still flags such sets in debug builds.
-        self.segments.sort_by(|a, b| a.lo.total_cmp(&b.lo));
+        self.segments.sort_by_key(|s| s.lo);
         for w in self.segments.windows(2) {
-            // `>` (not a negated `<=`) so non-finite endpoints, which
-            // compare false either way, don't register as overlaps.
-            let overlaps = w[0].hi > w[1].lo + 1e-12;
             debug_assert!(
-                !overlaps,
+                w[0].hi <= w[1].lo,
                 "overlapping segments in range set: {:?} and {:?}",
-                w[0], w[1]
+                w[0],
+                w[1]
             );
         }
         self
     }
 
     /// Build a set from arbitrary segments: empties dropped, the rest
-    /// sorted and coalesced where they touch exactly (abutting endpoints
-    /// within 1e-12 merge into one segment, so measure is preserved).
-    /// Panics (debug) when two inputs genuinely overlap.
+    /// sorted and coalesced where they abut. Panics (debug) when two
+    /// inputs overlap.
     pub fn from_segments(mut segments: Vec<Segment>) -> Self {
         segments.retain(|s| !s.is_empty());
-        segments.sort_by(|a, b| a.lo.total_cmp(&b.lo));
+        segments.sort_by_key(|s| s.lo);
         let mut out: Vec<Segment> = Vec::with_capacity(segments.len());
         for s in segments {
             match out.last_mut() {
-                Some(prev) if s.lo <= prev.hi + 1e-12 => {
-                    debug_assert!(
-                        s.lo >= prev.hi - 1e-12,
-                        "overlapping segments: {prev:?} and {s:?}"
-                    );
+                Some(prev) if s.lo <= prev.hi => {
+                    debug_assert!(s.lo == prev.hi, "overlapping segments: {prev:?} and {s:?}");
                     prev.hi = prev.hi.max(s.hi);
                 }
                 _ => out.push(s),
@@ -123,39 +122,38 @@ impl RangeSet {
         RangeSet { segments: out }
     }
 
-    /// The prefix of this set (in unit-interval order) with total measure
-    /// `keep`. Used by graceful degradation to shed an *exact* fraction of
-    /// a responsibility: the kept prefix has measure `min(keep, measure)`,
-    /// the remainder is the shed part.
-    pub fn take_measure(&self, keep: f64) -> RangeSet {
-        assert!(keep >= 0.0, "cannot keep a negative measure");
+    /// The prefix of this set (in lattice order) holding `keep` points, or
+    /// the whole set when it holds fewer. Used by graceful degradation to
+    /// shed whole lattice intervals: the remainder is the shed part.
+    pub fn take_points(&self, keep: u64) -> RangeSet {
         let mut left = keep;
         let mut segments = Vec::with_capacity(self.segments.len());
         for s in &self.segments {
-            if left <= 0.0 {
+            if left == 0 {
                 break;
             }
-            let len = s.len();
-            if len <= left {
-                segments.push(*s);
-                left -= len;
-            } else {
-                segments.push(Segment::new(s.lo, s.lo + left));
-                left = 0.0;
-            }
+            let take = s.len().min(left);
+            segments.push(Segment::new(s.lo, s.lo + take));
+            left -= take;
         }
         RangeSet { segments }
     }
 
-    /// Does the unit-interval point `u` fall inside this set?
-    pub fn contains(&self, u: f64) -> bool {
+    /// Does the hash value `h` fall inside this set?
+    pub fn contains(&self, h: u32) -> bool {
         // Few segments (1-2 in practice): linear scan beats binary search.
-        self.segments.iter().any(|s| s.contains(u))
+        self.segments.iter().any(|s| s.contains(h))
     }
 
-    /// Total measure of the set (the fraction of traffic this node handles).
-    pub fn measure(&self) -> f64 {
+    /// Number of lattice points in the set.
+    pub fn points(&self) -> u64 {
         self.segments.iter().map(Segment::len).sum()
+    }
+
+    /// Total measure of the set (the fraction of traffic this node
+    /// handles): its point count ÷ 2³², exact in `f64`.
+    pub fn measure(&self) -> f64 {
+        self.points() as f64 / HASH_SPACE as f64
     }
 
     pub fn is_empty(&self) -> bool {
@@ -167,112 +165,99 @@ impl RangeSet {
     }
 }
 
-/// Map a 32-bit hash to the unit interval `[0, 1)`.
-#[inline]
-pub fn unit(hash: u32) -> f64 {
-    (hash as f64) / 4_294_967_296.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const S: u64 = HASH_SPACE;
+
     #[test]
     fn interval_contains_endpoints_half_open() {
-        let r = RangeSet::interval(0.25, 0.5);
-        assert!(!r.contains(0.2499999));
-        assert!(r.contains(0.25));
-        assert!(r.contains(0.4999999));
-        assert!(!r.contains(0.5));
+        let r = RangeSet::interval(S / 4, S / 2);
+        assert!(!r.contains((S / 4 - 1) as u32));
+        assert!(r.contains((S / 4) as u32));
+        assert!(r.contains((S / 2 - 1) as u32));
+        assert!(!r.contains((S / 2) as u32));
     }
 
     #[test]
     fn empty_interval_is_empty() {
-        assert!(RangeSet::interval(0.3, 0.3).is_empty());
-        assert!(!RangeSet::interval(0.3, 0.3).contains(0.3));
+        assert!(RangeSet::interval(7, 7).is_empty());
+        assert!(!RangeSet::interval(7, 7).contains(7));
     }
 
     #[test]
     fn wrapped_splits_across_unit_boundary() {
-        let r = RangeSet::wrapped(0.8, 1.3);
-        assert!(r.contains(0.9));
-        assert!(r.contains(0.0));
-        assert!(r.contains(0.29));
-        assert!(!r.contains(0.301)); // boundary fuzzy only at f64 epsilon
-        assert!(!r.contains(0.5));
-        assert!((r.measure() - 0.5).abs() < 1e-12);
+        let r = RangeSet::wrapped(S - 5, S + 3);
+        assert!(r.contains(u32::MAX));
+        assert!(r.contains((S - 5) as u32));
+        assert!(!r.contains((S - 6) as u32));
+        assert!(r.contains(0));
+        assert!(r.contains(2));
+        assert!(!r.contains(3));
+        assert_eq!(r.points(), 8);
+        assert_eq!(r.segments(), [Segment::new(0, 3), Segment::new(S - 5, S)]);
     }
 
     #[test]
     fn wrapped_without_crossing_equals_interval() {
-        let w = RangeSet::wrapped(1.2, 1.5);
-        let i = RangeSet::interval(0.2, 0.5);
-        assert_eq!(w.segments().len(), 1);
-        assert!((w.segments()[0].lo - i.segments()[0].lo).abs() < 1e-12);
-        assert!((w.segments()[0].hi - i.segments()[0].hi).abs() < 1e-12);
+        assert_eq!(RangeSet::wrapped(S + 10, S + 20), RangeSet::interval(10, 20));
+        // Ending exactly on a lattice multiple does not wrap.
+        assert_eq!(RangeSet::wrapped(S / 2, S), RangeSet::interval(S / 2, S));
+        assert_eq!(RangeSet::wrapped(S + S / 2, 2 * S), RangeSet::interval(S / 2, S));
     }
 
     #[test]
     fn union_of_disjoint_sets() {
-        let r = RangeSet::interval(0.0, 0.2).union(&RangeSet::interval(0.5, 0.7));
-        assert!(r.contains(0.1));
-        assert!(!r.contains(0.3));
-        assert!(r.contains(0.6));
-        assert!((r.measure() - 0.4).abs() < 1e-12);
+        let r = RangeSet::interval(0, 20).union(&RangeSet::interval(50, 70));
+        assert!(r.contains(10));
+        assert!(!r.contains(30));
+        assert!(r.contains(60));
+        assert_eq!(r.points(), 40);
     }
 
     #[test]
-    fn unit_maps_full_u32_range_into_unit_interval() {
-        assert_eq!(unit(0), 0.0);
-        assert!(unit(u32::MAX) < 1.0);
-        assert!((unit(u32::MAX / 2) - 0.5).abs() < 1e-9);
+    fn measure_counts_lattice_points() {
+        assert_eq!(RangeSet::interval(0, S).measure(), 1.0);
+        assert_eq!(RangeSet::interval(0, S / 2).measure(), 0.5);
+        assert_eq!(RangeSet::interval(0, 1).measure(), 1.0 / S as f64);
+        assert!(
+            RangeSet::interval(0, S).contains(0) && RangeSet::interval(0, S).contains(u32::MAX)
+        );
     }
 
     #[test]
     fn full_wrap_covers_everything() {
-        let r = RangeSet::wrapped(0.4, 1.4);
-        assert!((r.measure() - 1.0).abs() < 1e-9);
-        for i in 0..100 {
-            assert!(r.contains(i as f64 / 100.0));
+        let r = RangeSet::wrapped(S / 3, S / 3 + S);
+        assert_eq!(r.points(), S);
+        for h in [0, 1, (S / 3 - 1) as u32, (S / 3) as u32, u32::MAX] {
+            assert!(r.contains(h));
         }
     }
 
     #[test]
     fn from_segments_sorts_and_coalesces_abutting() {
         let r = RangeSet::from_segments(vec![
-            Segment::new(0.5, 0.7),
-            Segment::new(0.1, 0.3),
-            Segment::new(0.3, 0.5),
-            Segment::new(0.9, 0.9), // empty, dropped
+            Segment::new(50, 70),
+            Segment::new(10, 30),
+            Segment::new(30, 50),
+            Segment::new(90, 90), // empty, dropped
         ]);
-        assert_eq!(r.segments().len(), 1);
-        assert!((r.measure() - 0.6).abs() < 1e-12);
-        assert!(r.contains(0.1) && r.contains(0.699));
-        assert!(!r.contains(0.7));
+        assert_eq!(r.segments(), [Segment::new(10, 70)]);
+        assert!(r.contains(10) && r.contains(69));
+        assert!(!r.contains(70));
     }
 
     #[test]
-    fn take_measure_keeps_exact_prefix() {
-        let r = RangeSet::interval(0.0, 0.2).union(&RangeSet::interval(0.5, 0.8));
-        let kept = r.take_measure(0.3);
-        assert!((kept.measure() - 0.3).abs() < 1e-12);
-        assert!(kept.contains(0.1));
-        assert!(kept.contains(0.55));
-        assert!(!kept.contains(0.65));
+    fn take_points_keeps_exact_prefix() {
+        let r = RangeSet::interval(0, 20).union(&RangeSet::interval(50, 80));
+        let kept = r.take_points(30);
+        assert_eq!(kept.points(), 30);
+        assert!(kept.contains(10));
+        assert!(kept.contains(55));
+        assert!(!kept.contains(60));
         // Keeping more than everything is the identity; keeping zero is empty.
-        assert!((r.take_measure(2.0).measure() - r.measure()).abs() < 1e-12);
-        assert!(r.take_measure(0.0).is_empty());
-    }
-
-    /// Regression: a NaN segment endpoint used to trip
-    /// `partial_cmp(..).expect("NaN in range set")` inside `union`; the
-    /// total_cmp sort now handles it deterministically.
-    #[test]
-    fn union_with_nan_endpoint_does_not_panic() {
-        let nan = RangeSet { segments: vec![Segment { lo: f64::NAN, hi: f64::NAN }] };
-        let r = RangeSet::interval(0.1, 0.2).union(&nan);
-        // The finite segment survives and still answers queries.
-        assert!(r.contains(0.15));
-        assert!(!r.contains(0.5));
+        assert_eq!(r.take_points(S), r);
+        assert!(r.take_points(0).is_empty());
     }
 }

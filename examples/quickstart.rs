@@ -77,7 +77,7 @@ fn main() {
         80,
         6,
     );
-    let h = hasher.unit_hash(&t, FlowKeyKind::BiSession);
+    let h = hasher.hash32(&t, FlowKeyKind::BiSession);
     // Find the HTTP class's unit for the Seattle → New York path.
     let http = dep.classes.iter().position(|c| c.name == "HTTP").unwrap();
     let unit = dep
@@ -85,7 +85,7 @@ fn main() {
         .iter()
         .position(|u| u.class == http && u.key == UnitKey::Path(NodeId(0), NodeId(10)))
         .unwrap();
-    println!("\nan HTTP session Seattle → New York hashes to {h:.4};");
+    println!("\nan HTTP session Seattle → New York hashes to {h:#010x};");
     for &n in &dep.units[unit].nodes {
         if manifest.should_analyze(unit, n, h) {
             println!("it is analyzed at {} — and nowhere else.", topo.node(n).name);

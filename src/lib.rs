@@ -78,7 +78,7 @@ pub mod prelude {
         Placement, ReloadConfig, ReloadController, ReloadOutcome, ReloadRun, ResilienceConfig,
         ResilientRun, Sabotage,
     };
-    pub use nwdp_hash::{FiveTuple, FlowKeyKind, KeyedHasher, RangeSet};
+    pub use nwdp_hash::{FiveTuple, FlowKeyKind, KeyedHasher, RangeSet, HASH_SPACE};
     pub use nwdp_lp::rowgen::RowGenOpts;
     pub use nwdp_online::{run_fpl, FplConfig, FplError, StochasticUniform};
     pub use nwdp_topo::{NodeId, Path, PathDb, Topology};

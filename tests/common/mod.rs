@@ -4,39 +4,42 @@
 //! `verify_coverage`, blind-node gaps, greedy repair, moved fractions) by
 //! folding over `nwdp::core::nids::coverage_sweep`, which reads each
 //! owner's ranges once per unit. The reference here is the older,
-//! independent formulation: cut the unit's hash space at every segment
-//! endpoint, then probe each piece's midpoint with
+//! independent formulation: cut the unit's hash lattice at every segment
+//! endpoint, then probe each piece's first hash value with
 //! `SamplingManifest::should_analyze`, one index lookup per (piece, node).
 //! The `check_*` helpers assert the two agree bit for bit.
 
 #![allow(dead_code)]
 
 use nwdp::core::migration::plan_transition;
-use nwdp::core::nids::manifest::SWEEP_EPS;
 use nwdp::prelude::*;
 
 /// One side of a sweep: a manifest, a unit index in it, and the unit's
 /// eligible nodes.
 type Side<'a> = (&'a SamplingManifest, usize, &'a [NodeId]);
 
-/// The pieces `(a, b)` of `[0, 1]` cut at the clamped segment endpoints of
-/// every side's ranges, in ascending order, pieces of width at most `eps`
-/// dropped.
-fn pieces(sides: &[Side<'_>], eps: f64) -> Vec<(f64, f64)> {
-    let mut cuts = vec![0.0, 1.0];
+/// The non-empty pieces `[a, b)` of the lattice `[0, 2³²)` cut at every
+/// segment endpoint of every side's ranges, in ascending order.
+fn pieces(sides: &[Side<'_>]) -> Vec<(u64, u64)> {
+    let mut cuts = vec![0, HASH_SPACE];
     for &(m, u, nodes) in sides {
         for &j in nodes {
             for seg in m.range(u, j).map(|r| r.segments()).unwrap_or_default() {
-                cuts.extend([seg.lo.clamp(0.0, 1.0), seg.hi.clamp(0.0, 1.0)]);
+                cuts.extend([seg.lo, seg.hi]);
             }
         }
     }
-    cuts.sort_by(f64::total_cmp);
-    cuts.windows(2).map(|w| (w[0], w[1])).filter(|&(a, b)| b - a > eps).collect()
+    cuts.sort_unstable();
+    cuts.windows(2).map(|w| (w[0], w[1])).filter(|&(a, b)| a < b).collect()
 }
 
-fn unit_pieces(dep: &NidsDeployment, m: &SamplingManifest, u: usize) -> Vec<(f64, f64)> {
-    pieces(&[(m, u, &dep.units[u].nodes)], SWEEP_EPS)
+fn unit_pieces(dep: &NidsDeployment, m: &SamplingManifest, u: usize) -> Vec<(u64, u64)> {
+    pieces(&[(m, u, &dep.units[u].nodes)])
+}
+
+/// Share of the hash space held by `points` lattice points.
+fn measure(points: u64) -> f64 {
+    points as f64 / HASH_SPACE as f64
 }
 
 /// Coverage multiplicity (min, max) of unit `u`.
@@ -44,9 +47,8 @@ pub fn unit_coverage(dep: &NidsDeployment, m: &SamplingManifest, u: usize) -> (u
     let nodes = &dep.units[u].nodes;
     let mut lo = usize::MAX;
     let mut hi = 0;
-    for (a, b) in unit_pieces(dep, m, u) {
-        let h = 0.5 * (a + b);
-        let covers = nodes.iter().filter(|&&j| m.should_analyze(u, j, h)).count();
+    for (a, _) in unit_pieces(dep, m, u) {
+        let covers = nodes.iter().filter(|&&j| m.should_analyze(u, j, a as u32)).count();
         lo = lo.min(covers);
         hi = hi.max(covers);
     }
@@ -59,14 +61,14 @@ pub fn gap_fraction(dep: &NidsDeployment, m: &SamplingManifest, blind: &[NodeId]
     let mut total = 0.0;
     for (u, unit) in dep.units.iter().enumerate() {
         total += unit.pkts;
-        let mut gap = 0.0;
+        let mut gap = 0;
         for (a, b) in unit_pieces(dep, m, u) {
-            let h = 0.5 * (a + b);
+            let h = a as u32;
             if !unit.nodes.iter().any(|&j| !blind.contains(&j) && m.should_analyze(u, j, h)) {
                 gap += b - a;
             }
         }
-        lost += gap.min(1.0) * unit.pkts;
+        lost += measure(gap) * unit.pkts;
     }
     if total > 0.0 {
         lost / total
@@ -86,44 +88,42 @@ pub fn orphans(
     let mut unrecoverable = Vec::new();
     let mut lost_traffic = 0.0;
     let mut total_traffic = 0.0;
-    let mut moved = 0.0;
+    let mut moved = 0;
     for (u, unit) in dep.units.iter().enumerate() {
         total_traffic += unit.pkts;
         if !unit.nodes.iter().any(|&j| failed.contains(&j) && m.share(u, j) > 0.0) {
             continue;
         }
-        let mut lost_measure = 0.0;
+        let mut lost_points = 0;
         for (a, b) in unit_pieces(dep, m, u) {
-            let h = 0.5 * (a + b);
-            let covering = |j: &NodeId| m.should_analyze(u, *j, h);
+            let covering = |j: &NodeId| m.should_analyze(u, *j, a as u32);
             let orphaned = unit.nodes.iter().filter(|j| failed.contains(j) && covering(j)).count();
             let eligible =
                 unit.nodes.iter().filter(|j| !failed.contains(j) && !covering(j)).count();
             if orphaned > eligible {
-                lost_measure += (b - a) * (orphaned - eligible) as f64;
+                lost_points += (b - a) * (orphaned - eligible) as u64;
             }
             // Each placed replica adds the piece's width once.
             for _ in 0..orphaned.min(eligible) {
                 moved += b - a;
             }
         }
-        if lost_measure > 0.0 {
+        if lost_points > 0 {
             unrecoverable.push(u);
-            lost_traffic += lost_measure * unit.pkts;
+            lost_traffic += measure(lost_points) * unit.pkts;
         }
     }
     let fraction = if total_traffic > 0.0 { lost_traffic / total_traffic } else { 0.0 };
-    (unrecoverable, fraction, moved)
+    (unrecoverable, fraction, measure(moved))
 }
 
 /// Moved fraction of every matched unit, keyed by its index in `new_dep`,
-/// and their mean; pieces of width at most `eps` are skipped.
+/// and their mean.
 pub fn moved_fractions(
     old_dep: &NidsDeployment,
     old_m: &SamplingManifest,
     new_dep: &NidsDeployment,
     new_m: &SamplingManifest,
-    eps: f64,
 ) -> (Vec<(usize, f64)>, f64) {
     let mut out = Vec::new();
     let mut total = 0.0;
@@ -134,17 +134,17 @@ pub fn moved_fractions(
             continue;
         };
         let old_nodes = &old_dep.units[ou].nodes;
-        let mut moved = 0.0;
-        for (a, b) in pieces(&[(old_m, ou, old_nodes), (new_m, nu, &unit.nodes)], eps) {
-            let h = 0.5 * (a + b);
+        let mut moved = 0;
+        for (a, b) in pieces(&[(old_m, ou, old_nodes), (new_m, nu, &unit.nodes)]) {
+            let h = a as u32;
             let old_owner = old_nodes.iter().find(|&&j| old_m.should_analyze(ou, j, h));
             let new_owner = unit.nodes.iter().find(|&&j| new_m.should_analyze(nu, j, h));
             if old_owner != new_owner {
                 moved += b - a;
             }
         }
-        total += moved;
-        out.push((nu, moved));
+        total += measure(moved);
+        out.push((nu, measure(moved)));
     }
     let mean = if out.is_empty() { 0.0 } else { total / out.len() as f64 };
     (out, mean)
@@ -185,7 +185,7 @@ pub fn check_transition(
     new_m: &SamplingManifest,
 ) {
     let plan = plan_transition(old_dep, old_m, new_dep, new_m);
-    let (moved, mean) = moved_fractions(old_dep, old_m, new_dep, new_m, SWEEP_EPS);
+    let (moved, mean) = moved_fractions(old_dep, old_m, new_dep, new_m);
     let nonzero: Vec<(usize, u64)> =
         moved.iter().filter(|m| m.1 != 0.0).map(|&(u, f)| (u, f.to_bits())).collect();
     let planned: Vec<(usize, u64)> =

@@ -8,7 +8,8 @@
 //!
 //! The decomposition must also be deterministic: the same manifest bit
 //! for bit under any thread-count override (`ci.sh` reruns this suite at
-//! `NWDP_THREADS` 1 and 4).
+//! `NWDP_THREADS` 1 and 4). Its r = 2 manifests, and their greedy repairs,
+//! must own every hash-lattice point exactly r times.
 
 use nwdp::core::nids::{simplex_oracle, solve_nids_lp_excluding, GAP_TOL};
 use nwdp::core::parallel;
@@ -96,6 +97,48 @@ fn waxman_21_classes_matches_oracle_at_10_and_20_nodes() {
     for n in [10, 20] {
         let (dep, cfg) = waxman(n);
         check(&format!("waxman {n} nodes"), &dep, &cfg, &[]);
+    }
+}
+
+/// The hash values that decide unit `u`'s coverage: both sides of every
+/// segment endpoint, plus the first and the last hash value.
+fn probes(m: &SamplingManifest, u: usize, nodes: &[NodeId]) -> Vec<u32> {
+    let mut out = vec![0, u32::MAX];
+    for &j in nodes {
+        for seg in m.range(u, j).map(RangeSet::segments).unwrap_or_default() {
+            let around = [seg.lo.checked_sub(1), Some(seg.lo), seg.hi.checked_sub(1), Some(seg.hi)];
+            out.extend(around.into_iter().flatten().filter(|&p| p < HASH_SPACE).map(|p| p as u32));
+        }
+    }
+    out
+}
+
+/// Every probed hash value of every unit is owned by `min(r, survivors)`
+/// distinct nodes according to `should_analyze`.
+fn assert_owned(what: &str, dep: &NidsDeployment, m: &SamplingManifest, failed: &[NodeId]) {
+    for (u, unit) in dep.units.iter().enumerate() {
+        let want = unit.nodes.iter().filter(|j| !failed.contains(j)).count().min(2);
+        for h in probes(m, u, &unit.nodes) {
+            let owners = unit.nodes.iter().filter(|&&j| m.should_analyze(u, j, h)).count();
+            assert_eq!(owners, want, "{what}: unit {u} hash {h} owned {owners} times");
+        }
+    }
+}
+
+/// Regression: the f64 running sum of an r = 2 unit's fractions could
+/// round to just above 1 (0.9783924928600511 + 0.021607507139949036 =
+/// 1.0000000000000002), so the third owner started at 2.2e-16 and hash 0
+/// was owned once in 7 units, in the LP manifest and in every single-node
+/// greedy repair of it.
+#[test]
+fn r2_manifests_and_repairs_own_every_lattice_point_twice() {
+    let (dep, cfg) = internet2_paths_r2();
+    let (a, _) = solve_nids_lp_excluding(&dep, &cfg, &[]).unwrap();
+    let manifest = generate_manifests(&dep, &a.d);
+    assert_owned("LP manifest", &dep, &manifest, &[]);
+    for j in (0..dep.num_nodes).map(NodeId) {
+        let repaired = greedy_repair(&dep, &manifest, &cfg.caps, &[j]).manifest;
+        assert_owned(&format!("repair of {j:?}"), &dep, &repaired, &[j]);
     }
 }
 

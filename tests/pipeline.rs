@@ -118,8 +118,8 @@ fn redundancy_survives_single_node_failure() {
 
     for dead in topo.nodes() {
         for (u, unit) in dep.units.iter().enumerate() {
-            for g in 0..21 {
-                let h = (g as f64 + 0.5) / 21.0;
+            for g in 0..21u64 {
+                let h = ((2 * g + 1) * HASH_SPACE / 42) as u32;
                 let survivors = unit
                     .nodes
                     .iter()

@@ -68,11 +68,9 @@ proptest! {
         let t = FiveTuple::new(0x0a000000 | (src & 0xffff), 0x0a010000 | (dst & 0xffff), sp, dp, 6);
         let h = KeyedHasher::with_key(key);
         prop_assert_eq!(
-            h.unit_hash(&t, FlowKeyKind::BiSession),
-            h.unit_hash(&t.reversed(), FlowKeyKind::BiSession)
+            h.hash32(&t, FlowKeyKind::BiSession),
+            h.hash32(&t.reversed(), FlowKeyKind::BiSession)
         );
-        let u = h.unit_hash(&t, FlowKeyKind::UniFlow);
-        prop_assert!((0.0..1.0).contains(&u));
     }
 
     #[test]
@@ -192,23 +190,13 @@ proptest! {
         common::check_coverage(&dep, &shed.manifest);
 
         for (u, unit) in dep.units.iter().enumerate() {
-            // Per-unit measure must sum to r (no lost or doubled mass).
-            let total: f64 = unit.nodes.iter().map(|&j| manifest.share(u, j)).sum();
-            prop_assert!((total - r as f64).abs() < 1e-9, "unit {}: total share {}", u, total);
+            // The owners' lattice points sum to exactly r·2³².
+            prop_assert_eq!(owned_points(&manifest, u, &unit.nodes), r as u64 * HASH_SPACE);
 
-            // Probe just inside every segment boundary: gaps or overlaps
-            // produced by drift live at the seams, between grid points.
-            // 1e-9 is ~4 ulps of the 2^-32 hash lattice the engine uses.
-            let mut probes = Vec::new();
-            for &j in &unit.nodes {
-                if let Some(ranges) = manifest.range(u, j) {
-                    for seg in ranges.segments() {
-                        probes.push(seg.lo + 1e-9);
-                        probes.push(seg.hi - 1e-9);
-                    }
-                }
-            }
-            for p in probes.into_iter().filter(|p| (0.0..1.0).contains(p)) {
+            // Probe the lattice points on both sides of every segment
+            // boundary: gaps or overlaps produced by drift live at the
+            // seams, between grid points.
+            for p in seam_probes(&manifest, u, &unit.nodes) {
                 let covers = unit
                     .nodes
                     .iter()
@@ -217,5 +205,98 @@ proptest! {
                 prop_assert_eq!(covers, r, "unit {} point {} covered {} times", u, p, covers);
             }
         }
+    }
+}
+
+/// Lattice points unit `u`'s owners hold in all.
+fn owned_points(m: &SamplingManifest, u: usize, nodes: &[NodeId]) -> u64 {
+    nodes.iter().map(|&j| m.range(u, j).map_or(0, RangeSet::points)).sum()
+}
+
+/// The hash values `lo - 1`, `lo`, `hi - 1` and `hi` of every segment of
+/// unit `u`, plus 0 and 2³² − 1.
+fn seam_probes(m: &SamplingManifest, u: usize, nodes: &[NodeId]) -> Vec<u32> {
+    let mut probes = vec![0, u32::MAX];
+    for &j in nodes {
+        for seg in m.range(u, j).map(RangeSet::segments).unwrap_or_default() {
+            let around = [seg.lo.checked_sub(1), Some(seg.lo), seg.hi.checked_sub(1), Some(seg.hi)];
+            probes
+                .extend(around.into_iter().flatten().filter(|&p| p < HASH_SPACE).map(|p| p as u32));
+        }
+    }
+    probes
+}
+
+/// `r` blocks of 1–3 positive fractions, each block normalized to 1, then
+/// its last fraction nudged by ulps until the `f64` running sum at the
+/// block's end lies strictly above (`true`) or below (`false`) the whole
+/// number of blocks so far: a running sum that should cross an owner
+/// boundary exactly rounds to either side of it.
+fn arb_drifting_split(r: usize) -> impl proptest::strategy::Strategy<Value = Vec<f64>> {
+    proptest::collection::vec(
+        (proptest::collection::vec(0.01f64..1.0, 1..=3), any::<bool>()),
+        r..=r,
+    )
+    .prop_map(|blocks| {
+        let mut v: Vec<f64> = Vec::new();
+        for (k, (mut block, above)) in blocks.into_iter().enumerate() {
+            let s: f64 = block.iter().sum();
+            for x in block.iter_mut() {
+                *x /= s;
+            }
+            v.extend(block);
+            let target = (k + 1) as f64;
+            let last = v.len() - 1;
+            let ulp = if above { 1i64 } else { -1 };
+            for _ in 0..1 << 16 {
+                let sum = v.iter().fold(0.0, |a, b| a + b);
+                if (above && sum > target) || (!above && sum < target) {
+                    break;
+                }
+                v[last] = f64::from_bits((v[last].to_bits() as i64 + ulp) as u64);
+            }
+        }
+        v
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Fraction sums that round above and below each whole number of
+    /// owners in `f64` still compile to manifests whose owners hold
+    /// exactly r·2³² lattice points per unit, each point r times.
+    #[test]
+    fn drifting_fraction_sums_tile_the_lattice_exactly(
+        case in (1usize..=3).prop_flat_map(|r| {
+            (Just(r), proptest::collection::vec(arb_drifting_split(r), 1..4))
+        })
+    ) {
+        let (r, splits) = case;
+        let max_nodes = splits.iter().map(|s| s.len()).max().unwrap();
+        let topo = nwdp::topo::line(max_nodes.max(splits.len()).max(2));
+        let paths = PathDb::shortest_paths(&topo);
+        let tm = TrafficMatrix::uniform(&topo);
+        let vol = VolumeModel::internet2_baseline();
+        let classes = vec![AnalysisClass::standard_set().remove(0)];
+        let mut dep = build_units(&topo, &paths, &tm, &vol, &classes);
+        dep.units.truncate(splits.len());
+        let d: Vec<Vec<(NodeId, f64)>> = splits
+            .iter()
+            .zip(&mut dep.units)
+            .map(|(split, unit)| {
+                unit.nodes = (0..split.len()).map(NodeId).collect();
+                split.iter().enumerate().map(|(j, &f)| (NodeId(j), f)).collect()
+            })
+            .collect();
+        let manifest = generate_manifests(&dep, &d);
+        for (u, unit) in dep.units.iter().enumerate() {
+            prop_assert_eq!(owned_points(&manifest, u, &unit.nodes), r as u64 * HASH_SPACE);
+            for p in seam_probes(&manifest, u, &unit.nodes) {
+                let covers = unit.nodes.iter().filter(|&&j| manifest.should_analyze(u, j, p)).count();
+                prop_assert_eq!(covers, r, "unit {} point {} covered {} times", u, p, covers);
+            }
+        }
+        prop_assert_eq!(validate_manifests(&dep, &manifest, r as f64, None), Ok(()));
     }
 }

@@ -76,13 +76,13 @@ proptest! {
         prop_assert!(!entries.is_empty());
         let victim = pick % entries.len();
 
-        // Mutation 1: truncate the victim's range to half its measure —
+        // Mutation 1: truncate the victim's range to half its points —
         // a coverage gap in that unit.
         {
             let mut mutated = entries.clone();
             let (_, e) = &mut mutated[victim];
             let unit = e.unit;
-            e.ranges = e.ranges.take_measure(e.ranges.measure() * 0.5);
+            e.ranges = e.ranges.take_points(e.ranges.points() / 2);
             let m = rebuild(dep.num_nodes, mutated);
             match validate_manifests(&dep, &m, cfg.redundancy, None) {
                 Err(ManifestValidationError::CoverageGap { unit: u, .. }) =>
@@ -98,7 +98,7 @@ proptest! {
             let unit = &dep.units[e.unit];
             if let Some(&other) = unit.nodes.iter().find(|j| *j != owner) {
                 let mut dup = e.clone();
-                dup.ranges = RangeSet::interval(0.0, 1.0);
+                dup.ranges = RangeSet::interval(0, HASH_SPACE);
                 let mut mutated = entries.clone();
                 // from_entries forbids duplicate (unit, node) pairs, so
                 // drop any existing entry `other` holds for this unit.

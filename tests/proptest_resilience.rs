@@ -41,7 +41,7 @@ fn fingerprint(dep: &NidsDeployment, m: &SamplingManifest) -> Vec<(usize, usize,
         for &j in &unit.nodes {
             if let Some(ranges) = m.range(u, j) {
                 for seg in ranges.segments() {
-                    out.push((u, j.index(), seg.lo.to_bits(), seg.hi.to_bits()));
+                    out.push((u, j.index(), seg.lo, seg.hi));
                 }
             }
         }
