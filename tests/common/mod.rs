@@ -37,6 +37,20 @@ fn unit_pieces(dep: &NidsDeployment, m: &SamplingManifest, u: usize) -> Vec<(u64
     pieces(&[(m, u, &dep.units[u].nodes)])
 }
 
+/// The hash values that decide unit `u`'s coverage: `lo - 1`, `lo`,
+/// `hi - 1` and `hi` of every segment, plus 0 and 2³² − 1.
+pub fn seam_probes(m: &SamplingManifest, u: usize, nodes: &[NodeId]) -> Vec<u32> {
+    let mut probes = vec![0, u32::MAX];
+    for &j in nodes {
+        for seg in m.range(u, j).map(RangeSet::segments).unwrap_or_default() {
+            let around = [seg.lo.checked_sub(1), Some(seg.lo), seg.hi.checked_sub(1), Some(seg.hi)];
+            probes
+                .extend(around.into_iter().flatten().filter(|&p| p < HASH_SPACE).map(|p| p as u32));
+        }
+    }
+    probes
+}
+
 /// Share of the hash space held by `points` lattice points.
 fn measure(points: u64) -> f64 {
     points as f64 / HASH_SPACE as f64

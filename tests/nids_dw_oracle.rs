@@ -11,6 +11,8 @@
 //! `NWDP_THREADS` 1 and 4). Its r = 2 manifests, and their greedy repairs,
 //! must own every hash-lattice point exactly r times.
 
+mod common;
+
 use nwdp::core::nids::{simplex_oracle, solve_nids_lp_excluding, GAP_TOL};
 use nwdp::core::parallel;
 use nwdp::prelude::*;
@@ -100,25 +102,12 @@ fn waxman_21_classes_matches_oracle_at_10_and_20_nodes() {
     }
 }
 
-/// The hash values that decide unit `u`'s coverage: both sides of every
-/// segment endpoint, plus the first and the last hash value.
-fn probes(m: &SamplingManifest, u: usize, nodes: &[NodeId]) -> Vec<u32> {
-    let mut out = vec![0, u32::MAX];
-    for &j in nodes {
-        for seg in m.range(u, j).map(RangeSet::segments).unwrap_or_default() {
-            let around = [seg.lo.checked_sub(1), Some(seg.lo), seg.hi.checked_sub(1), Some(seg.hi)];
-            out.extend(around.into_iter().flatten().filter(|&p| p < HASH_SPACE).map(|p| p as u32));
-        }
-    }
-    out
-}
-
 /// Every probed hash value of every unit is owned by `min(r, survivors)`
 /// distinct nodes according to `should_analyze`.
 fn assert_owned(what: &str, dep: &NidsDeployment, m: &SamplingManifest, failed: &[NodeId]) {
     for (u, unit) in dep.units.iter().enumerate() {
         let want = unit.nodes.iter().filter(|j| !failed.contains(j)).count().min(2);
-        for h in probes(m, u, &unit.nodes) {
+        for h in common::seam_probes(m, u, &unit.nodes) {
             let owners = unit.nodes.iter().filter(|&&j| m.should_analyze(u, j, h)).count();
             assert_eq!(owners, want, "{what}: unit {u} hash {h} owned {owners} times");
         }

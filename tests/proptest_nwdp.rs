@@ -196,7 +196,7 @@ proptest! {
             // Probe the lattice points on both sides of every segment
             // boundary: gaps or overlaps produced by drift live at the
             // seams, between grid points.
-            for p in seam_probes(&manifest, u, &unit.nodes) {
+            for p in common::seam_probes(&manifest, u, &unit.nodes) {
                 let covers = unit
                     .nodes
                     .iter()
@@ -211,20 +211,6 @@ proptest! {
 /// Lattice points unit `u`'s owners hold in all.
 fn owned_points(m: &SamplingManifest, u: usize, nodes: &[NodeId]) -> u64 {
     nodes.iter().map(|&j| m.range(u, j).map_or(0, RangeSet::points)).sum()
-}
-
-/// The hash values `lo - 1`, `lo`, `hi - 1` and `hi` of every segment of
-/// unit `u`, plus 0 and 2³² − 1.
-fn seam_probes(m: &SamplingManifest, u: usize, nodes: &[NodeId]) -> Vec<u32> {
-    let mut probes = vec![0, u32::MAX];
-    for &j in nodes {
-        for seg in m.range(u, j).map(RangeSet::segments).unwrap_or_default() {
-            let around = [seg.lo.checked_sub(1), Some(seg.lo), seg.hi.checked_sub(1), Some(seg.hi)];
-            probes
-                .extend(around.into_iter().flatten().filter(|&p| p < HASH_SPACE).map(|p| p as u32));
-        }
-    }
-    probes
 }
 
 /// `r` blocks of 1–3 positive fractions, each block normalized to 1, then
@@ -292,7 +278,7 @@ proptest! {
         let manifest = generate_manifests(&dep, &d);
         for (u, unit) in dep.units.iter().enumerate() {
             prop_assert_eq!(owned_points(&manifest, u, &unit.nodes), r as u64 * HASH_SPACE);
-            for p in seam_probes(&manifest, u, &unit.nodes) {
+            for p in common::seam_probes(&manifest, u, &unit.nodes) {
                 let covers = unit.nodes.iter().filter(|&&j| manifest.should_analyze(u, j, p)).count();
                 prop_assert_eq!(covers, r, "unit {} point {} covered {} times", u, p, covers);
             }
