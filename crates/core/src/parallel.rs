@@ -26,11 +26,11 @@
 //! fallback: the closure runs on the calling thread and no worker threads
 //! are spawned.
 
-use nwdp_obs as obs;
+use nwdp_obs::{self as obs, TraceValue};
 use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::ops::RangeBounds;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 thread_local! {
@@ -137,6 +137,42 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// What a fan-out's workers inherit from the thread that spawns them: its
+/// obs recorder, its open span and its [`with_threads`] override. All
+/// three are per-thread state, so a fan-out captures them before the
+/// spawn and each worker runs under them.
+pub struct Inherited {
+    recorder: Arc<obs::Recorder>,
+    parent: Option<u64>,
+    threads: Option<usize>,
+}
+
+impl Inherited {
+    /// Capture the calling thread's recorder, open span and override.
+    pub fn capture() -> Self {
+        Inherited {
+            recorder: obs::current(),
+            parent: obs::current_span_id(),
+            threads: OVERRIDE.with(|o| o.get()),
+        }
+    }
+
+    /// Run `f` under the captured recorder and override, inside a span
+    /// `name` nested under the captured span.
+    pub fn run<R>(&self, name: &str, fields: &[(&str, TraceValue)], f: impl FnOnce() -> R) -> R {
+        let body = || {
+            obs::scoped(&self.recorder, || {
+                let _span = obs::span_under(self.parent, name, fields);
+                f()
+            })
+        };
+        match self.threads {
+            Some(n) => with_threads(n, body),
+            None => body(),
+        }
+    }
+}
+
 /// Map `f` over `0..n`, fanning out across scoped threads; results are in
 /// index order. `f` receives the item index (callers derive per-item
 /// seeds from it).
@@ -159,11 +195,7 @@ where
     let (q, r) = (n / workers, n % workers);
     let f = &f;
     let measuring = obs::enabled();
-    // Captured before the spawn so workers record into the caller's
-    // recorder and their spans nest under whatever span the calling thread
-    // had open (both are per-thread otherwise).
-    let recorder = &obs::current();
-    let parent = obs::current_span_id();
+    let inherited = &Inherited::capture();
     let mut blocks: Vec<Vec<R>> = Vec::with_capacity(workers);
     let mut worker_ns: Vec<u64> = Vec::with_capacity(workers);
     std::thread::scope(|s| {
@@ -172,16 +204,8 @@ where
                 let lo = w * q + w.min(r);
                 let hi = lo + q + usize::from(w < r);
                 s.spawn(move || {
-                    obs::scoped(recorder, || {
-                        let _span = obs::span_under(
-                            parent,
-                            "parallel.worker",
-                            &[
-                                ("w", obs::TraceValue::from(w)),
-                                ("lo", obs::TraceValue::from(lo)),
-                                ("hi", obs::TraceValue::from(hi)),
-                            ],
-                        );
+                    let fields = &[("w", w.into()), ("lo", lo.into()), ("hi", hi.into())];
+                    inherited.run("parallel.worker", fields, || {
                         let t0 = measuring.then(Instant::now);
                         let block = (lo..hi).map(f).collect::<Vec<R>>();
                         let ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
@@ -301,6 +325,13 @@ mod tests {
         let before = num_threads();
         with_threads(2, || assert_eq!(num_threads(), 2));
         assert_eq!(num_threads(), before);
+    }
+
+    #[test]
+    fn override_reaches_nested_fan_outs() {
+        assert_eq!(with_threads(3, || par_map_n(2, |_| num_threads())), vec![3, 3]);
+        let nested = with_threads(4, || par_map_n(2, |_| par_map_n(4, |_| num_threads())));
+        assert_eq!(nested, vec![vec![4; 4]; 2]);
     }
 
     #[test]

@@ -31,9 +31,9 @@
 //!   and re-balancing is the reload loop's job, not the failure path's.
 
 use super::clock::{EventQueue, Timer};
-use super::transport::{SendOutcome, Transport};
+use super::transport::Transport;
 use super::{
-    Addr, ClusterConfig, ClusterError, Detection, DetectionCause, EpochReport, Msg, NetStats,
+    post, Addr, ClusterConfig, ClusterError, Detection, DetectionCause, EpochReport, Msg, NetStats,
 };
 use nwdp_core::nids::lp::{NidsLpConfig, NodeCaps};
 use nwdp_core::nids::manifest::{validate_manifests_excluding, CapacityCeiling, SamplingManifest};
@@ -118,14 +118,7 @@ impl<'a> Controller<'a> {
         stats: &mut NetStats,
     ) {
         let msg = Msg::ManifestPush { epoch: self.epoch, manifest: self.manifest.clone(), attempt };
-        stats.sends += 1;
-        match tx.send(node, now) {
-            SendOutcome::Delivered { at } => {
-                q.push(at, Timer::Deliver { to: Addr::Node(node), msg })
-            }
-            SendOutcome::DroppedLoss => stats.drops_loss += 1,
-            SendOutcome::DroppedCut => stats.drops_cut += 1,
-        }
+        post(node, Addr::Node(node), msg, now, q, tx, stats);
         let t = self.timeout(attempt);
         q.push(now + t, Timer::RetryCheck { node, epoch: self.epoch, attempt });
     }

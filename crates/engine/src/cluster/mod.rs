@@ -17,14 +17,15 @@
 //! The run is a discrete-event simulation on the replay-fraction clock —
 //! no wall-clock anywhere. All scheduling, all transport RNG draws, and
 //! all controller decisions happen serially in the driver thread in
-//! event order; ties pop in scheduling order. Node actors only process
-//! *same-instant* delivery batches, fanned out over `NWDP_THREADS`
-//! workers with each node's mailbox drained in batch order and replies
-//! merged back in ascending node order. A worker thread never touches
-//! the RNG or the queue, so the entire run — stats, detections, epochs,
-//! coverage samples, and the delivery-schedule fingerprint — is a pure
-//! function of `(deployment, manifest, plan, config)`, bit-identical
-//! across thread counts.
+//! event order; ties pop in scheduling order. Within a same-instant
+//! batch the nodes take their turns first, in ascending node order, each
+//! draining its mailbox in batch order and sending its replies as it
+//! produces them; the controller's events follow. A node turn is a few
+//! integer comparisons (nodes never coordinate at runtime), so the run
+//! spawns no threads and reads no thread count: the entire run — stats,
+//! detections, epochs, coverage samples, and the delivery-schedule
+//! fingerprint — is a pure function of `(deployment, manifest, plan,
+//! config)`.
 //!
 //! ## Degradation semantics
 //!
@@ -51,12 +52,11 @@ use nwdp_core::nids::lp::NodeCaps;
 use nwdp_core::nids::manifest::{
     validate_manifests, CapacityCeiling, ManifestValidationError, SamplingManifest,
 };
-use nwdp_core::parallel;
 use nwdp_core::resilience::{manifest_gap_fraction, FaultPlan, HealthConfig, HealthConfigError};
 use nwdp_core::units::NidsDeployment;
 use nwdp_obs as obs;
 use nwdp_topo::NodeId;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Typed control-plane messages.
 #[derive(Debug, Clone)]
@@ -225,7 +225,7 @@ impl std::fmt::Display for ClusterError {
 impl std::error::Error for ClusterError {}
 
 /// Everything one cluster run produced. Plain comparable data: the
-/// thread-equivalence tests assert whole-run equality.
+/// determinism tests assert whole-run equality.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterRun {
     pub stats: NetStats,
@@ -308,10 +308,6 @@ fn fingerprint_msg(h: u64, at: f64, to: &Addr, msg: &Msg) -> u64 {
     }
 }
 
-fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 /// Work routed to one node within a same-instant batch.
 enum NodeWork {
     Deliver(Msg),
@@ -321,10 +317,9 @@ enum NodeWork {
 /// Effective network-wide manifest: node `j` contributes the entries of
 /// the epoch it currently runs. Mixed epochs (mid-convergence) yield
 /// exactly the transient gaps/overlaps the coverage timeline should see.
-fn effective_manifest(nodes: &[Mutex<NodeActor>], num_nodes: usize) -> SamplingManifest {
+fn effective_manifest(nodes: &[NodeActor], num_nodes: usize) -> SamplingManifest {
     let mut entries = Vec::new();
-    for (j, cell) in nodes.iter().enumerate() {
-        let n = locked(cell);
+    for (j, n) in nodes.iter().enumerate() {
         for e in n.manifest.node_entries(NodeId(j)) {
             entries.push((NodeId(j), e.clone()));
         }
@@ -353,9 +348,8 @@ pub fn run_cluster(
     let initial = Arc::new(manifest.clone());
     let mut tx = Transport::new(plan.clone());
     let mut ctl = Controller::new(dep, caps, initial.clone(), cfg, tx.max_delay(), plan.seed)?;
-    let nodes: Vec<Mutex<NodeActor>> = (0..dep.num_nodes)
-        .map(|j| Mutex::new(NodeActor::new(NodeId(j), initial.clone())))
-        .collect();
+    let mut nodes: Vec<NodeActor> =
+        (0..dep.num_nodes).map(|j| NodeActor::new(NodeId(j), initial.clone())).collect();
 
     let mut q = EventQueue::new();
     let i = cfg.health.heartbeat_interval;
@@ -382,7 +376,7 @@ pub fn run_cluster(
     let mut fingerprint = FNV_OFFSET;
     let mut coverage: Vec<(f64, f64)> = Vec::new();
 
-    let sample = |t: f64, nodes: &[Mutex<NodeActor>], tx: &Transport| {
+    let sample = |t: f64, nodes: &[NodeActor], tx: &Transport| {
         let blind: Vec<NodeId> = (0..dep.num_nodes).map(NodeId).filter(|&n| tx.cut(n, t)).collect();
         let eff = effective_manifest(nodes, dep.num_nodes);
         1.0 - manifest_gap_fraction(dep, &eff, &blind)
@@ -393,10 +387,10 @@ pub fn run_cluster(
         if t > HORIZON {
             break;
         }
-        // Split the same-instant batch: per-node work (mailbox deliveries
-        // and beat timers) fans out in parallel; controller events stay
-        // serial. Delivery-time severance is re-checked here — a push in
-        // flight when its target crashed or partitioned must not land.
+        // Split the same-instant batch into per-node work (mailbox
+        // deliveries and beat timers) and controller events. Delivery-time
+        // severance is re-checked here — a push in flight when its target
+        // crashed or partitioned must not land.
         let mut node_work: Vec<Vec<NodeWork>> = (0..dep.num_nodes).map(|_| Vec::new()).collect();
         let mut ctl_events: Vec<Timer> = Vec::new();
         let mut resample = false;
@@ -438,71 +432,31 @@ pub fn run_cluster(
             }
         }
 
-        // Parallel node dispatch: each active node drains its mailbox in
-        // batch order; replies merge back in ascending node order.
-        let active: Vec<usize> = (0..dep.num_nodes).filter(|&j| !node_work[j].is_empty()).collect();
-        if !active.is_empty() {
-            let work = &node_work;
-            let cells = &nodes;
-            let alert_every = cfg.alert_every;
-            let replies: Vec<(usize, Vec<Msg>, NetStats, bool)> =
-                parallel::par_map_n(active.len(), |k| {
-                    let j = active[k];
-                    let mut actor = locked(&cells[j]);
-                    let mut local = NetStats::default();
-                    let mut out = Vec::new();
-                    let mut installed = false;
-                    for w in &work[j] {
-                        match w {
-                            NodeWork::Deliver(msg) => {
-                                let before = local.installs;
-                                if let Some(reply) = actor.on_msg(msg.clone(), t, &mut local) {
-                                    out.push(reply);
-                                }
-                                installed |= local.installs > before;
-                            }
-                            NodeWork::Beat => {
-                                out.push(actor.beat());
-                                if alert_every > 0 && actor.beat_seq.is_multiple_of(alert_every) {
-                                    out.push(actor.alert_report());
-                                }
-                            }
+        // Node turns, in ascending node order: each node drains its work
+        // in batch order, and its replies go out as it produces them.
+        for (node, work) in nodes.iter_mut().zip(node_work) {
+            for w in work {
+                match w {
+                    NodeWork::Deliver(msg) => {
+                        let installs = stats.installs;
+                        if let Some(reply) = node.on_msg(msg, t, &mut stats) {
+                            post(node.id, Addr::Controller, reply, t, &mut q, &mut tx, &mut stats);
                         }
+                        resample |= stats.installs > installs;
                     }
-                    (j, out, local, installed)
-                });
-            for (j, out, local, installed) in replies {
-                stats.sends += out.len() as u64;
-                stats.installs += local.installs;
-                stats.stale_epoch_rejects += local.stale_epoch_rejects;
-                resample |= installed;
-                for msg in out {
-                    let is_alert = matches!(msg, Msg::AlertReport { .. });
-                    if is_alert {
-                        stats.alert_sends += 1;
-                    }
-                    match tx.send(NodeId(j), t) {
-                        SendOutcome::Delivered { at } => {
-                            q.push(at, Timer::Deliver { to: Addr::Controller, msg });
-                        }
-                        SendOutcome::DroppedLoss => {
-                            stats.drops_loss += 1;
-                            if is_alert {
-                                stats.alert_drops += 1;
-                            }
-                        }
-                        SendOutcome::DroppedCut => {
-                            stats.drops_cut += 1;
-                            if is_alert {
-                                stats.alert_drops += 1;
-                            }
+                    NodeWork::Beat => {
+                        let beat = node.beat();
+                        post(node.id, Addr::Controller, beat, t, &mut q, &mut tx, &mut stats);
+                        if cfg.alert_every > 0 && node.beat_seq.is_multiple_of(cfg.alert_every) {
+                            let report = node.alert_report();
+                            post(node.id, Addr::Controller, report, t, &mut q, &mut tx, &mut stats);
                         }
                     }
                 }
             }
         }
 
-        // Serial controller turn, in batch order.
+        // Controller turn, in batch order.
         for ev in ctl_events {
             match ev {
                 Timer::Deliver { msg, .. } => ctl.on_msg(msg, t, &mut q, &mut tx, &mut stats),
@@ -528,11 +482,9 @@ pub fn run_cluster(
     }
     coverage.push((HORIZON, sample(HORIZON, &nodes, &tx)));
 
-    let node_epochs: Vec<u64> = nodes.iter().map(|c| locked(c).epoch).collect();
-    let node_installs: Vec<Vec<(f64, u64)>> =
-        nodes.iter().map(|c| locked(c).installs.clone()).collect();
-    let node_stale_rejects: Vec<u64> =
-        nodes.iter().map(|c| locked(c).stale_epoch_rejects).collect();
+    let node_epochs: Vec<u64> = nodes.iter().map(|n| n.epoch).collect();
+    let node_installs: Vec<Vec<(f64, u64)>> = nodes.iter().map(|n| n.installs.clone()).collect();
+    let node_stale_rejects: Vec<u64> = nodes.iter().map(|n| n.stale_epoch_rejects).collect();
 
     let run = ClusterRun {
         stats,
@@ -549,6 +501,31 @@ pub fn run_cluster(
     };
     export_metrics(&run);
     Ok(run)
+}
+
+/// Hand `msg` for `to` to the transport on the controller ↔ `link` path
+/// at `t`, counting the send and any drop.
+fn post(
+    link: NodeId,
+    to: Addr,
+    msg: Msg,
+    t: f64,
+    q: &mut EventQueue,
+    tx: &mut Transport,
+    stats: &mut NetStats,
+) {
+    let is_alert = matches!(msg, Msg::AlertReport { .. });
+    stats.sends += 1;
+    stats.alert_sends += u64::from(is_alert);
+    match tx.send(link, t) {
+        SendOutcome::Delivered { at } => {
+            q.push(at, Timer::Deliver { to, msg });
+            return;
+        }
+        SendOutcome::DroppedLoss => stats.drops_loss += 1,
+        SendOutcome::DroppedCut => stats.drops_cut += 1,
+    }
+    stats.alert_drops += u64::from(is_alert);
 }
 
 /// Mirror a finished run into `net.*` counters and series.

@@ -8,9 +8,7 @@
 //! epoch draws a [`Msg::StaleReject`], never a second install, so the
 //! sequence of epochs a node runs is strictly increasing no matter how
 //! the transport reorders pushes. Nodes mutate only their own state and
-//! return their outgoing messages to the driver, which lets a
-//! same-instant delivery batch fan out across worker threads without any
-//! cross-node data race.
+//! return their outgoing messages to the driver, which sends them.
 
 use super::{Msg, NetStats};
 use nwdp_core::nids::manifest::SamplingManifest;
@@ -52,8 +50,7 @@ impl NodeActor {
     }
 
     /// Handle one delivered message; the reply (if any) goes back to the
-    /// controller. `stats` is this node's private delta, merged by the
-    /// driver in node order.
+    /// controller. Installs and fenced pushes count in `stats`.
     pub fn on_msg(&mut self, msg: Msg, now: f64, stats: &mut NetStats) -> Option<Msg> {
         match msg {
             Msg::ManifestPush { epoch, manifest, .. } => {

@@ -6,9 +6,8 @@
 //! node is crashed or partitioned, otherwise dropped with the link's loss
 //! probability or delivered after a delay drawn from the link's bounds
 //! (unequal draws are what reorders messages). All RNG draws happen here,
-//! serially, in the driver's deterministic event order — worker threads
-//! never touch the RNG, so the delivery schedule is a pure function of
-//! `(plan, seed)` regardless of `NWDP_THREADS`.
+//! in the driver's deterministic event order, so the delivery schedule is
+//! a pure function of `(plan, seed)`.
 //!
 //! Severance is checked at *send* time here and re-checked at delivery
 //! time by the driver (a push launched just before a crash must not

@@ -157,6 +157,28 @@ fn covers(manifest: &SamplingManifest, node: NodeId, cell: u32, h: u32) -> bool 
     cell != NO_RANGE && manifest.node_entries(node)[cell as usize].ranges.contains(h)
 }
 
+/// An engine's hash-range membership tests and how many of them hit.
+#[derive(Default)]
+struct RangeCounts {
+    checks: u64,
+    hits: u64,
+}
+
+impl RangeCounts {
+    /// The per-connection and per-event coordination check: whether `h`
+    /// falls in `node`'s range for table cell `cell`, counted as one check
+    /// (and one hit). A [`NO_UNIT`] cell runs no check and never hits.
+    #[inline]
+    fn check(&mut self, manifest: &SamplingManifest, node: NodeId, cell: u32, h: u32) -> bool {
+        cell != NO_UNIT && {
+            self.checks += 1;
+            let hit = covers(manifest, node, cell, h);
+            self.hits += u64::from(hit);
+            hit
+        }
+    }
+}
+
 /// A standalone single-instance coordination setup for microbenchmarks:
 /// every unit's eligible set becomes `{node}` with a full-range
 /// assignment — "the sampling manifests … specify that this standalone
@@ -225,8 +247,7 @@ pub struct Engine<'a> {
     found: Vec<Detections>,
     packets: u64,
     fastpath_skipped: u64,
-    range_checks: u64,
-    range_hits: u64,
+    ranges: RangeCounts,
     /// §2.5 fine-grained coordination: connections whose interested
     /// modules all consume only connection-level events are tracked in
     /// lightweight records and skip per-packet analysis.
@@ -301,8 +322,7 @@ impl<'a> Engine<'a> {
             base_meter: Meter::new(),
             packets: 0,
             fastpath_skipped: 0,
-            range_checks: 0,
-            range_hits: 0,
+            ranges: RangeCounts::default(),
             fine_grained: false,
             pkt_buf: Vec::new(),
             fault_buf: Vec::new(),
@@ -438,7 +458,7 @@ impl<'a> Engine<'a> {
         let np = session.packet_count() as u64;
         self.packets += np;
         self.fastpath_skipped += np;
-        self.range_checks += np * checks;
+        self.ranges.checks += np * checks;
         self.base_meter.cpu(
             np * (self.costs.pkt_base
                 + self.costs.evt_check * checks
@@ -481,9 +501,9 @@ impl<'a> Engine<'a> {
                     self.hasher.hash32(&tuple, spec.key)
                 });
                 self.base_meter.cpu(self.costs.evt_check);
-                self.range_checks += 1;
+                self.ranges.checks += 1;
                 if covers(&coord.manifest, self.node, cell, h) {
-                    self.range_hits += 1;
+                    self.ranges.hits += 1;
                     any = true;
                     break;
                 }
@@ -522,13 +542,8 @@ impl<'a> Engine<'a> {
                 }
                 checks += 1;
                 let cell = self.table.cell(m, sn, dn);
-                rec.enabled[m] = cell != NO_UNIT && {
-                    let h = rec.hashes.get(spec.key);
-                    self.range_checks += 1;
-                    let hit = covers(&coord.manifest, self.node, cell, h);
-                    self.range_hits += hit as u64;
-                    hit
-                };
+                let h = rec.hashes.get(spec.key);
+                rec.enabled[m] = self.ranges.check(&coord.manifest, self.node, cell, h);
             }
             self.base_meter.cpu(self.costs.evt_check * checks);
             // §2.5 fine-grained extension: if every module interested in
@@ -548,13 +563,8 @@ impl<'a> Engine<'a> {
                         // Policy-side decision is per-connection too;
                         // resolve it now from the record's hashes.
                         let cell = self.table.cell(m, sn, dn);
-                        cell != NO_UNIT && {
-                            let h = rec.hashes.get(spec.key);
-                            self.range_checks += 1;
-                            let hit = covers(&coord.manifest, self.node, cell, h);
-                            self.range_hits += hit as u64;
-                            hit
-                        }
+                        let h = rec.hashes.get(spec.key);
+                        self.ranges.check(&coord.manifest, self.node, cell, h)
                     };
                     if interested {
                         any_interested = true;
@@ -595,21 +605,16 @@ impl<'a> Engine<'a> {
                     // reaches open connections at their next event.
                     let (sn, dn) = (node_of_ip(rec.orig.src_ip), node_of_ip(rec.orig.dst_ip));
                     let cell = self.table.cell(m, sn, dn);
-                    cell != NO_UNIT && {
-                        let charge = match spec.granularity {
-                            Granularity::PerPacket => self.costs.policy_check_pkt,
-                            Granularity::PerConnection if rec.pkts <= 1 || pkt.fin => {
-                                self.costs.policy_check_conn
-                            }
-                            Granularity::PerConnection => 0,
-                        };
-                        self.module_meters[m].cpu(charge);
-                        let h = rec.hashes.get(spec.key);
-                        self.range_checks += 1;
-                        let hit = covers(&coord.manifest, self.node, cell, h);
-                        self.range_hits += hit as u64;
-                        hit
-                    }
+                    let charge = match spec.granularity {
+                        _ if cell == NO_UNIT => 0, // no unit, no check to charge
+                        Granularity::PerPacket => self.costs.policy_check_pkt,
+                        Granularity::PerConnection if rec.pkts <= 1 || pkt.fin => {
+                            self.costs.policy_check_conn
+                        }
+                        Granularity::PerConnection => 0,
+                    };
+                    self.module_meters[m].cpu(charge);
+                    self.ranges.check(&coord.manifest, self.node, cell, rec.hashes.get(spec.key))
                 }
             };
             if run {
@@ -658,8 +663,8 @@ impl<'a> Engine<'a> {
         }
         self.packets += other.packets;
         self.fastpath_skipped += other.fastpath_skipped;
-        self.range_checks += other.range_checks;
-        self.range_hits += other.range_hits;
+        self.ranges.checks += other.ranges.checks;
+        self.ranges.hits += other.ranges.hits;
         self.absorbed_conns += other.conns.len() + other.absorbed_conns;
         self.base_meter.cpu_cycles += other.base_meter.cpu_cycles;
         self.base_meter.mem_bytes += other.base_meter.mem_bytes;
@@ -699,8 +704,8 @@ impl<'a> Engine<'a> {
             packets: self.packets,
             connections: self.conns.len() + self.absorbed_conns,
             fastpath_skipped: self.fastpath_skipped,
-            range_checks: self.range_checks,
-            range_hits: self.range_hits,
+            range_checks: self.ranges.checks,
+            range_hits: self.ranges.hits,
             per_module_cpu,
             alerts,
         }

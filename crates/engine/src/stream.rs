@@ -340,19 +340,14 @@ where
         failed?;
         crew.engines
     } else {
-        // Captured before the spawn so workers record into the caller's
-        // recorder and their spans nest under the caller's open span.
-        let recorder = &obs::current();
-        let parent = obs::current_span_id();
+        let inherited = &parallel::Inherited::capture();
         let fleet = &fleet;
         std::thread::scope(|scope| {
             let (queues, handles): (Vec<_>, Vec<_>) = (0..threads)
                 .map(|t| {
                     let (tx, rx) = mpsc::sync_channel::<Step>(QUEUE);
                     let handle = scope.spawn(move || {
-                        obs::scoped(recorder, || {
-                            let _span =
-                                obs::span_under(parent, "engine.stream_worker", &[("t", t.into())]);
+                        inherited.run("engine.stream_worker", &[("t", t.into())], || {
                             let mut crew = Crew::new((t..cells).step_by(threads).collect(), fleet)?;
                             for step in rx {
                                 crew.apply(&step, fleet)?;

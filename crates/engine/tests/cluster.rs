@@ -1,6 +1,7 @@
 //! End-to-end tests for the distributed control plane: convergence under
 //! clean, crashed, partitioned, lossy, and slow-link fault plans, plus
-//! the typed-config and fencing contracts.
+//! the typed-config and fencing contracts. A cluster run spawns no
+//! threads and reads no thread count, so these tests run once.
 
 use nwdp_core::nids::{
     generate_manifests, solve_nids_lp, NidsLpConfig, NodeCaps, SamplingManifest,
@@ -9,7 +10,7 @@ use nwdp_core::resilience::faultplan::{LinkFault, Partition};
 use nwdp_core::resilience::{manifest_gap_fraction, FaultPlan, HealthConfig, HealthConfigError};
 use nwdp_core::{build_units, AnalysisClass, NidsDeployment};
 use nwdp_engine::cluster::run_cluster;
-use nwdp_engine::{ClusterConfig, ClusterError, ClusterRun, DetectionCause};
+use nwdp_engine::{ClusterConfig, ClusterError, ClusterRun, DetectionCause, NetStats};
 use nwdp_topo::{internet2, NodeId, PathDb};
 use nwdp_traffic::{TrafficMatrix, VolumeModel};
 
@@ -296,4 +297,52 @@ fn same_seed_same_run() {
     plan.seed = 32;
     let c = run_cluster(&dep, &m, &caps, &plan, &cfg).expect("run c");
     assert_ne!(a.fingerprint, c.fingerprint);
+}
+
+/// One seeded run of the `repro cluster` fault script (10% loss, node 3
+/// crashing at 0.37, node 7 partitioned over [0.5, 0.75)), pinned: the
+/// delivery-schedule fingerprint, every wire counter, the final epoch
+/// and every node's install log. Node turns, transport draws and
+/// controller decisions all happen on the driver thread in event order,
+/// so any change to that order shows up here.
+#[test]
+fn repro_cluster_script_matches_pinned_run() {
+    let (dep, m, caps) = setup();
+    let mut plan = FaultPlan::lossy(0.1, 0.001, 0.004, 19);
+    plan.crashes.push((NodeId(3), 0.37));
+    plan.partitions.push(Partition { nodes: vec![NodeId(7)], from: 0.5, until: 0.75 });
+    let mut cfg = ClusterConfig::default();
+    cfg.health.miss_threshold = 4;
+    let run = run_cluster(&dep, &m, &caps, &plan, &cfg).expect("pinned run");
+
+    assert_eq!(run.fingerprint, 0x9c49_78af_8c99_4062);
+    assert_eq!(run.final_epoch, 3);
+    let stats = NetStats {
+        sends: 582,
+        delivered: 484,
+        drops_loss: 54,
+        drops_cut: 44,
+        retries: 2,
+        stale_epoch_rejects: 1,
+        heartbeats: 443,
+        installs: 20,
+        recoveries: 1,
+        repairs: 2,
+        ..NetStats::default()
+    };
+    assert_eq!(run.stats, stats);
+    let installs: Vec<Vec<(f64, u64)>> = vec![
+        vec![(0.4622782411824128, 2), (0.5833102009164953, 3)],
+        vec![(0.4629036228159925, 2), (0.582594806623137, 3)],
+        vec![(0.46330184676763025, 2), (0.5823183206061052, 3)],
+        vec![],
+        vec![(0.4886628216144779, 2), (0.5821048214434836, 3)],
+        vec![(0.4610364578167077, 2), (0.5833148317197462, 3)],
+        vec![(0.4622742697406494, 2), (0.583970501636783, 3)],
+        vec![(0.46187166485420283, 2), (0.7850178935427586, 3)],
+        vec![(0.4632200902992515, 2), (0.5813011502408767, 3)],
+        vec![(0.46298237220907235, 2), (0.5833828107287801, 3)],
+        vec![(0.461832043644112, 2), (0.5815185589465744, 3)],
+    ];
+    assert_eq!(run.node_installs, installs);
 }

@@ -214,12 +214,10 @@ pub fn solve_with_lazy_rows_ctx(
     };
 
     if obs::enabled() {
-        // Per-re-solve iteration trajectory, keyed on a process-wide solve
+        // Per-re-solve iteration trajectory, keyed on the recorder's solve
         // index (ordering across threads is best-effort; the series is for
         // eyeballing warm-start decay, not for equivalence checks).
-        static SOLVE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let seq = SOLVE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        obs::record_series("simplex.resolve_iterations", seq as f64, total_iters as f64);
+        obs::series("simplex.resolve_iterations").record_next(total_iters as f64);
         let s = obs::Scope::new("rowgen");
         s.counter("solves").inc();
         s.counter("rounds").add(rounds as u64);
@@ -285,5 +283,26 @@ mod tests {
         assert!(r.converged);
         assert_eq!(r.rows_added, 0);
         assert_eq!(r.rounds, 1);
+    }
+
+    /// Each run's re-solve series starts at its own solve 0, however many
+    /// solves earlier runs in the process recorded.
+    #[test]
+    fn resolve_series_counts_per_recorder() {
+        let mut base = Problem::new(Sense::Max);
+        let x = base.add_var("x", 0.0, 1.0, 1.0);
+        let lazy = vec![LazyRow::new("cap", vec![(x, 1.0)], Cmp::Le, 0.5)];
+        let run = || {
+            obs::scoped(&obs::Recorder::new(), || {
+                obs::set_enabled(true);
+                solve_with_lazy_rows(&base, &lazy, &RowGenOpts::default());
+                solve_with_lazy_rows(&base, &lazy, &RowGenOpts::default());
+                obs::series("simplex.resolve_iterations").points()
+            })
+        };
+        for points in [run(), run()] {
+            let t: Vec<f64> = points.iter().map(|&(t, _)| t).collect();
+            assert_eq!(t, vec![0.0, 1.0]);
+        }
     }
 }

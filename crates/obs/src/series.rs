@@ -35,6 +35,13 @@ impl Series {
         lock(&self.points).push((t, value));
     }
 
+    /// Append one sample at `t` = the number of points already recorded,
+    /// for series whose clock is their own record index.
+    pub fn record_next(&self, value: f64) {
+        let points = &mut *lock(&self.points);
+        points.push((points.len() as f64, value));
+    }
+
     /// Copy of all points recorded so far.
     pub fn points(&self) -> Vec<(f64, f64)> {
         lock(&self.points).clone()
@@ -123,5 +130,13 @@ mod tests {
         assert!(crate::scoped(&b, series_snapshot).is_empty());
         let snap = crate::scoped(&a, series_snapshot);
         assert_eq!(snap, vec![("test.series.own".to_string(), vec![(1.0, 1.0)])]);
+    }
+
+    #[test]
+    fn record_next_counts_from_zero_per_series() {
+        let s = Series::default();
+        s.record_next(5.0);
+        s.record_next(7.0);
+        assert_eq!(s.points(), vec![(0.0, 5.0), (1.0, 7.0)]);
     }
 }

@@ -8,8 +8,13 @@
 //! endpoint, then probe each piece's first hash value with
 //! `SamplingManifest::should_analyze`, one index lookup per (piece, node).
 //! The `check_*` helpers assert the two agree bit for bit.
+//!
+//! [`threads::under_thread_counts`] runs a test body at the two thread
+//! counts every test that reaches a parallel fan-out is checked at.
 
 #![allow(dead_code)]
+
+pub mod threads;
 
 use nwdp::core::migration::plan_transition;
 use nwdp::prelude::*;

@@ -9,8 +9,12 @@
 //! change to what the engine charges, counts or detects on this run shows
 //! up as a line diff below. Re-record them only for a change that is meant
 //! to move the simulated costs, and say so where the change is described.
+//! Every figure must hold at 1 and at 4 threads.
+
+mod common;
 
 use nwdp::core::nids::simplex_oracle;
+use nwdp::core::parallel;
 use nwdp::engine::NetworkRun;
 use nwdp::prelude::*;
 
@@ -74,23 +78,32 @@ fn assert_module_order(s: &Setup, run: &NetworkRun) {
     }
 }
 
-fn batch(placement: Placement) -> String {
+/// `replay` renders to `want` at 1 and at 4 threads.
+fn assert_golden(s: &Setup, want: &str, replay: impl Fn() -> NetworkRun) {
+    common::threads::under_thread_counts(|| {
+        let run = replay();
+        assert_module_order(s, &run);
+        assert_eq!(render(&run), want, "at {} threads", parallel::num_threads());
+    });
+}
+
+fn assert_batch_golden(placement: Placement, want: &str) {
     let s = setup();
     let trace = generate_trace(&s.topo, &s.tm, &TraceConfig::new(SESSIONS, SEED));
     let h = KeyedHasher::with_key(KEY);
-    let run = run_coordinated(&s.dep, &s.manifest, &s.paths, &trace, placement, h).unwrap();
-    assert_module_order(&s, &run);
-    render(&run)
+    assert_golden(&s, want, || {
+        run_coordinated(&s.dep, &s.manifest, &s.paths, &trace, placement, h).unwrap()
+    });
 }
 
 #[test]
 fn event_engine_batch_replay_matches_golden() {
-    assert_eq!(batch(Placement::EventEngine), EVENT_ENGINE);
+    assert_batch_golden(Placement::EventEngine, EVENT_ENGINE);
 }
 
 #[test]
 fn policy_engine_batch_replay_matches_golden() {
-    assert_eq!(batch(Placement::PolicyEngine), POLICY_ENGINE);
+    assert_batch_golden(Placement::PolicyEngine, POLICY_ENGINE);
 }
 
 /// The §2.5 fine-grained branch resolves policy-side interest at
@@ -100,23 +113,23 @@ fn fine_grained_event_engine_matches_golden() {
     let s = setup();
     let trace = generate_trace(&s.topo, &s.tm, &TraceConfig::new(SESSIONS, SEED));
     let names: Vec<String> = s.dep.classes.iter().map(|c| c.name.clone()).collect();
-    let per_node = (0..s.dep.num_nodes)
-        .map(|j| {
-            let node = NodeId(j);
-            let coord = CoordContext::new(&s.dep, &s.manifest);
-            let h = KeyedHasher::with_key(KEY);
-            let mut engine =
-                Engine::new(node, Placement::EventEngine, &names, Some(coord), h).unwrap();
-            engine.set_fine_grained(true);
-            for session in trace.onpath_sessions(&s.paths, node) {
-                engine.process_session(session);
-            }
-            engine.stats()
-        })
-        .collect();
-    let run = NetworkRun { per_node, alerts: Default::default() };
-    assert_module_order(&s, &run);
-    assert_eq!(render(&run), FINE_GRAINED);
+    assert_golden(&s, FINE_GRAINED, || {
+        let per_node = (0..s.dep.num_nodes)
+            .map(|j| {
+                let node = NodeId(j);
+                let coord = CoordContext::new(&s.dep, &s.manifest);
+                let h = KeyedHasher::with_key(KEY);
+                let mut engine =
+                    Engine::new(node, Placement::EventEngine, &names, Some(coord), h).unwrap();
+                engine.set_fine_grained(true);
+                for session in trace.onpath_sessions(&s.paths, node) {
+                    engine.process_session(session);
+                }
+                engine.stats()
+            })
+            .collect();
+        NetworkRun { per_node, alerts: Default::default() }
+    });
 }
 
 /// The run starts on the oracle's manifest, but every swap installs a
@@ -135,20 +148,21 @@ fn stream_reload_with_swaps_matches_golden() {
         blend: 0.5,
         sabotage: Sabotage::None,
     };
-    let reload = run_coordinated_stream_reload(
-        &s.dep,
-        &s.manifest,
-        &s.paths,
-        || SessionStream::new(&s.topo, &s.tm, &trace_cfg),
-        Placement::PolicyEngine,
-        KeyedHasher::with_key(KEY),
-        2,
-        &reload_cfg,
-    )
-    .unwrap();
-    assert!(reload.swaps() >= 1, "the run must exercise a live manifest swap");
-    assert_module_order(&s, &reload.run);
-    assert_eq!(render(&reload.run), STREAM_RELOAD);
+    assert_golden(&s, STREAM_RELOAD, || {
+        let reload = run_coordinated_stream_reload(
+            &s.dep,
+            &s.manifest,
+            &s.paths,
+            || SessionStream::new(&s.topo, &s.tm, &trace_cfg),
+            Placement::PolicyEngine,
+            KeyedHasher::with_key(KEY),
+            2,
+            &reload_cfg,
+        )
+        .unwrap();
+        assert!(reload.swaps() >= 1, "the run must exercise a live manifest swap");
+        reload.run
+    });
 }
 
 const EVENT_ENGINE: &str = "\

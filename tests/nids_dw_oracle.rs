@@ -7,14 +7,13 @@
 //! the value is unique.
 //!
 //! The decomposition must also be deterministic: the same manifest bit
-//! for bit under any thread-count override (`ci.sh` reruns this suite at
-//! `NWDP_THREADS` 1 and 4). Its r = 2 manifests, and their greedy repairs,
-//! must own every hash-lattice point exactly r times.
+//! for bit under any thread-count override. Its r = 2 manifests, and
+//! their greedy repairs, must own every hash-lattice point exactly r
+//! times.
 
 mod common;
 
 use nwdp::core::nids::{simplex_oracle, solve_nids_lp_excluding, GAP_TOL};
-use nwdp::core::parallel;
 use nwdp::prelude::*;
 
 fn internet2() -> (NidsDeployment, NidsLpConfig) {
@@ -138,8 +137,7 @@ fn manifests_are_identical_at_any_thread_count() {
         let (a, _) = solve_nids_lp_excluding(&dep, &cfg, &[NodeId(4)]).unwrap();
         (generate_manifests(&dep, &a.d), solve_nids_lp(&dep, &cfg).unwrap())
     };
-    let (m1, a1) = parallel::with_threads(1, solve);
-    let (m4, a4) = parallel::with_threads(4, solve);
+    let ((m1, a1), (m4, a4)) = common::threads::under_thread_counts(solve);
     assert_eq!(m1, m4, "excluding solve differs across thread counts");
     assert_eq!(generate_manifests(&dep, &a1.d), generate_manifests(&dep, &a4.d));
     assert_eq!(a1.max_load.to_bits(), a4.max_load.to_bits());

@@ -3,16 +3,12 @@
 //! merges in input order with per-item derived seeds, so one thread and
 //! many threads produce bit-identical alerts, objectives, and manifests.
 
+mod common;
+
+use common::threads::under_thread_counts;
 use nwdp::core::parallel;
 use nwdp::obs;
 use nwdp::prelude::*;
-
-/// Run `f` under a 1-thread and a 4-thread override and return both results.
-fn both<R>(f: impl Fn() -> R) -> (R, R) {
-    let serial = parallel::with_threads(1, &f);
-    let parallel_ = parallel::with_threads(4, &f);
-    (serial, parallel_)
-}
 
 #[test]
 fn nids_replay_identical_across_thread_counts() {
@@ -28,7 +24,7 @@ fn nids_replay_identical_across_thread_counts() {
     let trace = generate_trace(&topo, &tm, &TraceConfig::new(3000, 17));
     let h = KeyedHasher::with_key(5);
 
-    let (s, p) = both(|| {
+    let (s, p) = under_thread_counts(|| {
         run_coordinated(&dep, &manifest, &paths, &trace, Placement::EventEngine, h).unwrap()
     });
     assert_eq!(s.alerts, p.alerts, "coordinated alerts must not depend on thread count");
@@ -38,7 +34,7 @@ fn nids_replay_identical_across_thread_counts() {
         assert_eq!(a.alerts, b.alerts);
     }
 
-    let (se, pe) = both(|| run_edge_only(&dep, &trace, h).unwrap());
+    let (se, pe) = under_thread_counts(|| run_edge_only(&dep, &trace, h).unwrap());
     assert_eq!(se.alerts, pe.alerts, "edge-only alerts must not depend on thread count");
 }
 
@@ -60,12 +56,12 @@ fn streaming_replay_identical_to_batch() {
     let trace = generate_trace(&topo, &tm, &trace_cfg);
     let h = KeyedHasher::with_key(5);
 
-    let batch =
-        run_coordinated(&dep, &manifest, &paths, &trace, Placement::EventEngine, h).unwrap();
-
-    for shards in [1usize, 3, 4] {
-        let (s, p) = both(|| {
-            run_coordinated_stream(
+    under_thread_counts(|| {
+        let threads = parallel::num_threads();
+        let batch =
+            run_coordinated(&dep, &manifest, &paths, &trace, Placement::EventEngine, h).unwrap();
+        for shards in [1usize, 3, 4] {
+            let stream = run_coordinated_stream(
                 &dep,
                 &manifest,
                 &paths,
@@ -74,16 +70,12 @@ fn streaming_replay_identical_to_batch() {
                 h,
                 shards,
             )
-            .unwrap()
-        });
-        for (which, stream) in [("1 thread", &s), ("4 threads", &p)] {
-            assert_eq!(
-                stream.alerts, batch.alerts,
-                "stream alerts diverged from batch ({shards} shards, {which})"
-            );
+            .unwrap();
+            let which = format!("{shards} shards, {threads} threads");
+            assert_eq!(stream.alerts, batch.alerts, "stream alerts diverged from batch ({which})");
             assert_eq!(stream.per_node.len(), batch.per_node.len());
             for (a, b) in stream.per_node.iter().zip(&batch.per_node) {
-                let ctx = format!("node {} ({shards} shards, {which})", a.node.0);
+                let ctx = format!("node {} ({which})", a.node.0);
                 assert_eq!(a.packets, b.packets, "packets, {ctx}");
                 assert_eq!(a.connections, b.connections, "connections, {ctx}");
                 assert_eq!(a.cpu_cycles, b.cpu_cycles, "cpu_cycles, {ctx}");
@@ -95,7 +87,7 @@ fn streaming_replay_identical_to_batch() {
                 assert_eq!(a.alerts, b.alerts, "alerts, {ctx}");
             }
         }
-    }
+    });
 }
 
 /// Two streaming replays measured at once, each under its own
@@ -176,49 +168,48 @@ fn reload_with_every_swap_rejected_identical_to_stream() {
     let trace_cfg = TraceConfig::new(2000, 17);
     let h = KeyedHasher::with_key(5);
 
-    for shards in [1usize, 3] {
-        let stream = run_coordinated_stream(
-            &dep,
-            &manifest,
-            &paths,
-            || SessionStream::new(&topo, &tm, &trace_cfg),
-            Placement::EventEngine,
-            h,
-            shards,
-        )
-        .unwrap();
-        let (s, p) = both(|| {
-            let reload_cfg = ReloadConfig {
-                epochs: 4,
-                total_sessions: 2000,
-                caps: &cfg.caps,
-                redundancy: 1.0,
-                max_load: 1.0,
-                blend: 0.5,
-                sabotage: Sabotage::Every,
-            };
-            run_coordinated_stream_reload(
+    let reload_cfg = ReloadConfig {
+        epochs: 4,
+        total_sessions: 2000,
+        caps: &cfg.caps,
+        redundancy: 1.0,
+        max_load: 1.0,
+        blend: 0.5,
+        sabotage: Sabotage::Every,
+    };
+    let source = || SessionStream::new(&topo, &tm, &trace_cfg);
+
+    under_thread_counts(|| {
+        let threads = parallel::num_threads();
+        for shards in [1usize, 3] {
+            let stream = run_coordinated_stream(
                 &dep,
                 &manifest,
                 &paths,
-                || SessionStream::new(&topo, &tm, &trace_cfg),
+                source,
+                Placement::EventEngine,
+                h,
+                shards,
+            )
+            .unwrap();
+            let reload = run_coordinated_stream_reload(
+                &dep,
+                &manifest,
+                &paths,
+                source,
                 Placement::EventEngine,
                 h,
                 shards,
                 &reload_cfg,
             )
-            .unwrap()
-        });
-        for (which, reload) in [("1 thread", &s), ("4 threads", &p)] {
+            .unwrap();
+            let which = format!("{shards} shards, {threads} threads");
             assert_eq!(reload.swaps(), 0, "Sabotage::Every must reject everything ({which})");
             assert_eq!(reload.rejected(), 3, "{which}");
             assert!(reload.coverage_floor() > 1.0 - 1e-9, "{which}");
-            assert_eq!(
-                reload.run.alerts, stream.alerts,
-                "reload alerts diverged from stream ({shards} shards, {which})"
-            );
+            assert_eq!(reload.run.alerts, stream.alerts, "reload alerts diverged ({which})");
             for (a, b) in reload.run.per_node.iter().zip(&stream.per_node) {
-                let ctx = format!("node {} ({shards} shards, {which})", a.node.0);
+                let ctx = format!("node {} ({which})", a.node.0);
                 assert_eq!(a.packets, b.packets, "packets, {ctx}");
                 assert_eq!(a.connections, b.connections, "connections, {ctx}");
                 assert_eq!(a.cpu_cycles, b.cpu_cycles, "cpu_cycles, {ctx}");
@@ -230,15 +221,15 @@ fn reload_with_every_swap_rejected_identical_to_stream() {
                 assert_eq!(a.alerts, b.alerts, "alerts, {ctx}");
             }
         }
-    }
+    });
 }
 
 /// The distributed control plane is a discrete-event replay: transport
 /// drops, delays, retry jitter, and repair decisions all draw from
-/// driver-serial RNG in event order, and same-instant node batches merge
-/// in node order — so a faulty, lossy, partitioned run is bit-identical
-/// (full `ClusterRun` equality, including the delivery-schedule
-/// fingerprint) at 1 and 4 threads (ISSUE 9).
+/// driver-serial RNG in event order, and node turns run in node order on
+/// the driver thread — so a faulty, lossy, partitioned run is
+/// bit-identical (full `ClusterRun` equality, including the
+/// delivery-schedule fingerprint) under any thread-count override.
 #[test]
 fn cluster_convergence_identical_across_thread_counts() {
     let topo = nwdp::topo::internet2();
@@ -256,7 +247,8 @@ fn cluster_convergence_identical_across_thread_counts() {
     let mut ccfg = ClusterConfig::default();
     ccfg.health.miss_threshold = 4;
 
-    let (s, p) = both(|| run_cluster(&dep, &manifest, &cfg.caps, &plan, &ccfg).unwrap());
+    let (s, p) =
+        under_thread_counts(|| run_cluster(&dep, &manifest, &cfg.caps, &plan, &ccfg).unwrap());
     assert_eq!(s, p, "cluster run must not depend on thread count");
     assert!(s.final_epoch >= 2, "the crash must force at least one repair epoch");
     assert!(s.stats.delivered > 0 && s.stats.drops_loss > 0);
@@ -278,7 +270,7 @@ fn nips_rounding_identical_across_thread_counts() {
         ..Default::default()
     };
 
-    let (s, p) = both(|| round_best_of(&inst, &relax, &opts).unwrap());
+    let (s, p) = under_thread_counts(|| round_best_of(&inst, &relax, &opts).unwrap());
     assert_eq!(s.objective.to_bits(), p.objective.to_bits(), "objective must be bit-identical");
     assert_eq!(s.e, p.e);
     assert_eq!(s.d, p.d);
@@ -293,7 +285,7 @@ fn manifests_identical_across_thread_counts() {
     let dep = build_units(&topo, &paths, &tm, &vol, &AnalysisClass::standard_set());
     let cfg = NidsLpConfig::homogeneous(dep.num_nodes, NodeCaps { cpu: 2e8, mem: 4e9 });
 
-    let (s, p) = both(|| {
+    let (s, p) = under_thread_counts(|| {
         let a = solve_nids_lp(&dep, &cfg).unwrap();
         let manifest = generate_manifests(&dep, &a.d);
         (0..dep.num_nodes)
@@ -314,7 +306,7 @@ fn fpl_identical_across_thread_counts() {
     inst.cam_cap = vec![f64::INFINITY; inst.num_nodes];
     let cfg = FplConfig { epochs: 12, seed: 6, track_ftl: true, ..Default::default() };
 
-    let (s, p) = both(|| {
+    let (s, p) = under_thread_counts(|| {
         let mut adv = StochasticUniform::new(4, inst.paths.len(), 0.01, 19);
         run_fpl(&inst, &mut adv, &cfg).expect("valid config")
     });

@@ -6,6 +6,8 @@
 //! header pipes — and with the alert plane off (`NWDP_ALERT` unset) the
 //! data plane stays bit-identical across thread and shard counts.
 
+mod common;
+
 use nwdp::core::parallel;
 use nwdp::obs;
 use nwdp::prelude::*;
@@ -170,9 +172,10 @@ fn data_plane_bit_identical_with_alert_plane_off_and_on() {
     };
 
     let baseline = run_once(1);
-    for threads in [1usize, 4] {
+    common::threads::under_thread_counts(|| {
+        let threads = parallel::num_threads();
         for shards in [1usize, 3] {
-            let off = parallel::with_threads(threads, || run_once(shards));
+            let off = run_once(shards);
             assert_eq!(
                 off.alerts, baseline.alerts,
                 "plane off must be bit-identical ({threads} threads, {shards} shards)"
@@ -185,7 +188,7 @@ fn data_plane_bit_identical_with_alert_plane_off_and_on() {
                 assert_eq!(a.alerts, b.alerts);
             }
         }
-    }
+    });
 
     // Plane on: structured emission runs, results stay identical, and the
     // egress bytes are themselves thread-count-invariant at a fixed shard
@@ -203,13 +206,12 @@ fn data_plane_bit_identical_with_alert_plane_off_and_on() {
         }
     }
 
-    let mut egress: Vec<Vec<u8>> = Vec::new();
-    for threads in [1usize, 4] {
+    let egress = common::threads::under_thread_counts(|| {
         let buf = SharedBuf::default();
         let (on, stats) = obs::scoped(&obs::Recorder::new(), || {
             obs::add_alert_writer(obs::AlertFormat::Jsonl, Box::new(buf.clone()));
             obs::set_alert_enabled(true);
-            let on = parallel::with_threads(threads, || run_once(3));
+            let on = run_once(3);
             (on, obs::flush_alerts().unwrap())
         });
 
@@ -222,10 +224,11 @@ fn data_plane_bit_identical_with_alert_plane_off_and_on() {
         }
         assert!(stats.emitted > 0, "the plane must have seen the detections");
         assert_eq!(stats.emitted, stats.written + stats.deduped + stats.dropped_ratelimit);
-        egress.push(buf.0.lock().unwrap_or_else(|e| e.into_inner()).clone());
-    }
+        let bytes = buf.0.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        bytes
+    });
     assert_eq!(
-        egress[0], egress[1],
+        egress.0, egress.1,
         "egress must be byte-identical across thread counts at fixed shards"
     );
 }

@@ -7,7 +7,6 @@
 
 mod common;
 
-use nwdp::core::parallel;
 use nwdp::prelude::*;
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
@@ -118,10 +117,7 @@ proptest! {
         prop_assert!((max_surviving - repair.max_load_after).abs() < 1e-9);
 
         // Bit-identical repair under 1 and 4 threads.
-        let fp1 = parallel::with_threads(1, || {
-            fingerprint(&dep, &greedy_repair(&dep, &manifest, &cfg.caps, &failed).manifest)
-        });
-        let fp4 = parallel::with_threads(4, || {
+        let (fp1, fp4) = common::threads::under_thread_counts(|| {
             fingerprint(&dep, &greedy_repair(&dep, &manifest, &cfg.caps, &failed).manifest)
         });
         prop_assert_eq!(&fp1, &fp4, "repair must not depend on thread count");
@@ -155,10 +151,7 @@ proptest! {
             prop_assert!(post <= 1.0 + 1e-6, "node {} still overloaded: {}", j, post);
         }
         // Determinism across thread counts.
-        let f1 = parallel::with_threads(1, || {
-            fingerprint(&dep, &shed_overload(&dep, &manifest, &caps, surge, &values).manifest)
-        });
-        let f4 = parallel::with_threads(4, || {
+        let (f1, f4) = common::threads::under_thread_counts(|| {
             fingerprint(&dep, &shed_overload(&dep, &manifest, &caps, surge, &values).manifest)
         });
         prop_assert_eq!(f1, f4);

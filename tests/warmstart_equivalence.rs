@@ -13,9 +13,10 @@
 
 mod common;
 
+use common::threads::under_thread_counts;
+
 use nwdp::core::nids::solve_nids_lp_warm;
 use nwdp::core::nips::solve_relaxation_ctx;
-use nwdp::core::parallel;
 use nwdp::lp::SolveContext;
 use nwdp::prelude::*;
 
@@ -24,12 +25,6 @@ fn close(a: f64, b: f64, what: &str) {
         (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
         "{what}: cold {a} vs warm {b} diverged beyond 1e-9"
     );
-}
-
-/// Run `f` under 1-thread and 4-thread overrides; both must agree.
-fn under_thread_counts(f: impl Fn()) {
-    parallel::with_threads(1, &f);
-    parallel::with_threads(4, &f);
 }
 
 fn nids_setup() -> (NidsDeployment, NidsLpConfig) {
